@@ -86,6 +86,31 @@ func BenchmarkTraceDispatch(b *testing.B) {
 	b.ReportMetric(float64(b.N)*chainInsns/b.Elapsed().Seconds(), "insns/s")
 }
 
+// BenchmarkStitch measures one stitch walk from the chain program's entry
+// block. "ok" builds and installs the five-block trace (after dropping the
+// previous one); "transient" abandons the walk at an uncached successor —
+// the common failure while a fresh machine's cache is still warming up.
+func BenchmarkStitch(b *testing.B) {
+	b.Run("ok", func(b *testing.B) {
+		e, blk, key, pc := stitchReady(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.c.dropAllTraces()
+			e.c.maybeStitch(blk, key, pc)
+		}
+	})
+	b.Run("transient", func(b *testing.B) {
+		e, blk, key, pc := stitchReady(b)
+		uncacheSuccessor(e, blk, pc)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.c.maybeStitch(blk, key, pc)
+		}
+	})
+}
+
 // BenchmarkTranslateHit measures Translate on a warm data page: with the
 // fastpaths on this is a D-side micro-TLB hit, the cost every load and
 // store in the emulator pays.

@@ -103,9 +103,10 @@ type BlockCache struct {
 
 	// Invalidation hooks for dependents (the trace cache): onReset fires
 	// after the whole cache is dropped (interned context ids dangle, so any
-	// key derived from them does too); onEvict fires per cohort-evicted key.
+	// key derived from them does too); onEvict fires per cohort-evicted
+	// block with its key and page.
 	onReset func()
-	onEvict func(blockKey)
+	onEvict func(key blockKey, page uint64)
 
 	// In-progress block builder. The build is abandoned (never inserted)
 	// if the page's epoch moves between build start and finalize.
@@ -275,7 +276,7 @@ func (d *BlockCache) evictCohort() {
 		delete(d.blocks, k)
 		d.dropPageRef(b.page)
 		if d.onEvict != nil {
-			d.onEvict(k)
+			d.onEvict(k, b.page)
 		}
 		evicted++
 	}

@@ -278,27 +278,39 @@ func rw(write bool) string {
 	return "read"
 }
 
-// buildTraceProof lazily proves each member block and composes the results
-// into the trace's TraceProof via the absint factory. This file owns every
-// `.proof` slot (tools/lint), so composition lives here rather than in the
-// stitcher. Returns false if composition rejected the inputs — the stitch
-// is then abandoned, since an unproven trace has no audit oracle and no
-// minimum-charge bound.
-func (c *VCPU) buildTraceProof(t *trace, edges []absint.TraceEdge) bool {
-	proofs := make([]*absint.BlockProof, len(t.blocks))
-	for i, b := range t.blocks {
-		if b.proof == nil {
-			b.proof = absint.ProveBlock(t.starts[i], b.insns)
-		}
-		proofs[i] = b.proof
+// traceProof returns the trace's composed TraceProof, composing it on first
+// use: each member block is proven (the proof cached on the block, as
+// noteEnter does) and the absint factory folds the proofs along the stitched
+// edges. The audit oracle is the only reader of a TraceProof, so stitching
+// never pays for one; this file owns every `.proof` slot (tools/lint), so
+// composition lives here rather than in the stitcher. A trace's members and
+// their proofs are fixed for its lifetime, so composing late yields exactly
+// the proof composing at stitch time would have.
+func traceProof(t *trace) *absint.TraceProof {
+	if t.proof != nil {
+		return t.proof
 	}
-	t.proof = absint.ComposeTrace(t.starts[0], proofs, edges)
-	return t.proof != nil
+	proofs := make([]*absint.BlockProof, len(t.members))
+	edges := make([]absint.TraceEdge, len(t.members)-1)
+	for i := range t.members {
+		m := &t.members[i]
+		if m.blk.proof == nil {
+			m.blk.proof = absint.ProveBlock(m.start, m.blk.insns)
+		}
+		proofs[i] = m.blk.proof
+		if i < len(edges) {
+			edges[i] = m.edge
+		}
+	}
+	t.proof = absint.ComposeTrace(t.members[0].start, proofs, edges)
+	return t.proof
 }
 
 // noteTraceEnter opens a span over a guarded trace replay. Any active block
 // span is abandoned first: the trace replaces the block-pipeline replay the
-// span was watching.
+// span was watching. A stitched trace the composer refuses is a stitcher
+// bug — its shape broke ComposeTrace's contract — and counts as a
+// divergence.
 func (a *proofAudit) noteTraceEnter(c *VCPU, t *trace) {
 	if a.active {
 		a.abandon()
@@ -306,11 +318,14 @@ func (a *proofAudit) noteTraceEnter(c *VCPU, t *trace) {
 	if a.tActive {
 		a.abandonTraceSpan()
 	}
-	if t.proof == nil {
+	tp := traceProof(t)
+	if tp == nil {
+		paDiverge("trace %#x: stitched shape refused by ComposeTrace (%d members)",
+			t.members[0].start, len(t.members))
 		return
 	}
 	a.tActive = true
-	a.tProof = t.proof
+	a.tProof = tp
 	a.tIdx = 0
 	a.tStart = c.Cycles + c.batch
 	a.tSys = [4]uint64{

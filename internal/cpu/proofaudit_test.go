@@ -135,3 +135,80 @@ func TestProofAuditAbandonsOnDiscontinuity(t *testing.T) {
 		t.Errorf("abandoned = %d, divergences = %d, want 1, 0", st.Abandoned, st.Divergences)
 	}
 }
+
+// TestProofAuditTraceSpans replays a stitched chain under the audit oracle:
+// trace spans must open and finish with zero divergences whether the oracle
+// was attached from boot or only after the traces were stitched. Either way
+// the composed proof is built on the trace's first audited entry.
+func TestProofAuditTraceSpans(t *testing.T) {
+	for _, late := range []bool{false, true} {
+		e := newEnv(t)
+		e.c.SetProofAudit(!late)
+		e.c.SetTraceHotThreshold(2)
+		e.load(t, chainProgram())
+		e.run(t, 1000)
+		e.rerun(t, 1000)
+		e.rerun(t, 1000) // stitch pass
+		key := e.c.Decoded.keyFor(e.c, uint64(codeVA))
+		tr := e.c.tcache.traces[key]
+		if tr == nil {
+			t.Fatalf("late=%v: no trace at the program entry", late)
+		}
+		if tr.proof != nil {
+			t.Errorf("late=%v: proof composed before the trace's first entry", late)
+		}
+		e.c.SetProofAudit(true)
+		e.c.flushTraceStats()
+		before := ReadTraceStats()
+		ResetProofAudit()
+		e.rerun(t, 1000)
+		e.rerun(t, 1000)
+		d := ReadTraceStats().Sub(before)
+		st := ReadProofAudit()
+		if d.Completed == 0 {
+			t.Fatalf("late=%v: no traced pass completed", late)
+		}
+		if tr.proof == nil {
+			t.Errorf("late=%v: audited entry did not compose the trace proof", late)
+		}
+		if st.Spans < int64(d.Completed) || st.Finished < int64(d.Completed) {
+			t.Errorf("late=%v: %d traced passes completed, audit opened %d and finished %d spans",
+				late, d.Completed, st.Spans, st.Finished)
+		}
+		if st.Divergences != 0 {
+			t.Errorf("late=%v: trace spans diverged: %q", late, st.Details)
+		}
+	}
+}
+
+// TestStitchWithoutAuditProvesNothing: with the oracle detached, stitching
+// does no proof work. Package cpu calls ProveBlock only to fill a .proof
+// slot, so every slot must still be empty after the chain has stitched and
+// replayed traced.
+func TestStitchWithoutAuditProvesNothing(t *testing.T) {
+	e := newEnv(t)
+	e.c.SetTraceHotThreshold(2)
+	e.load(t, chainProgram())
+	e.run(t, 1000)
+	for i := 0; i < 4; i++ {
+		e.rerun(t, 1000)
+	}
+	if e.c.TraceCacheLen() == 0 {
+		t.Fatal("no trace stitched")
+	}
+	for key, tr := range e.c.tcache.traces {
+		if tr.proof != nil {
+			t.Errorf("trace %#x carries a composed proof with the audit off", key)
+		}
+		for _, m := range tr.members {
+			if m.blk.proof != nil {
+				t.Errorf("trace %#x member at %#x was proven with the audit off", key, m.start)
+			}
+		}
+	}
+	for key, b := range e.c.Decoded.blocks {
+		if b.proof != nil {
+			t.Errorf("block %#x was proven with the audit off", key)
+		}
+	}
+}

@@ -40,7 +40,9 @@
 // A trace dies eagerly when any member page's code epoch bumps (the
 // CodeEpochs.OnBump hook), when a member block is evicted (BlockCache
 // onEvict/onReset hooks), or lazily at the entry guard when a sibling-page
-// region bump moved a Snapshot without firing the page hook.
+// region bump moved a Snapshot without firing the page hook. Every drop goes
+// through dropTrace, which prunes the page index, so the side indexes only
+// ever describe live traces.
 package cpu
 
 import (
@@ -100,6 +102,18 @@ type tracePage struct {
 	snap uint64
 }
 
+// traceMember is one member block of a trace: the cached block, its cache
+// key, its entry PC, and the edge by which control leaves it for the next
+// member. The final member's edge is zero: its terminator is the trace's own
+// exit. Carrying the edge on the member makes the composition shape — one
+// edge per interior boundary — hold by construction.
+type traceMember struct {
+	blk   *dblock
+	key   blockKey
+	start uint64
+	edge  absint.TraceEdge
+}
+
 // trace is one stitched superblock, keyed by its entry block's cache key.
 type trace struct {
 	key    blockKey
@@ -108,14 +122,13 @@ type trace struct {
 	ttbr1  bool // MMU on: all member PCs in the TTBR1 half
 	gate   bool // contains a recognized gate-switch MRS TTBR0_EL1 edge
 
-	blocks []*dblock
-	keys   []blockKey
-	starts []uint64 // entry PC of each member block
-	pages  []tracePage
-	steps  []traceStep
+	members []traceMember // at least two, in predicted order
+	pages   []tracePage
+	steps   []traceStep
 
-	// proof is the composed TraceProof (see proofaudit.go; all access is
-	// confined to that file by tools/lint, like dblock.proof).
+	// proof is the composed TraceProof, built on the trace's first audited
+	// entry (see proofaudit.go; all access is confined to that file by
+	// tools/lint, like dblock.proof).
 	proof *absint.TraceProof
 
 	// Entry-guard memo: when gValid and neither generation nor privilege
@@ -127,15 +140,27 @@ type trace struct {
 }
 
 // traceCache is the per-vCPU trace state: the stitched traces, insertion
-// order for cap eviction, dependency indexes for eager invalidation, and
-// host-side counters (flushed to the package aggregates by flushTraceStats).
+// order for cap eviction, the page index for eager invalidation, the
+// stitcher's scratch, and host-side counters (flushed to the package
+// aggregates by flushTraceStats).
+//
+// Both side indexes are bounded by the live traces: pageDeps lists exactly
+// the live traces with a member on each page (dropTrace prunes it), and
+// order is compacted to the live keys once it reaches 2*maxTraces.
 type traceCache struct {
 	enabled   bool
 	threshold uint32
 	traces    map[blockKey]*trace
 	order     []blockKey
-	blockDeps map[blockKey][]blockKey // member block key -> trace keys
-	pageDeps  map[uint64][]blockKey   // page -> trace keys
+	pageDeps  map[uint64][]*trace
+
+	// walk is the stitch walk's scratch, reused by every walk so that a
+	// failed walk allocates nothing; a successful one copies it out.
+	walk struct {
+		members  []traceMember
+		pages    []tracePage
+		retStack []uint64
+	}
 
 	stitched     uint64
 	stitchFailed uint64
@@ -362,6 +387,12 @@ func (c *VCPU) noteBlockHot(b *dblock, key blockKey, pc uint64) {
 // are probed directly in the block map (not via enter, which mutates
 // CodeStale), and context interning cannot reset mid-walk because the
 // same-half constraint keeps every keyFor on the one-entry context cache.
+//
+// A stitch costs this one walk over the per-cache scratch (at most
+// maxTraceBlocks members and maxTracePages pages, so membership tests are
+// linear scans) plus, on success, one exactly-sized copy of each trace
+// slice. No proof work happens here: the composed TraceProof is built on
+// the trace's first audited entry.
 func (c *VCPU) maybeStitch(b *dblock, key blockKey, pc uint64) {
 	tc := &c.tcache
 	if _, dup := tc.traces[key]; dup {
@@ -371,22 +402,23 @@ func (c *VCPU) maybeStitch(b *dblock, key blockKey, pc uint64) {
 	mmuOff := c.sys[arm64.SCTLREL1]&SCTLRM == 0
 	ttbr1 := !mmuOff && mem.IsTTBR1(mem.VA(pc))
 
-	blocks := []*dblock{b}
-	keys := []blockKey{key}
-	starts := []uint64{pc}
-	isStart := map[uint64]bool{pc: true}
-	pages := []tracePage{{page: b.page, snap: b.snap}}
-	pageSeen := map[uint64]bool{b.page: true}
-	var edges []absint.TraceEdge
-	var retStack []uint64
+	w := &tc.walk
+	if w.members == nil {
+		w.members = make([]traceMember, 0, maxTraceBlocks)
+		w.pages = make([]tracePage, 0, maxTracePages)
+		w.retStack = make([]uint64, 0, maxTraceBlocks)
+	}
+	members := append(w.members[:0], traceMember{blk: b, key: key, start: pc})
+	pages := append(w.pages[:0], tracePage{page: b.page, snap: b.snap})
+	retStack := w.retStack[:0]
 	gate := false
 	insns := len(b.insns)
 
-	cur, curStart := b, pc
 walk:
-	for len(blocks) < maxTraceBlocks && insns < maxTraceInsns {
-		last := cur.insns[len(cur.insns)-1]
-		termPC := curStart + uint64(len(cur.insns)-1)*arm64.InsnBytes
+	for len(members) < maxTraceBlocks && insns < maxTraceInsns {
+		cur := &members[len(members)-1]
+		last := cur.blk.insns[len(cur.blk.insns)-1]
+		termPC := cur.start + uint64(len(cur.blk.insns)-1)*arm64.InsnBytes
 		edge := absint.TraceEdge{Term: last.Op}
 		var next uint64
 		switch last.Op {
@@ -441,7 +473,7 @@ walk:
 			// Page-boundary block: the last instruction falls through.
 			next = termPC + arm64.InsnBytes
 		}
-		if isStart[next] {
+		if hasMemberStart(members, next) {
 			break // loop closure: end the trace at the back edge
 		}
 		if !mmuOff && mem.IsTTBR1(mem.VA(next)) != ttbr1 {
@@ -456,71 +488,83 @@ walk:
 			tc.stitchFailed++
 			return
 		}
-		if insns+len(sb.insns) > maxTraceInsns ||
-			(!pageSeen[sb.page] && len(pages) >= maxTracePages) {
+		newPage := !hasPage(pages, sb.page)
+		if insns+len(sb.insns) > maxTraceInsns || (newPage && len(pages) >= maxTracePages) {
 			break
 		}
-		if !pageSeen[sb.page] {
-			pageSeen[sb.page] = true
+		if newPage {
 			pages = append(pages, tracePage{page: sb.page, snap: sb.snap})
 		}
-		edges = append(edges, edge)
-		blocks = append(blocks, sb)
-		keys = append(keys, skey)
-		starts = append(starts, next)
-		isStart[next] = true
+		cur.edge = edge
+		members = append(members, traceMember{blk: sb, key: skey, start: next})
 		insns += len(sb.insns)
-		cur, curStart = sb, next
 	}
-	if len(blocks) < 2 {
+	if len(members) < 2 {
 		tc.stitchFailed++ // permanent: hot stays pinned, no re-walk
 		return
 	}
 
 	t := &trace{
 		key: key, insns: insns, mmuOff: mmuOff, ttbr1: ttbr1, gate: gate,
-		blocks: blocks, keys: keys, starts: starts, pages: pages,
+		members: append([]traceMember(nil), members...),
+		pages:   append([]tracePage(nil), pages...),
 	}
-	t.steps = c.flattenSteps(blocks, starts, edges)
-	if !c.buildTraceProof(t, edges) {
-		tc.stitchFailed++
-		return
-	}
+	t.steps = c.flattenSteps(t.members, insns)
 	if len(tc.traces) >= maxTraces {
 		c.evictTraces()
 	}
+	if len(tc.order) >= 2*maxTraces {
+		tc.compactOrder()
+	}
 	if tc.traces == nil {
 		tc.traces = make(map[blockKey]*trace)
-		tc.blockDeps = make(map[blockKey][]blockKey)
-		tc.pageDeps = make(map[uint64][]blockKey)
+		tc.pageDeps = make(map[uint64][]*trace)
 	}
 	tc.traces[key] = t
 	tc.order = append(tc.order, key)
-	for _, k := range keys {
-		tc.blockDeps[k] = append(tc.blockDeps[k], key)
-	}
-	for _, pg := range pages {
-		tc.pageDeps[pg.page] = append(tc.pageDeps[pg.page], key)
+	for _, pg := range t.pages {
+		tc.pageDeps[pg.page] = append(tc.pageDeps[pg.page], t)
 	}
 	tc.stitched++
 }
 
-// flattenSteps lowers the member blocks into the per-instruction step list,
-// classifying each step's dispatch kind and recording the block cursor an
-// untraced replay would hold at its dispatch.
-func (c *VCPU) flattenSteps(blocks []*dblock, starts []uint64, edges []absint.TraceEdge) []traceStep {
-	var steps []traceStep
-	for mi, blk := range blocks {
-		n := len(blk.insns)
-		for i, in := range blk.insns {
+// hasMemberStart reports whether a member block of the walk starts at pc.
+func hasMemberStart(members []traceMember, pc uint64) bool {
+	for i := range members {
+		if members[i].start == pc {
+			return true
+		}
+	}
+	return false
+}
+
+// hasPage reports whether the walk already fetches from page.
+func hasPage(pages []tracePage, page uint64) bool {
+	for i := range pages {
+		if pages[i].page == page {
+			return true
+		}
+	}
+	return false
+}
+
+// flattenSteps lowers the member blocks into the per-instruction step list
+// (exactly insns long), classifying each step's dispatch kind and recording
+// the block cursor an untraced replay would hold at its dispatch.
+func (c *VCPU) flattenSteps(members []traceMember, insns int) []traceStep {
+	steps := make([]traceStep, 0, insns)
+	for mi := range members {
+		m := &members[mi]
+		n := len(m.blk.insns)
+		for i, in := range m.blk.insns {
 			st := traceStep{
 				in:   in,
-				pc:   starts[mi] + uint64(i)*arm64.InsnBytes,
+				pc:   m.start + uint64(i)*arm64.InsnBytes,
 				bIdx: i,
 			}
 			st.next = st.pc + arm64.InsnBytes
 			if i+1 < n {
-				st.curBlk = blk
+				st.curBlk = m.blk
 			}
 			switch {
 			case i < n-1: // interior instruction
@@ -529,11 +573,10 @@ func (c *VCPU) flattenSteps(blocks []*dblock, starts []uint64, edges []absint.Tr
 				} else {
 					st.kind = kMem
 				}
-			case mi < len(blocks)-1: // stitch edge
-				st.next = starts[mi+1]
-				e := edges[mi]
+			case mi < len(members)-1: // stitch edge
+				st.next = members[mi+1].start
 				switch {
-				case e.FusedPAN:
+				case m.edge.FusedPAN:
 					st.kind = kPAN
 				case in.Op == arm64.OpMRS:
 					st.kind = kMRS
@@ -782,51 +825,67 @@ func (c *VCPU) runTrace(t *trace) (int64, *Exit, error) {
 	return done, nil, nil
 }
 
-// dropTrace removes one trace and unpins its entry block's hot counter so
-// the block can re-trigger stitching after the world settles.
+// dropTrace removes one trace, prunes it from the page index, and unpins
+// its entry block's hot counter so the block can re-trigger stitching after
+// the world settles.
 func (c *VCPU) dropTrace(t *trace) {
 	tc := &c.tcache
 	if tc.traces[t.key] != t {
 		return
 	}
 	delete(tc.traces, t.key)
-	t.blocks[0].hot = 0
+	for _, pg := range t.pages {
+		deps := tc.pageDeps[pg.page]
+		for i := range deps {
+			if deps[i] == t {
+				last := len(deps) - 1
+				deps[i], deps[last] = deps[last], nil
+				deps = deps[:last]
+				break
+			}
+		}
+		if len(deps) == 0 {
+			delete(tc.pageDeps, pg.page)
+		} else {
+			tc.pageDeps[pg.page] = deps
+		}
+	}
+	t.members[0].blk.hot = 0
 	t.gValid = false
 	tc.invalidated++
 }
 
 // dropTracesForPage drops every trace with a member block on the page.
-// Stale dependency entries (traces already dropped through another index)
-// are skipped.
 func (c *VCPU) dropTracesForPage(page uint64) {
 	tc := &c.tcache
 	deps := tc.pageDeps[page]
-	if deps == nil {
-		return
-	}
-	for _, k := range deps {
-		if t := tc.traces[k]; t != nil {
-			c.dropTrace(t)
-		}
-	}
 	delete(tc.pageDeps, page)
+	for _, t := range deps {
+		c.dropTrace(t)
+	}
 }
 
-// dropTracesForBlockKey drops every trace referencing the evicted block —
-// the BlockCache cohort-eviction hook. A dangling trace would otherwise
-// keep replaying (and re-validating) a block the cache no longer owns.
-func (c *VCPU) dropTracesForBlockKey(key blockKey) {
+// dropTracesForBlock drops every trace with the evicted block as a member —
+// the BlockCache cohort-eviction hook. A dangling trace would otherwise keep
+// replaying (and re-validating) a block the cache no longer owns. A member
+// block's page is always one of its trace's pages, so the page index holds
+// every candidate. Eviction is rare (cap pressure, chaos injection), which is
+// why this scan replaces a per-member dependency map that every stitch would
+// have to allocate and every drop to prune. The scan runs backwards because
+// dropTrace swap-removes from this very list: entries below the cursor never
+// move.
+func (c *VCPU) dropTracesForBlock(key blockKey, page uint64) {
 	tc := &c.tcache
-	deps := tc.blockDeps[key]
-	if deps == nil {
-		return
-	}
-	for _, k := range deps {
-		if t := tc.traces[k]; t != nil {
-			c.dropTrace(t)
+	deps := tc.pageDeps[page]
+	for i := len(deps) - 1; i >= 0; i-- {
+		t := deps[i]
+		for j := range t.members {
+			if t.members[j].key == key {
+				c.dropTrace(t)
+				break
+			}
 		}
 	}
-	delete(tc.blockDeps, key)
 }
 
 // dropAllTraces empties the trace cache (wholesale epoch bump, block-cache
@@ -837,17 +896,16 @@ func (c *VCPU) dropAllTraces() {
 		return
 	}
 	for _, t := range tc.traces {
-		t.blocks[0].hot = 0
+		t.members[0].blk.hot = 0
 		tc.invalidated++
 	}
 	clear(tc.traces)
-	clear(tc.blockDeps)
 	clear(tc.pageDeps)
 	tc.order = tc.order[:0]
 }
 
-// evictTraces drops the oldest half of the traces (cap pressure), then
-// rebuilds the dependency indexes from the survivors.
+// evictTraces drops the oldest half of the traces (cap pressure). Order
+// entries of traces already dropped through another path are skipped.
 func (c *VCPU) evictTraces() {
 	tc := &c.tcache
 	target := len(tc.traces) / 2
@@ -860,16 +918,22 @@ func (c *VCPU) evictTraces() {
 		}
 	}
 	tc.order = append(tc.order[:0], tc.order[i:]...)
-	clear(tc.blockDeps)
-	clear(tc.pageDeps)
-	for key, t := range tc.traces {
-		for _, k := range t.keys {
-			tc.blockDeps[k] = append(tc.blockDeps[k], key)
-		}
-		for _, pg := range t.pages {
-			tc.pageDeps[pg.page] = append(tc.pageDeps[pg.page], key)
+}
+
+// compactOrder rebuilds order keeping the first occurrence of each live
+// key, bounding it when invalidation and re-stitching churn traces without
+// ever reaching the trace cap. Keeping first occurrences preserves the
+// eviction order evictTraces would have followed over the uncompacted list.
+func (tc *traceCache) compactOrder() {
+	seen := make(map[blockKey]bool, len(tc.traces))
+	kept := tc.order[:0]
+	for _, k := range tc.order {
+		if tc.traces[k] != nil && !seen[k] {
+			seen[k] = true
+			kept = append(kept, k)
 		}
 	}
+	tc.order = kept
 }
 
 // onCodeEpochBump is the CodeEpochs.OnBump hook: eager trace invalidation
@@ -916,11 +980,11 @@ func (c *VCPU) TraceSnapshot() []TraceInfo {
 	for key, t := range tc.traces {
 		ctx := d.ctxList[key>>blockCtxShift]
 		info := TraceInfo{
-			EntryPC:    t.starts[0],
+			EntryPC:    t.members[0].start,
 			VMID:       ctx.vmid,
 			ASID:       ctx.asid,
 			MMUOff:     ctx.mmuOff,
-			Blocks:     len(t.blocks),
+			Blocks:     len(t.members),
 			Insns:      t.insns,
 			Pages:      len(t.pages),
 			GateSwitch: t.gate,
@@ -934,8 +998,8 @@ func (c *VCPU) TraceSnapshot() []TraceInfo {
 				info.EpochOK = false
 			}
 		}
-		for i, k := range t.keys {
-			if d.blocks[k] != t.blocks[i] {
+		for _, m := range t.members {
+			if d.blocks[m.key] != m.blk {
 				info.DepsOK = false
 			}
 		}

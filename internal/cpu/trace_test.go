@@ -9,6 +9,7 @@ package cpu
 // trace compiler may only remove host work, never emulated work.
 
 import (
+	"reflect"
 	"testing"
 
 	"lightzone/internal/arm64"
@@ -134,50 +135,52 @@ func TestTraceSnapshotShape(t *testing.T) {
 	}
 }
 
+// smcProgram rewrites its own entry instruction, once from inside a
+// stitched trace. x9 is the patchable immediate. The tail block counts runs in the data
+// page and CSELs the store target: the scratch slot at dataVA+8 on most
+// runs, and the entry MOVZ — rewriting x9 = 1 into x9 = 2 — on runs 4
+// and 5. Run 4 is the first *traced* pass under threshold 2, so the first
+// patch fires from inside the stitched trace (side-exit); the second
+// patch bumps the page epoch again, clearing the one-instruction suffix
+// block the side-exit resume decoded at the HVC — that fragment shadows
+// the tail block's rebuild, and only its eviction lets the full chain
+// re-form and re-stitch.
+func smcProgram() *arm64.Asm {
+	a := arm64.NewAsm()
+	a.Label("entry")
+	a.Emit(arm64.MOVZ(9, 1, 0))
+	a.B("mid")
+	a.Label("mid")
+	a.Emit(arm64.ADDReg(0, 0, 9))
+	a.B("tail")
+	a.Label("tail")
+	a.MovImm(10, uint64(dataVA))
+	a.Emit(arm64.LDRImm(5, 10, 0, 3))
+	a.Emit(arm64.ADDImm(5, 5, 1, false))
+	a.Emit(arm64.STRImm(5, 10, 0, 3))
+	a.Emit(arm64.UBFM(6, 5, 1, 63)) // x6 = run >> 1
+	a.Emit(arm64.SUBSImm(6, 6, 2))  // Z set on runs 4 and 5
+	a.ADR(1, "entry")
+	a.MovImm(3, uint64(dataVA)+8)
+	a.Emit(arm64.CSEL(4, 1, 3, arm64.CondEQ))
+	a.MovImm(2, uint64(arm64.MOVZ(9, 2, 0)))
+	a.Emit(arm64.STRImm(2, 4, 0, 2))
+	a.Emit(arm64.HVC(0))
+	return a
+}
+
 // TestTraceSMCInsideStitchedTrace executes a store that rewrites an earlier
 // instruction of the *currently running* trace: the post-dispatch generation
 // check must side-exit, the epoch hook must drop the trace, the rewritten
 // code must run on the next pass, and a warm re-stitch must follow — all
 // bit-identical to the untraced pipeline.
 func TestTraceSMCInsideStitchedTrace(t *testing.T) {
-	// x9 is the patchable immediate. The tail block counts runs in the data
-	// page and CSELs the store target: the scratch slot at dataVA+8 on most
-	// runs, and the entry MOVZ — rewriting x9 = 1 into x9 = 2 — on runs 4
-	// and 5. Run 4 is the first *traced* pass under threshold 2, so the first
-	// patch fires from inside the stitched trace (side-exit); the second
-	// patch bumps the page epoch again, clearing the one-instruction suffix
-	// block the side-exit resume decoded at the HVC — that fragment shadows
-	// the tail block's rebuild, and only its eviction lets the full chain
-	// re-form and re-stitch.
-	prog := func() *arm64.Asm {
-		a := arm64.NewAsm()
-		a.Label("entry")
-		a.Emit(arm64.MOVZ(9, 1, 0))
-		a.B("mid")
-		a.Label("mid")
-		a.Emit(arm64.ADDReg(0, 0, 9))
-		a.B("tail")
-		a.Label("tail")
-		a.MovImm(10, uint64(dataVA))
-		a.Emit(arm64.LDRImm(5, 10, 0, 3))
-		a.Emit(arm64.ADDImm(5, 5, 1, false))
-		a.Emit(arm64.STRImm(5, 10, 0, 3))
-		a.Emit(arm64.UBFM(6, 5, 1, 63)) // x6 = run >> 1
-		a.Emit(arm64.SUBSImm(6, 6, 2))  // Z set on runs 4 and 5
-		a.ADR(1, "entry")
-		a.MovImm(3, uint64(dataVA)+8)
-		a.Emit(arm64.CSEL(4, 1, 3, arm64.CondEQ))
-		a.MovImm(2, uint64(arm64.MOVZ(9, 2, 0)))
-		a.Emit(arm64.STRImm(2, 4, 0, 2))
-		a.Emit(arm64.HVC(0))
-		return a
-	}
 	const runs = 9
 	run := func(traces bool) traceSig {
 		e := newEnv(t)
 		e.c.SetTraces(traces)
 		e.c.SetTraceHotThreshold(2)
-		e.load(t, prog())
+		e.load(t, smcProgram())
 		e.run(t, 1000)
 		for i := 1; i < runs; i++ {
 			e.rerun(t, 1000)
@@ -531,5 +534,209 @@ func TestTraceToggleAndDefaults(t *testing.T) {
 	SetTraceHotDefault(0) // clamps to 1
 	if TraceHotDefault() != 1 {
 		t.Errorf("hot default = %d, want clamp to 1", TraceHotDefault())
+	}
+}
+
+// checkTraceIndexes requires the trace cache's side indexes to describe the
+// live traces and nothing else: each live trace listed exactly once under
+// each of its pages, no page entry for a dropped trace, and the insertion
+// order within its compaction bound and covering every live key.
+func checkTraceIndexes(t *testing.T, c *VCPU) {
+	t.Helper()
+	tc := &c.tcache
+	livePages := 0
+	for key, tr := range tc.traces {
+		for _, pg := range tr.pages {
+			n := 0
+			for _, dep := range tc.pageDeps[pg.page] {
+				if dep == tr {
+					n++
+				}
+			}
+			if n != 1 {
+				t.Errorf("trace %#x listed %d times under page %#x, want 1", key, n, pg.page)
+			}
+		}
+		livePages += len(tr.pages)
+	}
+	indexed := 0
+	for _, deps := range tc.pageDeps {
+		indexed += len(deps)
+	}
+	if indexed != livePages {
+		t.Errorf("page index holds %d entries, live traces span %d pages", indexed, livePages)
+	}
+	if len(tc.order) > 2*maxTraces {
+		t.Errorf("order holds %d keys, bound %d", len(tc.order), 2*maxTraces)
+	}
+	ordered := map[blockKey]bool{}
+	for _, k := range tc.order {
+		ordered[k] = true
+	}
+	for key := range tc.traces {
+		if !ordered[key] {
+			t.Errorf("live trace %#x missing from order (never evictable)", key)
+		}
+	}
+}
+
+// TestTraceIndexesBoundedUnderChurn drives 2,000 cycles of stitch → code
+// invalidation on the chain program, several times past order's compaction
+// bound: the side indexes must track only the live traces, so after the
+// last invalidation nothing is left behind.
+func TestTraceIndexesBoundedUnderChurn(t *testing.T) {
+	e := newEnv(t)
+	e.c.SetTraceHotThreshold(1)
+	e.load(t, chainProgram())
+	e.run(t, 1000)
+	before := ReadTraceStats()
+	const cycles = 2000
+	for i := 0; i < cycles; i++ {
+		e.rerun(t, 1000) // blocks hot: stitch
+		if e.c.TraceCacheLen() == 0 {
+			t.Fatalf("cycle %d: nothing stitched", i)
+		}
+		e.c.InvalidateCode(codeVA)
+		e.rerun(t, 1000) // re-decode the bumped page
+	}
+	e.c.flushTraceStats()
+	d := ReadTraceStats().Sub(before)
+	if d.Stitched <= 2*maxTraces {
+		t.Fatalf("stitched %d traces, want the churn past order's bound %d", d.Stitched, 2*maxTraces)
+	}
+	if e.c.TraceCacheLen() != 0 {
+		t.Errorf("%d traces live after the final invalidation, want 0", e.c.TraceCacheLen())
+	}
+	checkTraceIndexes(t, e.c)
+	if n := len(e.c.tcache.pageDeps); n != 0 {
+		t.Errorf("page index keeps %d pages with no live trace", n)
+	}
+	if e.c.R(0) != 15 {
+		t.Errorf("x0 = %d, want 15", e.c.R(0))
+	}
+}
+
+// TestTraceGuardDropPrunesIndexes invalidates a sibling page in the chain's
+// 2MB region: the region epoch moves the chain page's snapshot without
+// firing its page hook, so the trace dies lazily at its entry guard — and
+// that drop must prune the page index like the eager paths do.
+func TestTraceGuardDropPrunesIndexes(t *testing.T) {
+	e := newEnv(t)
+	e.c.SetTraceHotThreshold(2)
+	e.load(t, chainProgram())
+	e.run(t, 1000)
+	e.rerun(t, 1000)
+	e.rerun(t, 1000) // stitch pass
+	if e.c.TraceCacheLen() == 0 {
+		t.Fatal("no trace stitched")
+	}
+	e.c.flushTraceStats()
+	before := ReadTraceStats()
+	e.c.InvalidateCode(codeVA + mem.VA(mem.PageSize))
+	if e.c.TraceCacheLen() == 0 {
+		t.Fatal("sibling-page bump dropped the trace eagerly; the guard path went untested")
+	}
+	e.rerun(t, 1000)
+	e.c.flushTraceStats()
+	if d := ReadTraceStats().Sub(before); d.Invalidated == 0 {
+		t.Fatal("entry guard did not drop the stale trace")
+	}
+	checkTraceIndexes(t, e.c)
+	if e.c.R(0) != 15 {
+		t.Errorf("x0 = %d, want 15", e.c.R(0))
+	}
+}
+
+// TestTraceSnapshotIndependentOfAudit stitches the chain and SMC programs
+// with the audit oracle attached and detached. Proofs are composed on the
+// first audited entry, never at stitch time, so the oracle must not change
+// which traces exist.
+func TestTraceSnapshotIndependentOfAudit(t *testing.T) {
+	for _, p := range []struct {
+		name string
+		prog func() *arm64.Asm
+		runs int
+	}{{"chain", chainProgram, 5}, {"smc", smcProgram, 9}} {
+		snapshot := func(audit bool) []TraceInfo {
+			e := newEnv(t)
+			e.c.SetProofAudit(audit)
+			e.c.SetTraceHotThreshold(2)
+			e.load(t, p.prog())
+			e.run(t, 1000)
+			for i := 1; i < p.runs; i++ {
+				e.rerun(t, 1000)
+			}
+			return e.c.TraceSnapshot()
+		}
+		on, off := snapshot(true), snapshot(false)
+		if len(off) == 0 {
+			t.Fatalf("%s: nothing stitched", p.name)
+		}
+		if !reflect.DeepEqual(on, off) {
+			t.Errorf("%s: trace cache differs with the audit oracle attached\n  on  %+v\n  off %+v", p.name, on, off)
+		}
+	}
+}
+
+// stitchReady boots the chain program with stitching held off and runs it
+// twice, so every block is cached and validated; it returns the env and the
+// entry block's stitch arguments for driving maybeStitch directly.
+func stitchReady(tb testing.TB) (*env, *dblock, blockKey, uint64) {
+	tb.Helper()
+	e := newEnv(tb)
+	e.c.SetTraceHotThreshold(1 << 20)
+	e.load(tb, chainProgram())
+	e.run(tb, 1000)
+	e.rerun(tb, 1000)
+	pc := uint64(codeVA)
+	key := e.c.Decoded.keyFor(e.c, pc)
+	b := e.c.Decoded.blocks[key]
+	if b == nil {
+		tb.Fatal("entry block not cached")
+	}
+	return e, b, key, pc
+}
+
+// uncacheSuccessor removes the entry block's direct successor from the
+// block map, so the next stitch walk fails transiently at its first edge.
+func uncacheSuccessor(e *env, b *dblock, pc uint64) {
+	last := b.insns[len(b.insns)-1]
+	next := pc + uint64(len(b.insns)-1)*arm64.InsnBytes + uint64(last.Imm)
+	delete(e.c.Decoded.blocks, e.c.Decoded.keyFor(e.c, next))
+}
+
+// maxStitchAllocs bounds a successful stitch: the trace, its member, page
+// and step slices, and at most one new page-index list.
+const maxStitchAllocs = 5
+
+// TestStitchAllocations pins the stitcher's allocation profile: a walk that
+// fails transiently allocates nothing, and a successful stitch allocates a
+// small fixed set sized by the trace, not by the walk.
+func TestStitchAllocations(t *testing.T) {
+	e, b, key, pc := stitchReady(t)
+	ok := testing.AllocsPerRun(100, func() {
+		e.c.dropAllTraces()
+		e.c.maybeStitch(b, key, pc)
+	})
+	if e.c.TraceCacheLen() != 1 {
+		t.Fatalf("%d traces live, want the entry trace", e.c.TraceCacheLen())
+	}
+	if ok > maxStitchAllocs {
+		t.Errorf("successful stitch allocates %.0f times, want <= %d", ok, maxStitchAllocs)
+	}
+	tr := e.c.tcache.traces[key]
+	if len(tr.steps) != tr.insns || cap(tr.steps) != tr.insns {
+		t.Errorf("steps len/cap %d/%d, want exactly %d", len(tr.steps), cap(tr.steps), tr.insns)
+	}
+
+	e.c.dropAllTraces()
+	uncacheSuccessor(e, b, pc)
+	failed := e.c.tcache.stitchFailed
+	transient := testing.AllocsPerRun(100, func() { e.c.maybeStitch(b, key, pc) })
+	if e.c.tcache.stitchFailed == failed || e.c.TraceCacheLen() != 0 {
+		t.Fatal("walk did not fail transiently")
+	}
+	if transient != 0 {
+		t.Errorf("transient stitch failure allocates %.0f times, want 0", transient)
 	}
 }

@@ -110,7 +110,7 @@ func wire(prof *arm64.Profile, pm *mem.PhysMem, stats *mem.Stats, epochs *mem.Co
 	// reset, or cohort eviction drops the traces it could dangle.
 	epochs.OnBump = c.onCodeEpochBump
 	c.Decoded.onReset = c.dropAllTraces
-	c.Decoded.onEvict = c.dropTracesForBlockKey
+	c.Decoded.onEvict = c.dropTracesForBlock
 	return c
 }
 

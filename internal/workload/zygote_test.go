@@ -3,6 +3,8 @@ package workload
 import (
 	"reflect"
 	"testing"
+
+	"lightzone/internal/arm64"
 )
 
 // withZygote runs the test body with the zygote default set, a fresh pool,
@@ -153,5 +155,37 @@ func TestZygoteChildrenIsolated(t *testing.T) {
 	}
 	if mC != mA {
 		t.Errorf("fork after sibling runs measured %d, want %d (zygote dirtied)", mC, mA)
+	}
+}
+
+// BenchmarkForkCell measures one short traced machine end to end: fork a
+// Cortex TTBR-32 cell of 1,000 switches from its zygote and run it to exit.
+// Cache warm-up in the fresh child — block build, stitching — and Go
+// allocation dominate, so allocs/op tracks the trace compiler's build cost.
+func BenchmarkForkCell(b *testing.B) {
+	cfg := DomainSwitchConfig{
+		Platform: Platform{Prof: arm64.ProfileCortexA55()},
+		Variant:  VariantLZTTBR, Domains: 32, Iters: 1000, Seed: 1,
+	}
+	run := func() {
+		env, p, err := ForkDomainSwitch(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !env.M.CPU.TracesEnabled() {
+			b.Fatal("forked cell runs untraced")
+		}
+		if err := env.Run(p, domainSwitchBudget(cfg)); err != nil {
+			b.Fatal(err)
+		}
+		if p.Killed {
+			b.Fatalf("cell killed: %s", p.KillMsg)
+		}
+	}
+	run() // cold-prepares the zygote outside the timed loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
