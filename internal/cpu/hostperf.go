@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // HostPerf is a process-wide aggregate of host-observability counters:
 // every Run call adds its emulated-instruction and cache-statistic deltas
-// on return. Tools (lzbench -hostperf / -benchout) divide the instruction
+// on return. The host-speed benchmark (bench/) divides the instruction
 // aggregate by wall time to report host throughput — emulated instructions
 // per host second — per benchmark suite. Observation only: the counters are
 // never read back into emulation, so they are not part of the identity

@@ -57,17 +57,16 @@ type Journal struct {
 // Parallel is informational: replays must produce identical rows at any
 // fleet width, so the replayer deliberately does not restore it.
 type RunConfig struct {
-	Suites      []string `json:"suites"`
-	Iters       int      `json:"iters"`
-	Mem         bool     `json:"mem,omitempty"` // figures also report §9 memory overheads
-	Seed        int64    `json:"seed"`
-	Parallel    int      `json:"parallel"`
-	NoFastpath  bool     `json:"nofastpath,omitempty"`
-	NoDecode    bool     `json:"nodecode,omitempty"`
-	NoTrace     bool     `json:"notrace,omitempty"`
-	Invariants  bool     `json:"invariants,omitempty"`
-	Backend     string   `json:"backend,omitempty"`      // isolation-backend matrix scope ("", name, or "all")
-	HostVisible bool     `json:"host_visible,omitempty"` // -hostperf rows present (never recorded)
+	Suites     []string `json:"suites"`
+	Iters      int      `json:"iters"`
+	Mem        bool     `json:"mem,omitempty"` // figures also report §9 memory overheads
+	Seed       int64    `json:"seed"`
+	Parallel   int      `json:"parallel"`
+	NoFastpath bool     `json:"nofastpath,omitempty"`
+	NoDecode   bool     `json:"nodecode,omitempty"`
+	NoTrace    bool     `json:"notrace,omitempty"`
+	Invariants bool     `json:"invariants,omitempty"` // the invariants suite ran (and pentest ran its planted battery)
+	Backend    string   `json:"backend,omitempty"`    // isolation-backend matrix scope ("", name, or "all")
 
 	// Serve-harness boundary inputs (set only when the suites include
 	// "serve"). The replayer restores them and the keyed inputs cross-check
