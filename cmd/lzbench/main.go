@@ -14,6 +14,7 @@
 //	lzbench -all                   # table4 through ablations
 //	lzbench -all -json             # machine-readable: one JSON object per line
 //	lzbench -all -parallel 8       # shard measurement cells over 8 workers
+//	lzbench -all -json -interp     # the same rows from the plain Step interpreter
 //	lzbench -suite backends -backend overlay # isolation-backend comparison matrix
 //	lzbench -all -record r.json    # record the run into a replay journal
 //	lzbench -replay r.json         # re-run the journal; rows must be byte-identical
@@ -25,8 +26,10 @@
 // -suite names them in. Every measurement cell boots a private machine, so
 // -parallel N changes only wall-clock time: the emitted rows (emulated cycle
 // counts included) are byte-identical for every N. Record/replay leans on
-// exactly that: a journal replays correctly at any -parallel width. Host
-// speed is measured by bench/ (bench/run.sh), not here.
+// exactly that: a journal replays correctly at any -parallel width. -interp
+// is the oracle switch: the cached tiers (decode cache, block replay,
+// micro-TLBs, traces) must emit the same bytes as the plain interpreter.
+// Host speed is measured by bench/ (bench/run.sh), not here.
 package main
 
 import (
@@ -149,11 +152,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonMode = fs.Bool("json", false, "emit one JSON object per table row / figure point instead of tables")
 		backend  = fs.String("backend", "all", "backends suite: measure this backend, or \"all\" side by side")
 		parallel = fs.Int("parallel", runtime.NumCPU(), "worker goroutines for the measurement sweeps (1 = fully sequential)")
-		noFast   = fs.Bool("nofastpath", false, "disable the host-side fastpaths (micro-TLBs, block-resident run loop, batched charging); emitted rows must stay byte-identical")
-		noDecode = fs.Bool("nodecode", false, "disable the decoded-block cache (the seed fetch/decode pipeline); emitted rows must stay byte-identical")
-		noTrace  = fs.Bool("notrace", false, "disable the trace compiler (no superblock stitching); emitted rows must stay byte-identical")
+		interp   = fs.Bool("interp", false, "run every machine on the plain Step interpreter (no decode cache, block replay, micro-TLBs or traces); emitted rows must stay byte-identical")
 		proofAud = fs.Bool("proofaudit", false, "cross-check every cached-block replay against its static BlockProof; summary on stderr, nonzero exit on any divergence, stdout byte-identical")
-		zygote   = fs.Bool("zygote", false, "prepare benchmark machines as copy-on-write forks of pooled zygotes instead of cold boots; emitted rows must stay byte-identical")
 		cpuProf  = fs.String("cpuprofile", "", "write a host CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a host heap profile to this file")
 		record   = fs.String("record", "", "record the run (config, journal inputs, emitted rows) into a replay journal at this path; implies -json")
@@ -198,7 +198,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csvDir: *csvDir, chaosOut: *chaosOut, chaosN: *chaosN, chaosSeed: *chaosSd,
 		cfg: replay.RunConfig{
 			Iters: *iters, Mem: true, Seed: workload.Table5Seed, Parallel: *parallel,
-			NoFastpath: *noFast, NoDecode: *noDecode, NoTrace: *noTrace,
+			Interp: *interp,
 		},
 	}
 	var j *replay.Journal
@@ -210,11 +210,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		// The journal's boundary config replaces the flags', except the
 		// fleet width (a journal must replay identically at any width) and
-		// the kill switches, which may only add to the recorded ones.
+		// -interp, which may only add to the recorded pipeline switch.
 		c.cfg = j.Config
-		c.cfg.NoFastpath = c.cfg.NoFastpath || *noFast
-		c.cfg.NoDecode = c.cfg.NoDecode || *noDecode
-		c.cfg.NoTrace = c.cfg.NoTrace || *noTrace
+		c.cfg.Interp = c.cfg.Interp || *interp
 		if err := selectSuites(sel, strings.Join(j.Config.Suites, ",")); err != nil {
 			fmt.Fprintf(stderr, "lzbench: %s: %v\n", *replayP, err)
 			return 1
@@ -243,7 +241,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	defer setDefaults(c.cfg, *proofAud, *zygote)()
+	defer setDefaults(c.cfg, *proofAud)()
 	err := withCPUProfile(*cpuProf, func() error { return c.execute(selected) })
 	if err == nil && j != nil {
 		err = c.compare(j, *replayP)
@@ -269,24 +267,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // setDefaults applies the run's process-wide execution toggles and returns
 // the function that restores the previous ones, so in-process callers can
-// run lzbench repeatedly.
-func setDefaults(cfg replay.RunConfig, proofAudit, zygote bool) (restore func()) {
+// run lzbench repeatedly. -interp turns off all three cached-pipeline
+// defaults, leaving the plain Step interpreter.
+func setDefaults(cfg replay.RunConfig, proofAudit bool) (restore func()) {
 	fast, decode, trace := cpu.HostFastpathDefault(), cpu.DecodeCacheDefault(), cpu.TraceDefault()
-	audit, fork := cpu.ProofAuditDefault(), workload.ZygoteDefault()
-	cpu.SetHostFastpathDefault(fast && !cfg.NoFastpath)
-	cpu.SetDecodeCacheDefault(decode && !cfg.NoDecode)
-	cpu.SetTraceDefault(trace && !cfg.NoTrace)
+	audit := cpu.ProofAuditDefault()
+	cpu.SetHostFastpathDefault(fast && !cfg.Interp)
+	cpu.SetDecodeCacheDefault(decode && !cfg.Interp)
+	cpu.SetTraceDefault(trace && !cfg.Interp)
 	if proofAudit {
 		cpu.ResetProofAudit()
 		cpu.SetProofAuditDefault(true)
 	}
-	workload.SetZygoteDefault(fork || zygote)
 	return func() {
 		cpu.SetHostFastpathDefault(fast)
 		cpu.SetDecodeCacheDefault(decode)
 		cpu.SetTraceDefault(trace)
 		cpu.SetProofAuditDefault(audit)
-		workload.SetZygoteDefault(fork)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"lightzone/internal/cpu"
 	"lightzone/internal/replay"
 )
 
@@ -107,6 +108,30 @@ func TestRecordReplayEverySuite(t *testing.T) {
 		if !strings.Contains(outputs[0], `"kind":"`+kind+`"`) {
 			t.Errorf("no %q rows in the recording", kind)
 		}
+	}
+}
+
+// TestInterpIdentical runs the paper evaluation on the default cached
+// pipeline and on the plain Step interpreter: the rows must be the same
+// bytes. -interp is lzbench's one pipeline switch, so this is the oracle
+// check every cached tier answers to.
+func TestInterpIdentical(t *testing.T) {
+	var outs []string
+	for _, extra := range [][]string{nil, {"-interp"}} {
+		before := cpu.ReadHostPerf()
+		code, stdout, stderr := lzbench(t, append([]string{"-all", "-json"}, extra...)...)
+		if code != 0 {
+			t.Fatalf("lzbench -all -json %v: exit %d\n%s", extra, code, stderr)
+		}
+		// The interpreter never replays cached code; the default pipeline
+		// replays most of it.
+		if hits, interp := cpu.ReadHostPerf().Sub(before).CodeHits, extra != nil; (hits == 0) != interp {
+			t.Errorf("lzbench -all -json %v: %d instructions replayed from cached blocks", extra, hits)
+		}
+		outs = append(outs, stdout)
+	}
+	if outs[0] != outs[1] {
+		t.Error("-interp rows differ from the default pipeline's")
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,15 +11,20 @@ import (
 
 func benchJournal(t *testing.T, dir, name string, rows []string) string {
 	t.Helper()
+	return writeBenchJournal(t, filepath.Join(dir, name),
+		replay.RunConfig{Suites: []string{"table5"}, Iters: 100, Seed: 42, Parallel: 2}, rows)
+}
+
+func writeBenchJournal(t *testing.T, path string, cfg replay.RunConfig, rows []string) string {
+	t.Helper()
 	j := &replay.Journal{
 		Version: replay.Version,
 		Kind:    replay.KindBench,
-		Config:  replay.RunConfig{Suites: []string{"table5"}, Iters: 100, Seed: 42, Parallel: 2},
+		Config:  cfg,
 		Inputs:  []replay.Input{{Key: "table5/iters", Value: 100}},
 		Rows:    rows,
 	}
 	j.Seal()
-	path := filepath.Join(dir, name)
 	if err := j.Write(path); err != nil {
 		t.Fatal(err)
 	}
@@ -27,15 +33,20 @@ func benchJournal(t *testing.T, dir, name string, rows []string) string {
 
 func TestInspectBenchJournal(t *testing.T) {
 	dir := t.TempDir()
-	path := benchJournal(t, dir, "a.json", []string{`{"r":1}`, `{"r":2}`})
-	var sb strings.Builder
-	if err := doInspect(&sb, path); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"valid bench journal", "table5", "2 (sha256", "table5/iters"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("inspect output missing %q:\n%s", want, out)
+	for _, interp := range []bool{false, true} {
+		cfg := replay.RunConfig{Suites: []string{"table5"}, Iters: 100, Seed: 42, Parallel: 2, Interp: interp}
+		path := writeBenchJournal(t, filepath.Join(dir, fmt.Sprintf("interp-%v.json", interp)), cfg,
+			[]string{`{"r":1}`, `{"r":2}`})
+		var sb strings.Builder
+		if err := doInspect(&sb, path); err != nil {
+			t.Fatal(err)
+		}
+		out := sb.String()
+		for _, want := range []string{"valid bench journal", "table5", "2 (sha256", "table5/iters",
+			fmt.Sprintf("interp=%v", interp)} {
+			if !strings.Contains(out, want) {
+				t.Errorf("inspect output missing %q:\n%s", want, out)
+			}
 		}
 	}
 }

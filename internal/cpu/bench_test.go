@@ -11,13 +11,15 @@ import (
 // throughput.
 const benchLoopInsns = 2 + 3*256 + 1
 
-// BenchmarkStep measures the per-Step pipeline with every host fastpath
-// off: decode from the block cache, dispatch, account — one instruction per
-// Step call. This is the PR 1–3 baseline the block-resident loop is
-// compared against.
+// BenchmarkStep measures the reference interpreter (the lzbench -interp
+// pipeline): fetch, decode, dispatch, account — one instruction per Step
+// call, with no decode cache, micro-TLBs or traces. This is the baseline
+// the block-resident loop is compared against.
 func BenchmarkStep(b *testing.B) {
 	e := newEnv(b)
+	e.c.SetDecodeCache(false)
 	e.c.SetHostFastpaths(false)
+	e.c.SetTraces(false)
 	e.load(b, sumProgram(256))
 	e.run(b, 10_000)
 	b.ReportAllocs()

@@ -119,8 +119,9 @@ type BlockCache struct {
 }
 
 // decodeCacheDefault seeds the enabled state of newly created block caches,
-// so tools (lzbench -nodecode) can configure machines booted deep inside
-// sweeps.
+// so tools (lzbench -interp, bench's oracle) can configure machines booted
+// deep inside sweeps. Off, no block is ever cached, so Run is the plain
+// Step loop.
 var decodeCacheDefault atomic.Bool
 
 func init() { decodeCacheDefault.Store(true) }

@@ -14,12 +14,12 @@ var ErrInsnLimit = errors.New("instruction limit reached")
 // Run executes emulated code until an exception leaves the emulated world
 // (to EL2, or to a functional EL1 kernel), or maxInsns instructions retire.
 //
-// With host fastpaths enabled, replay of a cached block runs block-resident
-// in runBlock — the per-instruction Step/Run boundary crossing is hoisted
-// out — and falls back to Step for block entry, decode misses, and IRQ
-// delivery. Budget accounting is identical to the Step-per-iteration loop:
-// every retired instruction and every delivered exception consumes one
-// unit. With fastpaths disabled this is exactly the plain Step loop.
+// Cached code replays in runBlock and runTrace; everything else goes
+// through Step (see runLoop). Budget accounting is identical to a
+// Step-per-iteration loop: every retired instruction and every delivered
+// exception consumes one unit. With the decode cache off no block is ever
+// cached, so Run is exactly the plain Step loop — the reference
+// interpreter the identity lanes compare against.
 func (c *VCPU) Run(maxInsns int64) (Exit, error) {
 	insns := c.Insns
 	tlbH, tlbM := c.Stats.TLBHits, c.Stats.TLBMisses
@@ -32,40 +32,41 @@ func (c *VCPU) Run(maxInsns int64) (Exit, error) {
 	return exit, err
 }
 
+// runLoop is the one place that chooses how the next instruction runs:
+//
+//  1. a deliverable IRQ, or EL2 → Step, which delivers (or refuses);
+//  2. a live block cursor → runBlock;
+//  3. a stitched trace at PC → runTrace;
+//  4. a cached block at PC → open a cursor at its first instruction, then
+//     runBlock;
+//  5. otherwise → Step, which fetches, decodes and feeds the block builder.
+//
+// A dead cursor (PC moved away from it) is never resumed: a block entry and
+// every exit of runTrace overwrite it and Step drops it, so a later
+// coincidental expect match cannot replay a stale block.
 func (c *VCPU) runLoop(maxInsns int64) (Exit, error) {
-	resident := c.HostFastpathsEnabled()
 	for done := int64(0); done < maxInsns; {
-		// Deliverable IRQs go through Step, whatever the cursor or trace
-		// cache says — hoisting the check keeps the resident paths free to
-		// `continue` without starving delivery.
-		if resident && c.EL() != arm64.EL2 &&
-			!(c.PendingIRQ && c.PState&arm64.PStateI == 0) {
-			if c.cur.blk != nil && c.PC == c.cur.expect {
-				n, exit, err := c.runBlock(maxInsns - done)
-				done += n
-				if err != nil {
-					return Exit{}, err
-				}
-				if exit != nil {
-					return *exit, nil
-				}
-				continue
-			}
-			// Dead cursor: a stitched trace may start at this PC.
+		var n int64
+		var exit *Exit
+		var err error
+		switch {
+		case c.EL() == arm64.EL2 || c.PendingIRQ && c.PState&arm64.PStateI == 0:
+			n = 1
+			exit, err = c.Step()
+		case c.cur.blk != nil && c.PC == c.cur.expect:
+			n, exit, err = c.runBlock(maxInsns - done)
+		default:
 			if t := c.pickTrace(maxInsns - done); t != nil {
-				n, exit, err := c.runTrace(t)
-				done += n
-				if err != nil {
-					return Exit{}, err
-				}
-				if exit != nil {
-					return *exit, nil
-				}
-				continue
+				n, exit, err = c.runTrace(t)
+			} else if b := c.Decoded.enter(c, c.PC); b != nil {
+				c.cur = blockCursor{blk: b, expect: c.PC}
+				n, exit, err = c.runBlock(maxInsns - done)
+			} else {
+				n = 1
+				exit, err = c.Step()
 			}
 		}
-		exit, err := c.Step()
-		done++
+		done += n
 		if err != nil {
 			return Exit{}, err
 		}
@@ -78,14 +79,15 @@ func (c *VCPU) runLoop(maxInsns int64) (Exit, error) {
 
 // runBlock replays the active block cursor in a tight loop, executing at
 // most budget instructions. It preserves Step's semantics per instruction —
-// the architectural fetch translation (now usually a micro-TLB fastpath
-// hit), stats, IRQ recognition and abort delivery — but batches the
-// per-instruction InsnCost into c.batch, flushing through a single Charge
-// before any point where Cycles is observable: terminator dispatch (the
-// only instructions whose handlers trace, trap or exit), exception
-// delivery, and every return path. Returns the number of budget units
-// consumed (retired instructions plus delivered fetch aborts, matching the
-// Step loop's accounting).
+// the architectural fetch translation (usually a micro-TLB hit), stats, IRQ
+// recognition and abort delivery — but batches the per-instruction InsnCost
+// into c.batch, flushing through a single Charge before any point where
+// Cycles is observable: terminator dispatch (the only instructions whose
+// handlers trace, trap or exit), exception delivery, and every return path.
+// A cursor at index 0 is a fresh block entry: once its fetch translation
+// succeeds, the proof audit opens its span there. Returns the number of
+// budget units consumed (retired instructions plus delivered fetch aborts,
+// matching the Step loop's accounting).
 func (c *VCPU) runBlock(budget int64) (int64, *Exit, error) {
 	cur := &c.cur
 	var done int64
@@ -99,6 +101,9 @@ func (c *VCPU) runBlock(budget int64) (int64, *Exit, error) {
 			done++
 			exit := c.deliver(ab.Syndrome, c.PC) // deliver flushes the batch
 			return done, exit, nil
+		}
+		if cur.idx == 0 && c.audit != nil {
+			c.audit.noteEnter(c, cur.blk, c.PC)
 		}
 		in := cur.blk.insns[cur.idx]
 		cur.idx++
@@ -155,26 +160,20 @@ func (c *VCPU) deliver(s Syndrome, preferReturn uint64) *Exit {
 	return nil
 }
 
-// Step executes one instruction through the cached pipeline:
-//
-//  1. resolve the decoded instruction — replay from the current block
-//     cursor, enter a cached block at PC, or fetch + decode from memory
-//     (feeding the block builder);
-//  2. dispatch through the per-form handler table.
-//
-// The cached paths still perform the architectural instruction fetch
-// translation (TLB lookup or charged walk, stage-1/stage-2 permission
-// checks), so cycle accounting, TLB contents and fault behaviour are
-// bit-identical with the cache on or off; only the host-side word read and
-// re-decode are elided. It returns a non-nil Exit when control leaves the
+// Step is the reference interpreter. It delivers a deliverable IRQ, or
+// fetches the word at PC (architectural translation, charged walk,
+// stage-1/stage-2 permission checks), decodes it, feeds the block builder
+// and dispatches it through the per-form handler table. It never replays a
+// cached block: it drops any block cursor, and runLoop alone enters and
+// replays cached code. It returns a non-nil Exit when control leaves the
 // emulated world.
 func (c *VCPU) Step() (*Exit, error) {
 	if c.EL() == arm64.EL2 {
 		return nil, fmt.Errorf("interpreter invoked at EL2 (pc=%#x)", c.PC)
 	}
+	c.cur.blk = nil
 	if c.PendingIRQ && c.PState&arm64.PStateI == 0 {
 		c.PendingIRQ = false
-		c.cur.blk = nil
 		s := Syndrome{Class: ECIRQ, PC: c.PC}
 		target := c.routeIRQ()
 		c.TakeException(target, s, c.PC)
@@ -184,48 +183,14 @@ func (c *VCPU) Step() (*Exit, error) {
 		return nil, nil
 	}
 
-	var in arm64.Insn
-	cur := &c.cur
-	if cur.blk != nil && c.PC == cur.expect {
-		// Replay from the active block cursor.
-		if _, ab := c.Translate(mem.VA(c.PC), mem.AccessExec, false); ab != nil {
-			cur.blk = nil
-			ab.Syndrome.Class = classifyAbort(mem.AccessExec, c.EL(), ab.Syndrome.Stage)
-			return c.deliver(ab.Syndrome, c.PC), nil
-		}
-		in = cur.blk.insns[cur.idx]
-		cur.idx++
-		cur.expect += arm64.InsnBytes
-		if cur.idx == len(cur.blk.insns) {
-			cur.blk = nil
-		}
-		c.Stats.CodeHits++
-	} else {
-		cur.blk = nil
-		if b := c.Decoded.enter(c, c.PC); b != nil {
-			if _, ab := c.Translate(mem.VA(c.PC), mem.AccessExec, false); ab != nil {
-				ab.Syndrome.Class = classifyAbort(mem.AccessExec, c.EL(), ab.Syndrome.Stage)
-				return c.deliver(ab.Syndrome, c.PC), nil
-			}
-			if c.audit != nil {
-				c.audit.noteEnter(c, b, c.PC)
-			}
-			in = b.insns[0]
-			if len(b.insns) > 1 {
-				*cur = blockCursor{blk: b, idx: 1, expect: c.PC + arm64.InsnBytes}
-			}
-			c.Stats.CodeHits++
-		} else {
-			word, ab := c.FetchInsn(mem.VA(c.PC))
-			if ab != nil {
-				ab.Syndrome.Class = classifyAbort(mem.AccessExec, c.EL(), ab.Syndrome.Stage)
-				return c.deliver(ab.Syndrome, c.PC), nil
-			}
-			in = arm64.Decode(word)
-			c.Stats.CodeMisses++
-			c.Decoded.noteDecoded(c, c.PC, in)
-		}
+	word, ab := c.FetchInsn(mem.VA(c.PC))
+	if ab != nil {
+		ab.Syndrome.Class = classifyAbort(mem.AccessExec, c.EL(), ab.Syndrome.Stage)
+		return c.deliver(ab.Syndrome, c.PC), nil
 	}
+	in := arm64.Decode(word)
+	c.Stats.CodeMisses++
+	c.Decoded.noteDecoded(c, c.PC, in)
 
 	c.Insns++
 	c.Charge(c.Prof.InsnCost)

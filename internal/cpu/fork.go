@@ -10,9 +10,11 @@ import "lightzone/internal/mem"
 // point. Host-side caches (decoded blocks, stitched traces, micro-TLBs,
 // batched cycles) start empty instead: the identity CI lanes prove them
 // digest-invisible, and fresh caches cannot dangle into the parent's frame
-// storage across the COW boundary. The enable toggles follow the parent so
-// a forked machine runs the same pipeline configuration as the zygote it
-// came from.
+// storage across the COW boundary. The pipeline toggles (decode cache,
+// micro-TLBs, traces, proof audit) are seeded from the process defaults,
+// exactly as a cold boot's are, so a child forked after the defaults change
+// runs the pipeline a cold boot would run now, not the one its zygote was
+// booted under.
 //
 // Fork must only be called between Run invocations — no instruction or
 // cached-block replay may be in flight on the parent.
@@ -31,9 +33,5 @@ func (c *VCPU) Fork(pm2 *mem.PhysMem) *VCPU {
 	c2.Insns = c.Insns
 	c2.excSeq = c.excSeq
 	c2.Charge(c.Cycles) // cycles move only through Charge (tools/lint)
-	c2.SetHostFastpaths(c.HostFastpathsEnabled())
-	c2.SetDecodeCache(c.DecodeCacheEnabled())
-	c2.SetTraces(c.TracesEnabled())
-	c2.SetProofAudit(c.ProofAuditEnabled())
 	return c2
 }

@@ -203,7 +203,7 @@ func TestForkChildTraceInvalidation(t *testing.T) {
 	}
 	f := e.fork(t)
 	if !f.c.TracesEnabled() {
-		t.Fatal("fork dropped the traces-enabled setting")
+		t.Fatal("forked child ignored the enabled trace default")
 	}
 	f.c.SetTraceHotThreshold(2)
 	for i := 0; i < 4; i++ {

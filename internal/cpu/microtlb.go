@@ -79,9 +79,8 @@ func microIdx(page uint64, priv bool, asid uint16, ways uint64) uint64 {
 }
 
 // microTLBs is the per-vCPU fastpath state: direct-mapped I-side and D-side
-// translation memos plus host-side hit/miss observability. enabled also
-// gates the block-resident Run loop and batched cycle accounting, so
-// "fastpaths off" reproduces the PR 1–3 pipeline exactly.
+// translation memos plus host-side hit/miss observability. With enabled
+// off, every access runs the full Translate.
 type microTLBs struct {
 	enabled bool
 	i       [iMicroWays]microEntry
@@ -93,30 +92,29 @@ type microTLBs struct {
 }
 
 // hostFastpathDefault seeds mtlb.enabled for newly created vCPUs, so tools
-// (lzbench -nofastpath) can configure machines booted deep inside sweeps.
+// (lzbench -interp, bench's oracle) can configure machines booted deep
+// inside sweeps.
 var hostFastpathDefault atomic.Bool
 
 func init() { hostFastpathDefault.Store(true) }
 
-// SetHostFastpathDefault sets whether new vCPUs start with host fastpaths
-// (micro-TLBs, block-resident Run, batched charging) enabled.
+// SetHostFastpathDefault sets whether new vCPUs start with the micro-TLBs
+// enabled.
 func SetHostFastpathDefault(on bool) { hostFastpathDefault.Store(on) }
 
 // HostFastpathDefault reports the current default for new vCPUs.
 func HostFastpathDefault() bool { return hostFastpathDefault.Load() }
 
-// SetHostFastpaths enables or disables this vCPU's host fastpaths. Both
-// micro-TLB entries are dropped either way, and any batched cycles are
-// flushed, so the toggle is safe mid-run and "off" is bit-for-bit the
-// Step-per-instruction pipeline.
+// SetHostFastpaths enables or disables this vCPU's micro-TLBs. Every
+// micro-TLB entry is dropped either way, so the toggle is safe between Run
+// calls and "off" runs the full Translate on every access.
 func (c *VCPU) SetHostFastpaths(on bool) {
-	c.flushBatch()
 	c.mtlb.enabled = on
 	c.mtlb.i = [iMicroWays]microEntry{}
 	c.mtlb.d = [dMicroWays]microEntry{}
 }
 
-// HostFastpathsEnabled reports whether this vCPU uses the host fastpaths.
+// HostFastpathsEnabled reports whether this vCPU uses the micro-TLBs.
 func (c *VCPU) HostFastpathsEnabled() bool { return c.mtlb.enabled }
 
 // FlushMicroTLBs drops every memoised micro-TLB entry without changing the

@@ -392,7 +392,7 @@ func TestMicroTLBSnapshotAndToggle(t *testing.T) {
 }
 
 // TestHostFastpathDefaultSeedsNewVCPUs checks the process-wide default used
-// by tools (lzbench -nofastpath) to configure machines booted inside sweeps.
+// by tools (lzbench -interp) to configure machines booted inside sweeps.
 func TestHostFastpathDefaultSeedsNewVCPUs(t *testing.T) {
 	old := HostFastpathDefault()
 	defer SetHostFastpathDefault(old)

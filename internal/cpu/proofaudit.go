@@ -120,7 +120,7 @@ type proofAudit struct {
 	// Trace-span state: one composed-trace replay audited end to end
 	// against its TraceProof. Mutually exclusive with a block span —
 	// noteTraceEnter abandons any active block span, and block spans only
-	// open from Step, never mid-trace.
+	// open at a block entry in runBlock, never mid-trace.
 	tActive bool
 	tProof  *absint.TraceProof
 	tIdx    int

@@ -178,21 +178,16 @@ func newTraceCache() traceCache {
 	// (and every freshly forked child) never stitch one.
 	return traceCache{
 		enabled:   traceDefault.Load(),
-		threshold: uint32(traceHotDefault.Load()),
+		threshold: defaultTraceHot,
 	}
 }
 
 // traceDefault seeds the enabled state of newly created trace caches, so
-// tools (lzbench -notrace) can configure machines booted deep inside sweeps.
+// tools (lzbench -interp, bench's oracle) can configure machines booted
+// deep inside sweeps.
 var traceDefault atomic.Bool
 
-// traceHotDefault seeds the stitch threshold of newly created trace caches.
-var traceHotDefault atomic.Int64
-
-func init() {
-	traceDefault.Store(true)
-	traceHotDefault.Store(defaultTraceHot)
-}
+func init() { traceDefault.Store(true) }
 
 // SetTraceDefault sets whether new vCPUs start with trace compilation on.
 func SetTraceDefault(on bool) { traceDefault.Store(on) }
@@ -200,20 +195,9 @@ func SetTraceDefault(on bool) { traceDefault.Store(on) }
 // TraceDefault reports the current default for new vCPUs.
 func TraceDefault() bool { return traceDefault.Load() }
 
-// SetTraceHotDefault sets the stitch threshold for new vCPUs (minimum 1).
-func SetTraceHotDefault(n int) {
-	if n < 1 {
-		n = 1
-	}
-	traceHotDefault.Store(int64(n))
-}
-
-// TraceHotDefault reports the stitch threshold for new vCPUs.
-func TraceHotDefault() int { return int(traceHotDefault.Load()) }
-
 // SetTraces enables or disables trace compilation on this vCPU. All stitched
 // traces are dropped either way, so the toggle is safe mid-run: "off" leaves
-// the PR 4 block-resident pipeline bit-identical.
+// the block pipeline bit-identical.
 func (c *VCPU) SetTraces(on bool) {
 	c.dropAllTraces()
 	c.tcache.enabled = on
@@ -290,19 +274,6 @@ func ReadTraceStats() TraceStats {
 		GateRuns:     tGateRuns.Load(),
 		InsnsRun:     tInsnsRun.Load(),
 	}
-}
-
-// ResetTraceStats zeroes the global trace counters.
-func ResetTraceStats() {
-	tStitched.Store(0)
-	tStitchFailed.Store(0)
-	tEntered.Store(0)
-	tCompleted.Store(0)
-	tSideExits.Store(0)
-	tFused.Store(0)
-	tInvalidated.Store(0)
-	tGateRuns.Store(0)
-	tInsnsRun.Store(0)
 }
 
 // flushTraceStats folds this vCPU's trace counters into the package
@@ -609,14 +580,12 @@ func (c *VCPU) flattenSteps(members []traceMember, insns int) []traceStep {
 }
 
 // pickTrace returns the guarded trace starting at the current PC, or nil.
-// Called only with a dead block cursor, at EL0/EL1, with host fastpaths on.
+// runLoop calls it only with a dead block cursor, at EL0/EL1, and with no
+// deliverable IRQ.
 func (c *VCPU) pickTrace(remaining int64) *trace {
 	tc := &c.tcache
 	if !tc.enabled || len(tc.traces) == 0 {
 		return nil
-	}
-	if c.PendingIRQ && c.PState&arm64.PStateI == 0 {
-		return nil // the IRQ delivers first, on Step's budget unit
 	}
 	// keyFor proves the executing context (VMID, ASID, SCTLR.M, TTBR half)
 	// equals the stitch-time context; it may intern a new context and reset

@@ -1,10 +1,6 @@
 package kernel
 
-import (
-	"fmt"
-
-	"lightzone/internal/mem"
-)
+import "lightzone/internal/mem"
 
 // Linux arm64 syscall numbers (subset).
 const (
@@ -286,5 +282,3 @@ func (p *Process) liveThreads() int {
 	}
 	return n
 }
-
-var _ = fmt.Sprintf // keep fmt for future diagnostics

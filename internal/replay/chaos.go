@@ -86,7 +86,7 @@ func Injections() []Injection {
 		},
 		{
 			Name: "fastpath-off", Expect: ExpectIdentical,
-			Desc:  "disable micro-TLBs, block-resident run loop and batched charging mid-run",
+			Desc:  "disable the micro-TLBs for the rest of the run",
 			Apply: func(ctx *InjectCtx) error { ctx.Env.M.CPU.SetHostFastpaths(false); return nil },
 		},
 		{

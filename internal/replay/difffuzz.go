@@ -10,10 +10,10 @@ import (
 )
 
 // Differential fuzzing: the same seeded A64 instruction stream runs on two
-// freshly booted bare vCPUs — one with every host fastpath enabled
-// (micro-TLBs, block-resident run loop, batched charging, decode cache,
-// trace compiler), one with all of them off (the per-Step reference
-// pipeline) — and the final registers, PSTATE, memory, cycle accounting,
+// freshly booted bare vCPUs — one with every host tier enabled (decode
+// cache with block-resident replay and batched charging, micro-TLBs, trace
+// compiler), one with all of them off (the plain Step reference
+// interpreter) — and the final registers, PSTATE, memory, cycle accounting,
 // TLB statistics and exit syndrome must be bit-identical. Any difference is
 // a fastpath soundness bug, minimized to a committed journal. Each side runs
 // the stream several times from the same entry point so the fast side climbs

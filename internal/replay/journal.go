@@ -55,16 +55,18 @@ type Journal struct {
 
 // RunConfig is the boundary configuration of a recorded lzbench run.
 // Parallel is informational: replays must produce identical rows at any
-// fleet width, so the replayer deliberately does not restore it.
+// fleet width, so the replayer deliberately does not restore it. Interp
+// records that the run used the plain Step interpreter; rows never depend
+// on the pipeline, so journals from before it existed, whose
+// nofastpath/nodecode/notrace keys decoding now ignores, replay under the
+// default pipeline.
 type RunConfig struct {
 	Suites     []string `json:"suites"`
 	Iters      int      `json:"iters"`
 	Mem        bool     `json:"mem,omitempty"` // figures also report §9 memory overheads
 	Seed       int64    `json:"seed"`
 	Parallel   int      `json:"parallel"`
-	NoFastpath bool     `json:"nofastpath,omitempty"`
-	NoDecode   bool     `json:"nodecode,omitempty"`
-	NoTrace    bool     `json:"notrace,omitempty"`
+	Interp     bool     `json:"interp,omitempty"`
 	Invariants bool     `json:"invariants,omitempty"` // the invariants suite ran (and pentest ran its planted battery)
 	Backend    string   `json:"backend,omitempty"`    // isolation-backend matrix scope ("", name, or "all")
 

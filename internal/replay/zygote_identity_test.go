@@ -18,14 +18,6 @@ import (
 	"lightzone/internal/workload"
 )
 
-// coldOff forces cold boots for the test body and restores the previous
-// zygote default afterwards.
-func coldOff(t *testing.T) {
-	t.Helper()
-	prev := workload.SetZygoteDefault(false)
-	t.Cleanup(func() { workload.SetZygoteDefault(prev) })
-}
-
 // finishDigest runs the prepared process to completion and captures the
 // full digest, exactly as the chaos baseline does.
 func finishDigest(t *testing.T, env *workload.Env, p *kernel.Process, budget int64) Digest {
@@ -69,7 +61,6 @@ func requireAllGrades(t *testing.T, label string, cold, forked Digest) {
 // ablations — and that a SECOND fork of the same zygote (the chaos
 // engine's re-fork-per-injection pattern) is identical too.
 func TestForkIdentityAcrossWorkloads(t *testing.T) {
-	coldOff(t)
 	configs := map[string]workload.DomainSwitchConfig{}
 	for _, scn := range Scenarios() {
 		configs[scn.Name] = scn.Config()
@@ -111,7 +102,6 @@ func TestForkIdentityAcrossWorkloads(t *testing.T) {
 // isolation backend: the forked child of a prepared backend machine runs
 // to the same digest as the machine itself would have.
 func TestForkIdentityAcrossBackends(t *testing.T) {
-	coldOff(t)
 	for _, backend := range workload.BackendOrder() {
 		t.Run(backend, func(t *testing.T) {
 			// The lightzone cell is the Table 5 scalable-TTBR cell; the
@@ -158,10 +148,7 @@ func TestForkIdentityAcrossBackends(t *testing.T) {
 // identically — same outcome, same expectation class, same delta text.
 func TestChaosForkVsColdClassification(t *testing.T) {
 	forkRunner := &chaosRunner{} // default: zygote fork
-	coldRunner := &chaosRunner{prepare: func(cfg workload.DomainSwitchConfig) (*workload.Env, *kernel.Process, error) {
-		return workload.PrepareDomainSwitch(cfg)
-	}}
-	coldOff(t) // make the cold runner's PrepareDomainSwitch a true cold boot
+	coldRunner := &chaosRunner{prepare: workload.PrepareDomainSwitch}
 	for _, inj := range Injections() {
 		inj := inj
 		t.Run(inj.Name, func(t *testing.T) {
@@ -187,10 +174,7 @@ func TestRegenerateChaosSeedJournal(t *testing.T) {
 	if os.Getenv("LZ_REGEN_CHAOS_JOURNAL") == "" {
 		t.Skip("set LZ_REGEN_CHAOS_JOURNAL=1 to regenerate testdata/chaos_prefork.journal.json")
 	}
-	coldOff(t)
-	runner := &chaosRunner{prepare: func(cfg workload.DomainSwitchConfig) (*workload.Env, *kernel.Process, error) {
-		return workload.PrepareDomainSwitch(cfg)
-	}}
+	runner := &chaosRunner{prepare: workload.PrepareDomainSwitch}
 	var rows []string
 	for _, inj := range Injections() {
 		plan := Plan{Scenario: "ttbr-8", Injection: inj.Name,

@@ -50,11 +50,6 @@ type Config struct {
 	SLOMicros  float64
 	QueueBound int
 	Seed       int64
-	// Zygote calibrates cells on copy-on-write forks of pooled zygotes
-	// instead of cold-booting a machine per calibration probe. Calibrated
-	// numbers are bit-identical either way (the fork-identity suite in
-	// internal/replay proves it); the sweep just gets cheaper.
-	Zygote bool
 }
 
 // withDefaults fills unset Config fields.
@@ -144,10 +139,6 @@ type Row struct {
 // returned slice is byte-identical at any fleet width.
 func Sweep(f *workload.Fleet, cfg Config, specs []Spec) ([]Cell, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Zygote {
-		prev := workload.SetZygoteDefault(true)
-		defer workload.SetZygoteDefault(prev)
-	}
 	out := make([]Cell, len(specs))
 	err := f.Run(len(specs), func(i int) error {
 		c, err := runCell(cfg, specs[i], int64(i))

@@ -35,13 +35,26 @@ type DomainSwitchConfig struct {
 	Iters    int
 	Seed     int64
 	// DisableDecodeCache runs the benchmark with the decoded-block cache
-	// off (the seed fetch/decode pipeline) — for the cycle-identity tests
-	// and host-speed benchmarks; emulated cycles must not change.
+	// off, and with it block replay, batched charging and traces: every
+	// instruction goes through the Step interpreter. For the cycle-identity
+	// tests and the host-speed oracle; emulated cycles must not change.
 	DisableDecodeCache bool
-	// DisableHostFastpaths runs with the micro-TLBs, block-resident Run
-	// loop and batched cycle accounting off (the per-Step pipeline) — for
-	// the identity tests; emulated cycles must not change.
+	// DisableHostFastpaths runs with the micro-TLBs off, so every access
+	// runs the full Translate — for the identity tests; emulated cycles
+	// must not change.
 	DisableHostFastpaths bool
+}
+
+// applyPipeline applies the config's pipeline ablations to a prepared
+// machine. A cold boot and a zygote fork both go through it, after the
+// vCPU has taken the process defaults.
+func (cfg DomainSwitchConfig) applyPipeline(env *Env) {
+	if cfg.DisableDecodeCache {
+		env.M.CPU.SetDecodeCache(false)
+	}
+	if cfg.DisableHostFastpaths {
+		env.M.CPU.SetHostFastpaths(false)
+	}
 }
 
 // DomainSwitchResult is one Table 5 cell.
@@ -105,24 +118,13 @@ func PrepareDomainSwitch(cfg DomainSwitchConfig) (*Env, *kernel.Process, error) 
 }
 
 // prepareDomainSwitch boots the environment (unless one is supplied) and
-// assembles the benchmark process without running it. Callers other than
-// runDomainSwitch drive the process in trap-budget slices (Env.Run returns
-// kernel.ErrTrapBudget until the program exits) — the cross-machine
-// isolation tests interleave two machines this way. When zygote forking is
-// enabled (SetZygoteDefault) and no environment is supplied, the prepared
-// machine is a copy-on-write fork of a pooled zygote instead of a cold
-// boot — bit-identical under replay.Digest, O(dirty pages) instead of
-// O(boot).
+// assembles the benchmark process without running it. It always boots
+// cold; ForkDomainSwitch, which also uses it to prepare a zygote on first
+// use, is the forking alternative. Callers other than runDomainSwitch drive
+// the process in trap-budget slices (Env.Run returns kernel.ErrTrapBudget
+// until the program exits) — the cross-machine isolation tests interleave
+// two machines this way.
 func prepareDomainSwitch(cfg DomainSwitchConfig, env *Env) (*Env, *kernel.Process, error) {
-	if env == nil && ZygoteDefault() {
-		return ForkDomainSwitch(cfg)
-	}
-	return prepareDomainSwitchCold(cfg, env)
-}
-
-// prepareDomainSwitchCold is the boot-and-assemble path (also the zygote
-// pool's first-use preparation).
-func prepareDomainSwitchCold(cfg DomainSwitchConfig, env *Env) (*Env, *kernel.Process, error) {
 	if cfg.Domains <= 0 || cfg.Iters <= 0 {
 		return nil, nil, fmt.Errorf("bad config %+v", cfg)
 	}
@@ -139,12 +141,7 @@ func prepareDomainSwitchCold(cfg DomainSwitchConfig, env *Env) (*Env, *kernel.Pr
 			return nil, nil, err
 		}
 	}
-	if cfg.DisableDecodeCache {
-		env.M.CPU.SetDecodeCache(false)
-	}
-	if cfg.DisableHostFastpaths {
-		env.M.CPU.SetHostFastpaths(false)
-	}
+	cfg.applyPipeline(env)
 
 	// Pre-computed random domain sequence, one byte per iteration.
 	rng := rand.New(rand.NewSource(cfg.Seed))

@@ -56,20 +56,10 @@ type zygote struct {
 var (
 	zygoteMu sync.Mutex
 	zygotes  = make(map[zkey]*zygote)
-	zygoteOn atomic.Bool
 	// ZygoteForks counts children handed out across all pools (bench/CI
 	// telemetry; not digest-visible).
 	zygoteForks atomic.Int64
 )
-
-// SetZygoteDefault switches prepareDomainSwitch (and with it every
-// fleet/chaos/calibration consumer that boots through it) between cold
-// boots and zygote forking. Returns the previous setting.
-func SetZygoteDefault(on bool) bool { return zygoteOn.Swap(on) }
-
-// ZygoteDefault reports whether domain-switch environments fork from
-// zygotes by default.
-func ZygoteDefault() bool { return zygoteOn.Load() }
 
 // ZygoteForkCount returns the number of children forked from zygote pools.
 func ZygoteForkCount() int64 { return zygoteForks.Load() }
@@ -82,33 +72,35 @@ func ResetZygotes() {
 	zygotes = make(map[zkey]*zygote)
 }
 
-// zkey is the pool key: every DomainSwitchConfig field, with the profile
-// reduced to its name (profiles arrive as distinct pointers to identical
-// values). A comparable struct keeps the per-fork lookup allocation-free —
-// forks are on the measured path of the zygote benchmark.
+// zkey is the pool key: every DomainSwitchConfig field that shapes the
+// prepared machine, with the profile reduced to its name (profiles arrive
+// as distinct pointers to identical values). A comparable struct keeps the
+// per-fork lookup allocation-free — forks are on the measured path of the
+// zygote benchmark. The pipeline ablations (Disable*) are not part of it:
+// a child takes its pipeline from the process defaults and the config at
+// fork time, never from its zygote.
 type zkey struct {
-	prof                 string
-	guest                bool
-	variant              Variant
-	domains, iters       int
-	seed                 int64
-	noDecode, noFastpath bool
+	prof           string
+	guest          bool
+	variant        Variant
+	domains, iters int
+	seed           int64
 }
 
-// zygoteKey covers every DomainSwitchConfig field: two configs that differ
-// anywhere get distinct zygotes.
+// zygoteKey covers every machine-shaping DomainSwitchConfig field: two
+// configs that differ in any of them get distinct zygotes.
 func zygoteKey(cfg DomainSwitchConfig) zkey {
 	return zkey{
 		prof: cfg.Platform.Prof.Name, guest: cfg.Platform.Guest,
 		variant: cfg.Variant, domains: cfg.Domains, iters: cfg.Iters,
-		seed: cfg.Seed, noDecode: cfg.DisableDecodeCache,
-		noFastpath: cfg.DisableHostFastpaths,
+		seed: cfg.Seed,
 	}
 }
 
 // ForkDomainSwitch returns a forked child of the config's zygote,
 // cold-preparing the zygote on first use. The child is ready to Run exactly
-// as a PrepareDomainSwitch result would be.
+// as a PrepareDomainSwitch result would be, and runs the pipeline a cold
+// boot of cfg would run now.
 func ForkDomainSwitch(cfg DomainSwitchConfig) (*Env, *kernel.Process, error) {
 	zygoteMu.Lock()
 	z, ok := zygotes[zygoteKey(cfg)]
@@ -124,7 +116,7 @@ func ForkDomainSwitch(cfg DomainSwitchConfig) (*Env, *kernel.Process, error) {
 		return nil, nil, z.err
 	}
 	if z.env == nil {
-		env, p, err := prepareDomainSwitchCold(cfg, nil)
+		env, p, err := prepareDomainSwitch(cfg, nil)
 		if err != nil {
 			z.err = err
 			return nil, nil, err
@@ -136,6 +128,7 @@ func ForkDomainSwitch(cfg DomainSwitchConfig) (*Env, *kernel.Process, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("zygote fork lost process %d", z.pid)
 	}
+	cfg.applyPipeline(env2)
 	zygoteForks.Add(1)
 	return env2, p2, nil
 }

@@ -1,42 +1,59 @@
 package workload
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"lightzone/internal/arm64"
+	"lightzone/internal/cpu"
 )
 
-// withZygote runs the test body with the zygote default set, a fresh pool,
-// and full restoration afterwards.
-func withZygote(t *testing.T, on bool) {
+// freshZygotes empties the zygote pool for the test body and again after it.
+func freshZygotes(t *testing.T) {
 	t.Helper()
-	prev := SetZygoteDefault(on)
 	ResetZygotes()
-	t.Cleanup(func() {
-		SetZygoteDefault(prev)
-		ResetZygotes()
-	})
+	t.Cleanup(ResetZygotes)
 }
 
-// TestZygoteRunIdenticalToCold: RunDomainSwitch must return byte-identical
-// results whether the machine is cold-booted or forked from a zygote, for
-// every fleet-suite configuration (all variants, host and guest).
+// runForked is RunDomainSwitch on a child of the config's zygote.
+func runForked(cfg DomainSwitchConfig) (DomainSwitchResult, error) {
+	res := DomainSwitchResult{Config: cfg}
+	env, p, err := ForkDomainSwitch(cfg)
+	if err != nil {
+		return res, err
+	}
+	if err := env.Run(p, domainSwitchBudget(cfg)); err != nil {
+		return res, err
+	}
+	if p.Killed {
+		return res, fmt.Errorf("benchmark killed: %s", p.KillMsg)
+	}
+	if res.TotalCycles, err = env.Measured(); err != nil {
+		return res, err
+	}
+	res.AvgCycles = float64(res.TotalCycles) / float64(cfg.Iters)
+	return res, nil
+}
+
+// TestZygoteRunIdenticalToCold: a cold-booted RunDomainSwitch and a run on
+// a zygote fork must return byte-identical results for every fleet-suite
+// configuration (all variants, host and guest).
 func TestZygoteRunIdenticalToCold(t *testing.T) {
+	freshZygotes(t)
 	for _, cfg := range fleetTestConfigs() {
-		withZygote(t, false)
 		cold, err := RunDomainSwitch(cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
-		withZygote(t, true)
 		forks := ZygoteForkCount()
-		warm, err := RunDomainSwitch(cfg)
+		warm, err := runForked(cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
 		if ZygoteForkCount() != forks+1 {
-			t.Errorf("%s/%d: zygote default on, but no fork happened", cfg.Variant, cfg.Domains)
+			t.Errorf("%s/%d: ForkDomainSwitch handed out %d children, want 1",
+				cfg.Variant, cfg.Domains, ZygoteForkCount()-forks)
 		}
 		if !reflect.DeepEqual(cold, warm) {
 			t.Errorf("%s/%d: forked result differs from cold boot\ncold: %+v\nfork: %+v",
@@ -44,7 +61,7 @@ func TestZygoteRunIdenticalToCold(t *testing.T) {
 		}
 		// A second run forks the SAME zygote (no new cold boot) and must
 		// still agree — the chaos engine's re-fork pattern.
-		again, err := RunDomainSwitch(cfg)
+		again, err := runForked(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,33 +71,83 @@ func TestZygoteRunIdenticalToCold(t *testing.T) {
 	}
 }
 
-// TestZygoteFleetWidthIdentity: with forking on, sweeping the fleet suite
-// at width 1 and width 8 must produce byte-identical results — children of
-// one zygote run concurrently, and forks of one zygote are serialized by
-// the pool's lock.
+// TestZygoteFleetWidthIdentity: forking every fleet-suite cell at width 1
+// and width 8 must produce byte-identical results, and match cold boots —
+// children of one zygote run concurrently, and forks of one zygote are
+// serialized by the pool's lock.
 func TestZygoteFleetWidthIdentity(t *testing.T) {
-	withZygote(t, true)
+	freshZygotes(t)
 	cfgs := fleetTestConfigs()
-	measure := func(f *Fleet) []DomainSwitchResult {
+	measure := func(f *Fleet, run func(DomainSwitchConfig) (DomainSwitchResult, error)) []DomainSwitchResult {
 		out, err := fleetMap(f, len(cfgs), func(i int) (DomainSwitchResult, error) {
-			return RunDomainSwitch(cfgs[i])
+			return run(cfgs[i])
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	seq := measure(NewFleet(1))
-	par := measure(NewFleet(8))
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("zygote sweep diverged across fleet widths\nseq: %+v\npar: %+v", seq, par)
+	cold := measure(NewFleet(1), RunDomainSwitch)
+	for _, width := range []int{1, 8} {
+		if forked := measure(NewFleet(width), runForked); !reflect.DeepEqual(cold, forked) {
+			t.Errorf("zygote sweep at width %d diverged from cold boots\ncold: %+v\nfork: %+v", width, cold, forked)
+		}
+	}
+}
+
+// TestZygoteForkTakesCurrentPipeline: a child runs the pipeline a cold boot
+// of its config would run now — the process defaults at fork time plus the
+// config's Disable* fields — never the one its zygote was booted under.
+// The defaults flip between forks of one pooled zygote.
+func TestZygoteForkTakesCurrentPipeline(t *testing.T) {
+	freshZygotes(t)
+	fast, decode, trace, audit := cpu.HostFastpathDefault(), cpu.DecodeCacheDefault(), cpu.TraceDefault(), cpu.ProofAuditDefault()
+	setAll := func(on bool) {
+		cpu.SetHostFastpathDefault(on)
+		cpu.SetDecodeCacheDefault(on)
+		cpu.SetTraceDefault(on)
+		cpu.SetProofAuditDefault(!on)
+	}
+	t.Cleanup(func() {
+		cpu.SetHostFastpathDefault(fast)
+		cpu.SetDecodeCacheDefault(decode)
+		cpu.SetTraceDefault(trace)
+		cpu.SetProofAuditDefault(audit)
+	})
+	type pipeline struct{ decode, fast, trace, audit bool }
+	of := func(env *Env) pipeline {
+		c := env.M.CPU
+		return pipeline{c.DecodeCacheEnabled(), c.HostFastpathsEnabled(), c.TracesEnabled(), c.ProofAuditEnabled()}
+	}
+	base := fleetTestConfigs()[1]
+	noDecode, noFast := base, base
+	noDecode.DisableDecodeCache = true
+	noFast.DisableHostFastpaths = true
+	for _, on := range []bool{true, false, true} {
+		setAll(on)
+		for name, cfg := range map[string]DomainSwitchConfig{"base": base, "nodecode": noDecode, "nofastpath": noFast} {
+			cold, _, err := PrepareDomainSwitch(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			child, _, err := ForkDomainSwitch(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := of(child), of(cold); got != want {
+				t.Errorf("defaults on=%v, %s: child pipeline %+v, cold boot %+v", on, name, got, want)
+			}
+			if name == "base" && of(child).decode != on {
+				t.Errorf("defaults on=%v: child decode cache %v ignores the defaults", on, of(child).decode)
+			}
+		}
 	}
 }
 
 // TestZygotePoolKeying: configs differing in any field get distinct
 // zygotes; the same config reuses one.
 func TestZygotePoolKeying(t *testing.T) {
-	withZygote(t, true)
+	freshZygotes(t)
 	base := fleetTestConfigs()[1]
 	if _, _, err := ForkDomainSwitch(base); err != nil {
 		t.Fatal(err)
@@ -108,7 +175,7 @@ func TestZygotePoolKeying(t *testing.T) {
 // without disturbing each other or the zygote — the zygote itself stays
 // runnable and cold-identical afterwards.
 func TestZygoteChildrenIsolated(t *testing.T) {
-	withZygote(t, true)
+	freshZygotes(t)
 	cfg := fleetTestConfigs()[1]
 	envA, pA, err := ForkDomainSwitch(cfg)
 	if err != nil {

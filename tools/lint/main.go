@@ -1,4 +1,4 @@
-// Command lint enforces two repository-specific invariants that ordinary
+// Command lint enforces seven repository-specific invariants that ordinary
 // go vet cannot express, using only the standard library's go/ast:
 //
 //  1. handlers-table immutability: the per-form dispatch table in
