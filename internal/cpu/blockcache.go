@@ -93,13 +93,14 @@ type BlockCache struct {
 	stats     *mem.Stats
 
 	// Context interning (see blockKey): (vmid, asid, mmuOff) -> pre-shifted
-	// context id, with a one-entry cache for the common same-context run.
+	// context id.
 	ctxIDs  map[blockCtx]uint64
 	ctxList []blockCtx // index = context id, for key decoding
-	// Small direct-mapped intern memo, indexed by the ASID's low bits:
-	// gate-heavy workloads alternate between a few domain ASIDs every
-	// crossing, and a single-slot memo would miss on every one of them.
-	ctxMemo [4]blockCtxMemo
+	// Direct-mapped intern memo in front of ctxIDs, indexed by the ASID's
+	// low bits: gate-heavy workloads alternate between domain ASIDs on
+	// every crossing, and the kernel hands them out densely from 1, so
+	// each domain of a 128-domain cell keeps a slot of its own.
+	ctxMemo [blockCtxMemoSlots]blockCtxMemo
 
 	// Invalidation hooks for dependents (the trace cache): onReset fires
 	// after the whole cache is dropped (interned context ids dangle, so any
@@ -169,6 +170,9 @@ func (d *BlockCache) ctxFor(c blockCtx) uint64 {
 	*m = blockCtxMemo{ctx: c, id: id, ok: true}
 	return id
 }
+
+// blockCtxMemoSlots sizes BlockCache.ctxMemo; a power of two.
+const blockCtxMemoSlots = 256
 
 // blockCtxMemo caches one interned block-translation context.
 type blockCtxMemo struct {
@@ -253,7 +257,7 @@ func (d *BlockCache) reset() {
 	clear(d.codePages)
 	clear(d.ctxIDs)
 	d.ctxList = d.ctxList[:0]
-	d.ctxMemo = [4]blockCtxMemo{}
+	clear(d.ctxMemo[:])
 	d.order = d.order[:0]
 	d.building = false
 	if d.onReset != nil {

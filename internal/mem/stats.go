@@ -38,10 +38,16 @@ func (s *Stats) Reset() { *s = Stats{} }
 // over-invalidates across address spaces that share the page number, which
 // costs only a re-decode and keeps the bump path callable from layers (page
 // tables, stage-2) that do not know the executing context.
+//
+// The page and region maps hold only the bumps since the last wholesale
+// bump: BumpAll folds them into global and empties them, so they are
+// bounded by the pages invalidated between two wholesale bumps rather than
+// by every page ever invalidated.
 type CodeEpochs struct {
-	global  uint64            // wholesale invalidations (TLBI ALLE1-style)
-	pages   map[uint64]uint64 // 4KB page index -> epoch
-	regions map[uint64]uint64 // 2MB region index -> epoch
+	global  uint64            // wholesale invalidations plus folded page epochs
+	pages   map[uint64]uint64 // 4KB page index -> epoch since the last fold
+	regions map[uint64]uint64 // 2MB region index -> epoch since the last fold
+	vaBumps uint64            // BumpVA calls since the last fold
 
 	// gen advances on every bump of any granularity. Snapshot needs two map
 	// probes, which is too slow for a per-fetch gate; gen gives host-side
@@ -87,6 +93,7 @@ func (e *CodeEpochs) BumpVA(va VA) {
 		e.regions = make(map[uint64]uint64)
 	}
 	page := uint64(va) >> PageShift
+	e.vaBumps++
 	e.pages[page]++
 	e.regions[page>>(HugePageShift-PageShift)]++
 	if e.stats != nil {
@@ -98,10 +105,16 @@ func (e *CodeEpochs) BumpVA(va VA) {
 }
 
 // BumpAll invalidates every cached block (wholesale TLB invalidations,
-// ASID/VMID recycling).
+// ASID/VMID recycling). It also folds the page and region maps into global:
+// no page or region epoch can exceed vaBumps, so raising global by
+// 2*vaBumps+1 lifts every page's Snapshot strictly above any value it held,
+// and both maps start over empty.
 func (e *CodeEpochs) BumpAll() {
 	e.gen++
-	e.global++
+	e.global += 2*e.vaBumps + 1
+	e.vaBumps = 0
+	clear(e.pages)
+	clear(e.regions)
 	if e.stats != nil {
 		e.stats.CodeInvalidations++
 	}

@@ -21,6 +21,9 @@ const (
 	tlbPageMask = 1<<tlbPageBits - 1
 )
 
+// tlbCtxMemoSlots sizes TLB.ctxMemo; a power of two.
+const tlbCtxMemoSlots = 256
+
 // ctxKey identifies a translation context before interning.
 type ctxKey struct {
 	vmid   uint16
@@ -40,11 +43,11 @@ type TLB struct {
 	// Context interning: (vmid, asid, global) -> pre-shifted context id.
 	ctxIDs  map[ctxKey]uint64
 	ctxList []ctxKey // index = context id, for invalidation predicates
-	// Small direct-mapped context memo, indexed by the ASID's low bits so
-	// the handful of domains alternating across call-gate switches keep
-	// their interned ids resident instead of evicting each other through a
-	// single slot.
-	ctxMemo [4]tlbCtxMemo
+	// Direct-mapped context memo, indexed by the ASID's low bits. The
+	// kernel hands out ASIDs densely from 1, so each domain of a 128-domain
+	// cell keeps its interned ids in a slot of its own across call-gate
+	// switches instead of falling through to the struct-keyed ctxIDs map.
+	ctxMemo [tlbCtxMemoSlots]tlbCtxMemo
 
 	Hits   uint64
 	Misses uint64
@@ -260,7 +263,7 @@ func (t *TLB) InvalidateAll() {
 	t.order = t.order[:0]
 	clear(t.ctxIDs)
 	t.ctxList = t.ctxList[:0]
-	t.ctxMemo = [4]tlbCtxMemo{}
+	clear(t.ctxMemo[:])
 	if t.Code != nil {
 		t.Code.BumpAll()
 	}
@@ -296,7 +299,7 @@ func (t *TLB) compactContexts(drop func(ctxKey) bool) {
 		kept = append(kept, c)
 	}
 	t.ctxList = kept
-	t.ctxMemo = [4]tlbCtxMemo{}
+	clear(t.ctxMemo[:])
 	// Two-phase rewrite: a kept context's new id can equal another kept
 	// context's old id, so moving entries in place while scanning can clobber
 	// a live entry that shares the page bits. Pull every moving entry out of

@@ -89,23 +89,62 @@ func TestPipelineInspectionCounters(t *testing.T) {
 }
 
 // BenchmarkGateSwitchHost measures the host wall-clock of the full TTBR
-// call-gate microbenchmark with the decoded-block cache on and off.
+// call-gate microbenchmark with the decoded-block cache on and off, and of
+// a 128-domain Cortex cell whose domains all stay resident in the host
+// translation caches (micro-TLBs and context memos) across switches.
 func BenchmarkGateSwitchHost(b *testing.B) {
-	for _, mode := range []struct {
+	carmel8 := DomainSwitchConfig{
+		Platform: Platform{Prof: arm64.ProfileCarmel()},
+		Variant:  VariantLZTTBR, Domains: 8, Iters: 500, Seed: 42,
+	}
+	carmel8Off := carmel8
+	carmel8Off.DisableDecodeCache = true
+	for _, bc := range []struct {
 		name string
-		off  bool
-	}{{"cache-on", false}, {"cache-off", true}} {
-		b.Run(mode.name, func(b *testing.B) {
+		cfg  DomainSwitchConfig
+	}{
+		{"cache-on", carmel8},
+		{"cache-off", carmel8Off},
+		{"cortex-ttbr128", DomainSwitchConfig{
+			Platform: Platform{Prof: arm64.ProfileCortexA55()},
+			Variant:  VariantLZTTBR, Domains: 128, Iters: 10_000, Seed: 42,
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := RunDomainSwitch(DomainSwitchConfig{
-					Platform: Platform{Prof: arm64.ProfileCarmel()},
-					Variant:  VariantLZTTBR, Domains: 8, Iters: 500, Seed: 42,
-					DisableDecodeCache: mode.off,
-				})
-				if err != nil {
+				if _, err := RunDomainSwitch(bc.cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// TestMicroTLBDHitRateManyDomains pins the D-side micro-TLB's hit-rate floor
+// on cells whose domains all stay resident: every call-gate crossing retags
+// TTBR0, so a D side sized for a handful of domains evicts the data pages
+// of the ones it left and misses on the way back. The counts repeat
+// exactly for a given config.
+func TestMicroTLBDHitRateManyDomains(t *testing.T) {
+	for _, cfg := range []DomainSwitchConfig{
+		{Platform: Platform{Prof: arm64.ProfileCortexA55()}, Variant: VariantLZTTBR, Domains: 128},
+		{Platform: Platform{Prof: arm64.ProfileCarmel(), Guest: true}, Variant: VariantLZTTBR, Domains: 32},
+	} {
+		cfg.Iters, cfg.Seed = 10_000, 1
+		env, p, err := PrepareDomainSwitch(cfg)
+		if err != nil {
+			t.Fatalf("%v %v-%d: %v", cfg.Platform, cfg.Variant, cfg.Domains, err)
+		}
+		if err := env.Run(p, DomainSwitchBudget(cfg)); err != nil || p.Killed {
+			t.Fatalf("%v %v-%d: %v (killed: %q)", cfg.Platform, cfg.Variant, cfg.Domains, err, p.KillMsg)
+		}
+		_, _, dHits, dMisses := env.M.CPU.MicroTLBStats()
+		rate := float64(dHits) / float64(dHits+dMisses)
+		t.Logf("%v %v-%d: D-side %d hits, %d misses, rate %.4f",
+			cfg.Platform, cfg.Variant, cfg.Domains, dHits, dMisses, rate)
+		if rate < 0.95 {
+			t.Errorf("%v %v-%d: D-side micro-TLB hit rate %.4f, want >= 0.95",
+				cfg.Platform, cfg.Variant, cfg.Domains, rate)
+		}
 	}
 }
