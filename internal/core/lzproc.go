@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"lightzone/internal/arm64"
 	"lightzone/internal/cpu"
@@ -297,9 +298,15 @@ func (lp *LZProc) mapIntoPGT(d *DomainPGT, va mem.VA, realPA mem.PA, size uint64
 }
 
 // mapUnprotected installs an unprotected page into every domain table as a
-// global mapping.
+// global mapping. Tables are visited in ascending id (ids are dense: Free
+// recycles them), so the table frames the mappings allocate land at the same
+// physical addresses on every run.
 func (lp *LZProc) mapUnprotected(va mem.VA, realPA mem.PA, size uint64, attrs uint64) error {
-	for _, d := range lp.pgts {
+	for id := 0; id < lp.nextPGT; id++ {
+		d, ok := lp.pgts[id]
+		if !ok {
+			continue
+		}
 		if err := lp.mapIntoPGT(d, va, realPA, size, attrs); err != nil {
 			return err
 		}
@@ -466,13 +473,20 @@ func (lp *LZProc) remapProtected(base mem.VA, pa mem.PA, size uint64, kdesc uint
 	return nil
 }
 
-// AttachToNewPGT propagates PAN-protected (user) pages into a freshly
-// allocated table so PermUser regions stay visible in all tables.
+// attachUserPagesTo propagates PAN-protected (user) pages into a freshly
+// allocated table so PermUser regions stay visible in all tables. Pages are
+// attached in ascending VA, so the table frames they allocate land at the
+// same physical addresses on every run.
 func (lp *LZProc) attachUserPagesTo(d *DomainPGT) error {
+	var user []mem.VA
 	for va, info := range lp.protected {
-		if !info.user {
-			continue
+		if info.user {
+			user = append(user, va)
 		}
+	}
+	slices.Sort(user)
+	for _, va := range user {
+		info := lp.protected[va]
 		pa, kdesc, size, err := lp.kernelFrame(va)
 		if err != nil {
 			return err

@@ -122,7 +122,7 @@ func (c *VCPU) Translate(va mem.VA, acc mem.AccessType, unpriv bool) (mem.PA, *A
 	levels := 0
 	for level := 0; level <= 3; level++ {
 		levels++
-		idx := s1IndexOf(va, level)
+		idx := mem.TableIndex(uint64(va), level)
 		descPA, _, ab := c.s2Resolve(tableIPA+mem.IPA(idx*8), mem.AccessRead, false)
 		if ab != nil {
 			ab.Syndrome.VA = va
@@ -200,11 +200,6 @@ func (c *VCPU) Translate(va mem.VA, acc mem.AccessType, unpriv bool) (mem.PA, *A
 func (c *VCPU) overlayPermits(desc uint64) bool {
 	key := mem.OverlayKey(desc)
 	return key == 0 || key == int(c.sys[arm64.POREL1]&mem.OverlayKeyMax)
-}
-
-func s1IndexOf(va mem.VA, level int) uint64 {
-	shift := mem.PageShift + 9*(3-level)
-	return uint64(va) >> shift & 0x1FF
 }
 
 // MemRead performs a cycle-charged data load of size bytes (1, 2, 4, 8).

@@ -205,3 +205,29 @@ func TestWalkCostIncludesStage2Levels(t *testing.T) {
 		t.Errorf("nested miss cost %d, want at least %d", cost, want)
 	}
 }
+
+// TestStage2ResolveAllocationFree pins the stage-2 walk on the TLB-miss
+// path as allocation-free: s2Resolve wraps VTTBR_EL2's root in a
+// mem.ViewStage2 on every call, and that view must stay on the stack.
+func TestStage2ResolveAllocationFree(t *testing.T) {
+	e := newEnv(t)
+	s2, err := mem.NewStage2(e.pm, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ipa = mem.IPA(0x20_0000)
+	if err := s2.Map(ipa, 0x30_0000, mem.S2APRead|mem.S2APWrite); err != nil {
+		t.Fatal(err)
+	}
+	e.c.SetSys(arm64.HCREL2, HCRVM)
+	e.c.SetSys(arm64.VTTBREL2, MakeVTTBR(uint64(s2.Root()), 5))
+	if pa, _, ab := e.c.s2Resolve(ipa+8, mem.AccessRead, true); ab != nil || pa != 0x30_0008 {
+		t.Fatalf("s2Resolve = %v, %v", pa, ab)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		_, _, _ = e.c.s2Resolve(ipa, mem.AccessRead, true)
+	})
+	if allocs != 0 {
+		t.Errorf("mapped stage-2 resolve allocates %v times per call, want 0", allocs)
+	}
+}

@@ -1,9 +1,9 @@
 // Package mem implements the simulated memory system: sparse physical
-// memory with a frame allocator, ARMv8-style stage-1 (4-level) and stage-2
-// (3-level) page tables with 4KB granule, attribute/permission checking
-// including PAN and EL0/EL1 access-permission semantics, and an ASID/VMID
-// tagged TLB whose hit/miss behaviour drives the domain-switching costs the
-// paper measures.
+// memory with a frame allocator; one ARMv8-style radix page table (4KB
+// granule) with two typed views, the 4-level stage-1 Stage1 and the
+// 3-level stage-2 Stage2; attribute/permission checking including PAN and
+// EL0/EL1 access-permission semantics; and an ASID/VMID tagged TLB whose
+// hit/miss behaviour drives the domain-switching costs the paper measures.
 package mem
 
 import "fmt"
@@ -56,16 +56,11 @@ func ValidVA(va VA) bool {
 	return top == 0 || top == 0xFFFF
 }
 
-// stage-1 table index extraction; level 0 is the root.
-func s1Index(va VA, level int) uint64 {
-	shift := PageShift + 9*(3-level)
-	return uint64(va) >> shift & 0x1FF
-}
-
-// stage-2 table index extraction; level 1 is the (concatenated) root.
-func s2Index(ipa IPA, level int) uint64 {
-	shift := PageShift + 9*(3-level)
-	return uint64(ipa) >> shift & 0x1FF
+// TableIndex returns the index of the descriptor that translates addr (a
+// VA or an IPA) in a level-level table of the 4KB-granule format; level 3
+// holds the leaves.
+func TableIndex(addr uint64, level int) uint64 {
+	return addr >> (PageShift + 9*(3-level)) & 0x1FF
 }
 
 func (v VA) String() string  { return fmt.Sprintf("VA(%#x)", uint64(v)) }

@@ -271,6 +271,15 @@ func TestStage1Visit(t *testing.T) {
 			t.Errorf("leaf %v size = %d, want %d", va, got[va], size)
 		}
 	}
+	// fn returning false ends the whole walk, not just the table holding
+	// the leaf: the other leaves sit in other subtrees.
+	n := 0
+	if err := s1.Visit(func(VA, uint64, uint64) bool { n++; return false }); err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 {
+		t.Errorf("visited %d leaves after fn returned false, want 1", n)
+	}
 }
 
 func TestStage1TableBytesGrow(t *testing.T) {
@@ -799,6 +808,11 @@ func TestStage2BlockMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A page first: its level-3 table becomes the last-leaf memo, which
+	// the block over the same region must drop.
+	if err := s2.Map(IPA(4*HugePageSize), 0x5000, S2APRead); err != nil {
+		t.Fatal(err)
+	}
 	if err := s2.MapBlock(IPA(4*HugePageSize), PA(2*HugePageSize), S2APRead|S2APWrite); err != nil {
 		t.Fatal(err)
 	}
@@ -808,6 +822,9 @@ func TestStage2BlockMapping(t *testing.T) {
 	}
 	if res.PA != PA(2*HugePageSize)+0x12345 {
 		t.Errorf("PA = %v", res.PA)
+	}
+	if err := s2.Map(IPA(4*HugePageSize)+0x1000, 0x6000, S2APRead); err == nil {
+		t.Error("page mapped under a 2MB block")
 	}
 	if err := s2.MapBlock(IPA(HugePageSize+0x1000), 0, 0); err == nil {
 		t.Error("unaligned stage-2 block accepted")

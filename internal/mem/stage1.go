@@ -1,45 +1,13 @@
 package mem
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
-// WalkResult is the outcome of a page-table walk.
-type WalkResult struct {
-	// Desc is the leaf descriptor found (0 when !Found).
-	Desc uint64
-	// Level is the level at which the walk ended (leaf level, or the
-	// level whose descriptor was invalid).
-	Level int
-	// Levels is the number of descriptor fetches performed; the CPU
-	// charges TLB-walk cost per fetch.
-	Levels int
-	// Found reports whether a valid leaf was reached.
-	Found bool
-	// PA is the translated output address (leaf OA plus page offset).
-	PA PA
-	// BlockShift is log2 of the mapping size (12 for pages, 21 for 2MB
-	// blocks).
-	BlockShift uint
-}
+import "fmt"
 
 // Stage1 is a 4-level stage-1 translation table (one per address space /
-// LightZone memory domain).
+// LightZone memory domain): the shared radix table rooted at level 0,
+// translating 48-bit virtual addresses and tagged with an ASID.
 type Stage1 struct {
-	pm          *PhysMem
-	root        PA
-	asid        uint16
-	tableFrames int
-
-	// lastLeafVA/lastLeafTable cache the level-3 table of the most
-	// recently mapped 2MB region: bulk duplication (lz_alloc) maps
-	// ascending VAs, so consecutive Map calls skip the three-level
-	// descent. Leaf tables are never reclaimed until Free, so the cache
-	// only needs invalidation there and in MapBlock (which may overwrite
-	// a level-2 table slot with a block).
-	lastLeafVA    uint64
-	lastLeafTable PA
+	table
+	asid uint16
 
 	// OnAllocTable, when set, is invoked with the physical address of
 	// every newly allocated table frame. The LightZone module uses it to
@@ -50,64 +18,17 @@ type Stage1 struct {
 
 // NewStage1 allocates an empty stage-1 table.
 func NewStage1(pm *PhysMem, asid uint16) (*Stage1, error) {
-	root, err := pm.AllocFrame()
+	t, err := newTable(pm, 0)
 	if err != nil {
 		return nil, fmt.Errorf("stage-1 root: %w", err)
 	}
-	return &Stage1{pm: pm, root: root, asid: asid, tableFrames: 1}, nil
+	return &Stage1{table: t, asid: asid}, nil
 }
-
-// Root returns the physical address of the root table (the TTBR value).
-func (t *Stage1) Root() PA { return t.root }
 
 // ASID returns the address space identifier associated with the table.
 // LightZone assigns each domain page table its own ASID so that TTBR
 // switches need no TLB invalidation (§4.1.2).
 func (t *Stage1) ASID() uint16 { return t.asid }
-
-// TableBytes returns the memory consumed by table frames — the paper's
-// page-table memory overhead metric (§9.1-§9.3).
-func (t *Stage1) TableBytes() uint64 { return uint64(t.tableFrames) * PageSize }
-
-func (t *Stage1) descAddr(table PA, idx uint64) PA { return table + PA(idx*8) }
-
-// nextTable returns the table pointed to by the descriptor at (table, idx),
-// allocating it when absent and alloc is true. Table frames are page-aligned,
-// so the descriptor is read through the frame directly.
-func (t *Stage1) nextTable(table PA, idx uint64, alloc bool) (PA, error) {
-	f, err := t.pm.frame(table)
-	if err != nil {
-		return 0, err
-	}
-	off := idx * 8
-	desc := binary.LittleEndian.Uint64(f[off : off+8])
-	if desc&DescValid != 0 {
-		if desc&DescTable == 0 {
-			return 0, fmt.Errorf("descriptor at %v is a block, not a table", t.descAddr(table, idx))
-		}
-		return PA(desc & OAMask), nil
-	}
-	if !alloc {
-		return 0, nil
-	}
-	next, err := t.pm.AllocFrame()
-	if err != nil {
-		return 0, err
-	}
-	t.tableFrames++
-	// Re-resolve for writing: the table frame may be copy-on-write shared
-	// after a fork, and the descriptor store must land in this machine's
-	// private copy.
-	f, err = t.pm.frameForWrite(table)
-	if err != nil {
-		return 0, err
-	}
-	binary.LittleEndian.PutUint64(f[off:off+8], uint64(next)|DescValid|DescTable)
-	if t.OnAllocTable != nil {
-		t.OnAllocTable(next)
-	}
-	return next, nil
-}
 
 // Map installs a 4KB leaf mapping va -> pa with the given attribute bits
 // (AttrAPUser, AttrAPRO, AttrPXN, ...). Valid/table/AF bits are supplied.
@@ -115,187 +36,37 @@ func (t *Stage1) Map(va VA, pa PA, attrs uint64) error {
 	if !ValidVA(va) {
 		return fmt.Errorf("non-canonical %v", va)
 	}
-	table := t.lastLeafTable
-	if table == 0 || uint64(va)>>HugePageShift != t.lastLeafVA {
-		table = t.root
-		for level := 0; level < 3; level++ {
-			next, err := t.nextTable(table, s1Index(va, level), true)
-			if err != nil {
-				return fmt.Errorf("map %v level %d: %w", va, level, err)
-			}
-			table = next
-		}
-		t.lastLeafVA = uint64(va) >> HugePageShift
-		t.lastLeafTable = table
-	}
-	desc := uint64(pa)&OAMask | attrs | DescValid | DescTable | AttrAF
-	return t.pm.WriteU64(t.descAddr(table, s1Index(va, 3)), desc)
+	return t.mapPage(uint64(va), pa, attrs, t.OnAllocTable)
 }
 
 // MapBlock installs a 2MB block mapping at level 2 (huge pages, §9.3).
 func (t *Stage1) MapBlock(va VA, pa PA, attrs uint64) error {
-	if uint64(va)&HugePageMask != 0 || uint64(pa)&HugePageMask != 0 {
-		return fmt.Errorf("unaligned 2MB mapping %v -> %v", va, pa)
-	}
-	t.lastLeafTable = 0
-	table := t.root
-	for level := 0; level < 2; level++ {
-		next, err := t.nextTable(table, s1Index(va, level), true)
-		if err != nil {
-			return fmt.Errorf("map block %v level %d: %w", va, level, err)
-		}
-		table = next
-	}
-	desc := uint64(pa)&OAMask | attrs | DescValid | AttrAF // no DescTable: block
-	return t.pm.WriteU64(t.descAddr(table, s1Index(va, 2)), desc)
+	return t.mapBlock(uint64(va), pa, attrs, t.OnAllocTable)
 }
 
 // Walk performs a software walk of the table for va.
-func (t *Stage1) Walk(va VA) (WalkResult, error) {
-	res := WalkResult{BlockShift: PageShift}
-	if !ValidVA(va) {
-		return res, nil
-	}
-	table := t.root
-	for level := 0; level <= 3; level++ {
-		res.Levels++
-		res.Level = level
-		f, err := t.pm.frame(table)
-		if err != nil {
-			return res, err
-		}
-		off := s1Index(va, level) * 8
-		desc := binary.LittleEndian.Uint64(f[off : off+8])
-		if desc&DescValid == 0 {
-			return res, nil
-		}
-		if level == 3 {
-			if desc&DescTable == 0 {
-				return res, nil // reserved encoding
-			}
-			res.Desc = desc
-			res.Found = true
-			res.PA = PA(desc&OAMask | uint64(va)&PageMask)
-			return res, nil
-		}
-		if desc&DescTable == 0 {
-			if level != 2 {
-				return res, nil // blocks only modelled at level 2
-			}
-			res.Desc = desc
-			res.Found = true
-			res.BlockShift = HugePageShift
-			res.PA = PA(desc&OAMask&^uint64(HugePageMask) | uint64(va)&HugePageMask)
-			return res, nil
-		}
-		table = PA(desc & OAMask)
-	}
-	return res, nil
-}
+func (t *Stage1) Walk(va VA) (WalkResult, error) { return t.walk(uint64(va), ValidVA(va)) }
 
 // Unmap removes the leaf mapping for va, returning whether one existed.
 // Table frames are not eagerly reclaimed (as in Linux).
-func (t *Stage1) Unmap(va VA) (bool, error) {
-	leaf, err := t.leafAddr(va)
-	if err != nil || leaf == 0 {
-		return false, err
-	}
-	desc, err := t.pm.ReadU64(leaf)
-	if err != nil {
-		return false, err
-	}
-	if desc&DescValid == 0 {
-		return false, nil
-	}
-	return true, t.pm.WriteU64(leaf, 0)
-}
+func (t *Stage1) Unmap(va VA) (bool, error) { return t.unmap(uint64(va)) }
 
 // UpdateLeaf atomically rewrites the leaf descriptor for va. The update
-// function receives the current descriptor (0 if unmapped) and returns the
-// replacement. It reports whether a valid leaf existed.
+// function receives the current descriptor and returns the replacement.
+// It reports whether a valid leaf existed (fn is not called otherwise).
 func (t *Stage1) UpdateLeaf(va VA, fn func(uint64) uint64) (bool, error) {
-	leaf, err := t.leafAddr(va)
-	if err != nil || leaf == 0 {
-		return false, err
-	}
-	desc, err := t.pm.ReadU64(leaf)
-	if err != nil {
-		return false, err
-	}
-	if desc&DescValid == 0 {
-		return false, nil
-	}
-	return true, t.pm.WriteU64(leaf, fn(desc))
+	return t.updateLeaf(uint64(va), fn)
 }
 
-// leafAddr resolves the physical address of the descriptor slot that maps
-// va (page or 2MB block), or 0 when intermediate tables are absent.
-func (t *Stage1) leafAddr(va VA) (PA, error) {
-	table := t.root
-	for level := 0; level < 3; level++ {
-		f, err := t.pm.frame(table)
-		if err != nil {
-			return 0, err
-		}
-		idx := s1Index(va, level)
-		desc := binary.LittleEndian.Uint64(f[idx*8 : idx*8+8])
-		if desc&DescValid == 0 {
-			return 0, nil
-		}
-		if desc&DescTable == 0 {
-			if level == 2 {
-				return t.descAddr(table, idx), nil // 2MB block slot
-			}
-			return 0, nil
-		}
-		table = PA(desc & OAMask)
-	}
-	return t.descAddr(table, s1Index(va, 3)), nil
-}
-
-// Visit walks every valid leaf mapping in ascending VA order within the
-// TTBR0 range, calling fn(va, desc, size). Used by the LightZone module to
+// Visit walks every valid leaf mapping in ascending VA order, TTBR0 range
+// first, calling fn(va, desc, size). Used by the LightZone module to
 // duplicate and synchronize page tables (§5.1.2). Visiting stops when fn
 // returns false.
+//
+//go:noinline
 func (t *Stage1) Visit(fn func(va VA, desc uint64, size uint64) bool) error {
-	return t.visit(t.root, 0, 0, fn)
-}
-
-func (t *Stage1) visit(table PA, level int, base uint64, fn func(VA, uint64, uint64) bool) error {
-	f, err := t.pm.frame(table)
-	if err != nil {
-		return err
-	}
-	span := uint64(1) << (PageShift + 9*(3-level))
-	for idx := uint64(0); idx < 512; idx++ {
-		desc := binary.LittleEndian.Uint64(f[idx*8 : idx*8+8])
-		if desc&DescValid == 0 {
-			continue
-		}
-		va := base + idx*span
-		// Canonicalize TTBR1-half addresses: root indices >= 256 select the
-		// upper VA half, whose architectural form sign-extends bit 47.
-		if va&(1<<(VABits-1)) != 0 {
-			va |= ^(uint64(1)<<VABits - 1)
-		}
-		switch {
-		case level == 3:
-			if !fn(VA(va), desc, PageSize) {
-				return nil
-			}
-		case desc&DescTable == 0:
-			if level == 2 {
-				if !fn(VA(va), desc, HugePageSize) {
-					return nil
-				}
-			}
-		default:
-			if err := t.visit(PA(desc&OAMask), level+1, va, fn); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	_, err := visit(&t.table, t.root, t.top, 0, fn)
+	return err
 }
 
 // CloneFor snapshots the table's Go-side bookkeeping for a forked machine
@@ -304,36 +75,5 @@ func (t *Stage1) visit(table PA, level int, base uint64, fn func(VA, uint64, uin
 // the fork; only the metadata needs re-pointing. OnAllocTable is left nil
 // for the caller to re-wire to the fork's owner.
 func (t *Stage1) CloneFor(pm2 *PhysMem) *Stage1 {
-	return &Stage1{
-		pm:            pm2,
-		root:          t.root,
-		asid:          t.asid,
-		tableFrames:   t.tableFrames,
-		lastLeafVA:    t.lastLeafVA,
-		lastLeafTable: t.lastLeafTable,
-	}
-}
-
-// Free releases every frame owned by the table structure (not the mapped
-// data frames). The table must not be used afterwards.
-func (t *Stage1) Free() {
-	t.free(t.root, 0)
-	t.root = 0
-	t.tableFrames = 0
-	t.lastLeafTable = 0
-}
-
-func (t *Stage1) free(table PA, level int) {
-	if level < 3 {
-		for idx := uint64(0); idx < 512; idx++ {
-			desc, err := t.pm.ReadU64(t.descAddr(table, idx))
-			if err != nil {
-				continue
-			}
-			if desc&DescValid != 0 && desc&DescTable != 0 {
-				t.free(PA(desc&OAMask), level+1)
-			}
-		}
-	}
-	t.pm.FreeFrame(table)
+	return &Stage1{table: t.cloneFor(pm2), asid: t.asid}
 }
