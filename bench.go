@@ -6,8 +6,9 @@ import (
 )
 
 // The bench facade re-exports the evaluation harness so downstream users
-// (and cmd/lzbench) regenerate the paper's tables and figures against the
-// public API.
+// regenerate the paper's tables and figures against the public API. The
+// commands inside this module (cmd/lzbench among them) drive
+// internal/workload directly.
 
 // Variant names an isolation mechanism under evaluation (the five curves
 // of Figures 3-5).

@@ -734,7 +734,7 @@ func (c *runCtx) printPlanted() error {
 		fmt.Fprintln(c.out, "  static detection (planted attacks, caught before any dynamic trap):")
 	}
 	for _, plat := range workload.AllPlatforms() {
-		results, err := c.fleet.PlantedSweep(plat)
+		results, err := c.fleet.PlantedSweep(plat, "lightzone")
 		if err != nil {
 			return err
 		}

@@ -135,13 +135,13 @@ func runClean(fleet *workload.Fleet, plat workload.Platform, jsonMode bool) erro
 }
 
 // runPlanted verifies the attack battery under one backend's substrate;
-// PlantedSweepBackend returns an error — and lzverify exits non-zero — when
+// PlantedSweep returns an error — and lzverify exits non-zero — when
 // any planted violation goes undetected or an unreachable control word is
 // falsely flagged. Attacks that have no meaning on a substrate (gate
 // tampering where no gates exist) are replaced by that backend's own
 // battery: overlay-key retagging, granule-state forgery, and so on.
 func runPlanted(fleet *workload.Fleet, plat workload.Platform, backend string, jsonMode bool) error {
-	results, err := fleet.PlantedSweepBackend(plat, backend)
+	results, err := fleet.PlantedSweep(plat, backend)
 	if err != nil {
 		return fmt.Errorf("backend %s: %w", backend, err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"lightzone/internal/cpu"
 	"lightzone/internal/kernel"
@@ -31,7 +30,7 @@ import (
 // lz_prot, lz_free, ...) so chokepoint verification and trace tooling work
 // unchanged across substrates.
 type Backend interface {
-	// Name is the registry key ("lightzone", "overlay", "granule").
+	// Name is the backend's key ("lightzone", "overlay", "granule").
 	Name() string
 	// Install sets up the backend's per-process structures at lz_enter
 	// time (after the trap stub, before the base table is populated).
@@ -55,35 +54,21 @@ type Backend interface {
 	HandleHVC(k *kernel.Kernel, t *kernel.Thread, lp *LZProc, s cpu.Syndrome) (bool, error)
 }
 
-// backendFactories is the registry of isolation substrates, populated by
-// init() in each backend's file.
-var backendFactories = map[string]func() Backend{}
+// Backends returns the backend names in presentation order: the paper's
+// substrate first, then the two alternate models.
+func Backends() []string { return []string{"lightzone", "overlay", "granule"} }
 
-// RegisterBackend adds a backend constructor to the registry.
-func RegisterBackend(name string, factory func() Backend) {
-	if _, dup := backendFactories[name]; dup {
-		panic("core: duplicate backend " + name)
-	}
-	backendFactories[name] = factory
-}
-
-// Backends returns the registered backend names, sorted.
-func Backends() []string {
-	out := make([]string, 0, len(backendFactories))
-	for name := range backendFactories {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NewBackend constructs a registered backend by name.
+// NewBackend constructs a backend by name.
 func NewBackend(name string) (Backend, error) {
-	factory, ok := backendFactories[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown isolation backend %q (have %v)", name, Backends())
+	switch name {
+	case "lightzone":
+		return lightzoneBackend{}, nil
+	case "overlay":
+		return overlayBackend{}, nil
+	case "granule":
+		return granuleBackend{}, nil
 	}
-	return factory(), nil
+	return nil, fmt.Errorf("unknown isolation backend %q (have %v)", name, Backends())
 }
 
 // SetBackend selects the isolation substrate for processes that enter

@@ -16,18 +16,13 @@ import (
 // the trap boundary itself is the gate.
 const HVCGranuleEnter = 0x4C04
 
-func init() {
-	RegisterBackend("granule", func() Backend { return granuleBackend{} })
-}
-
 // granuleState is the granule backend's per-process delegation tracking.
 // It is backend-private: tools/lint confines every access to this file.
 type granuleState struct {
 	// owner maps a delegated real frame to the zone it is assigned to —
-	// the granule state table an RMM would keep.
+	// the granule state table an RMM would keep. A frame is delegated
+	// exactly while it has an owner.
 	owner map[mem.PA]int
-	// delegated marks frames that have left the "normal world" pool.
-	delegated map[mem.PA]bool
 }
 
 // granuleBackend is a NanoZone/CCA-style substrate: each zone is a realm
@@ -45,10 +40,7 @@ type granuleBackend struct{}
 func (granuleBackend) Name() string { return "granule" }
 
 func (granuleBackend) Install(lp *LZProc) error {
-	lp.gran = &granuleState{
-		owner:     make(map[mem.PA]int),
-		delegated: make(map[mem.PA]bool),
-	}
+	lp.gran = &granuleState{owner: make(map[mem.PA]int)}
 	return nil
 }
 
@@ -85,7 +77,6 @@ func (granuleBackend) Free(lp *LZProc, zone int) error {
 			continue
 		}
 		delete(st.owner, pa)
-		delete(st.delegated, pa)
 	}
 	for va, info := range lp.protected {
 		delete(info.pgts, zone)
@@ -140,7 +131,6 @@ func (granuleBackend) Prot(lp *LZProc, addr mem.VA, length uint64, zone, perm in
 		if owner, owned := st.owner[pa]; owned && owner != zone {
 			return fmt.Errorf("lz_prot: granule %v already assigned to zone %d", pa, owner)
 		}
-		st.delegated[pa] = true
 		st.owner[pa] = zone
 		attrs := overlayAttrs(kdesc, perm) | mem.AttrNG
 		lp.unmapEverywhere(base)
@@ -248,15 +238,9 @@ func (lp *LZProc) cloneGranuleState(lp2 *LZProc) {
 	if lp.gran == nil {
 		return
 	}
-	st2 := &granuleState{
-		owner:     make(map[mem.PA]int, len(lp.gran.owner)),
-		delegated: make(map[mem.PA]bool, len(lp.gran.delegated)),
-	}
+	st2 := &granuleState{owner: make(map[mem.PA]int, len(lp.gran.owner))}
 	for pa, zone := range lp.gran.owner {
 		st2.owner[pa] = zone
-	}
-	for pa := range lp.gran.delegated {
-		st2.delegated[pa] = true
 	}
 	lp2.gran = st2
 }

@@ -6,10 +6,6 @@ import (
 	"lightzone/internal/mem"
 )
 
-func init() {
-	RegisterBackend("lightzone", func() Backend { return lightzoneBackend{} })
-}
-
 // lightzoneBackend is the paper's substrate: per-domain stage-1 page
 // tables selected by TTBR0 writes inside TTBR1-mapped secure call gates
 // (GateTab/TTBRTab two-phase validation), with PAN-based domains as the

@@ -11,10 +11,6 @@ import (
 	"lightzone/internal/trace"
 )
 
-func init() {
-	RegisterBackend("overlay", func() Backend { return overlayBackend{} })
-}
-
 // overlayState is the overlay backend's per-process bookkeeping. It is
 // backend-private: tools/lint confines every access to this file.
 type overlayState struct {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"lightzone/internal/arm64"
+	"lightzone/internal/core"
 	"lightzone/internal/kernel"
 	"lightzone/internal/workload"
 )
@@ -102,26 +103,18 @@ func TestForkIdentityAcrossWorkloads(t *testing.T) {
 // isolation backend: the forked child of a prepared backend machine runs
 // to the same digest as the machine itself would have.
 func TestForkIdentityAcrossBackends(t *testing.T) {
-	for _, backend := range workload.BackendOrder() {
+	for _, backend := range core.Backends() {
 		t.Run(backend, func(t *testing.T) {
 			// The lightzone cell is the Table 5 scalable-TTBR cell; the
-			// other substrates have dedicated switch programs.
-			prepare := func() (*workload.Env, *kernel.Process, error) {
-				if backend == "lightzone" {
-					return workload.PrepareDomainSwitch(workload.DomainSwitchConfig{
-						Platform: workload.Platform{Prof: arm64.ProfileCortexA55()},
-						Variant:  workload.VariantLZTTBR,
-						Domains:  8, Iters: 100, Seed: workload.Table5Seed,
-					})
-				}
-				return workload.PrepareBackendSwitch(workload.BackendSwitchConfig{
-					Platform: workload.Platform{Prof: arm64.ProfileCortexA55()},
-					Backend:  backend, Domains: 8, Iters: 100, Seed: workload.Table5Seed,
-				})
+			// other substrates have dedicated switch variants.
+			cfg := workload.DomainSwitchConfig{
+				Platform: workload.Platform{Prof: arm64.ProfileCortexA55()},
+				Variant:  workload.BackendVariant(backend),
+				Domains:  8, Iters: 100, Seed: workload.Table5Seed,
 			}
-			budget := workload.DomainSwitchBudget(workload.DomainSwitchConfig{Iters: 100})
+			budget := workload.DomainSwitchBudget(cfg)
 
-			envCold, pCold, err := prepare()
+			envCold, pCold, err := workload.PrepareDomainSwitch(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

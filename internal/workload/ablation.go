@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"lightzone/internal/arm64"
 	"lightzone/internal/core"
 	"lightzone/internal/hyp"
@@ -50,7 +48,7 @@ func measureLZSyscallOpts(prof *arm64.Profile, hopts hyp.Opts, copts core.Opts) 
 	env.M.Hyp.Opts = hopts
 	env.K.DisableRetainOpt = hopts.DisableRetainRegs
 	env.LZ.Opts = copts
-	return measureSyscallInEnv(env, true)
+	return measureSyscall(env, true)
 }
 
 // measureLZGuestSyscallOpts measures a warm guest LightZone syscall.
@@ -61,44 +59,7 @@ func measureLZGuestSyscallOpts(prof *arm64.Profile, hopts hyp.Opts) (float64, er
 		return 0, err
 	}
 	env.M.Hyp.Opts = hopts
-	return measureSyscallInEnv(env, true)
-}
-
-// measureSyscallInEnv is measureSyscall against a pre-configured env.
-func measureSyscallInEnv(env *Env, lz bool) (float64, error) {
-	const iters = 64
-	a := arm64.NewAsm()
-	if lz {
-		svcCall(a, core.SysLZEnter, 1, uint64(core.SanTTBR))
-		hvcCall(a, SysMarkBegin)
-		for i := 0; i < iters; i++ {
-			hvcCall(a, kernel.SysGetpid)
-		}
-		hvcCall(a, SysMarkEnd)
-		hvcCall(a, kernel.SysExit, 0)
-	} else {
-		svcCall(a, SysMarkBegin)
-		for i := 0; i < iters; i++ {
-			svcCall(a, kernel.SysGetpid)
-		}
-		svcCall(a, SysMarkEnd)
-		svcCall(a, kernel.SysExit, 0)
-	}
-	p, err := env.NewProcess("ablation-probe", a, nil, nil)
-	if err != nil {
-		return 0, err
-	}
-	if err := env.Run(p, 1_000_000); err != nil {
-		return 0, err
-	}
-	if p.Killed {
-		return 0, fmt.Errorf("probe killed: %s", p.KillMsg)
-	}
-	m, err := env.Measured()
-	if err != nil {
-		return 0, err
-	}
-	return float64(m) / iters, nil
+	return measureSyscall(env, true)
 }
 
 // measureFaultStorm touches many cold pages from inside LightZone; with
@@ -134,15 +95,5 @@ func measureFaultStorm(prof *arm64.Profile, copts core.Opts) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := env.Run(p, 1_000_000); err != nil {
-		return 0, err
-	}
-	if p.Killed {
-		return 0, fmt.Errorf("probe killed: %s", p.KillMsg)
-	}
-	m, err := env.Measured()
-	if err != nil {
-		return 0, err
-	}
-	return float64(m) / pages, nil
+	return env.measure(p, 1_000_000, pages)
 }

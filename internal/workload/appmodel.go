@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"lightzone/internal/arm64"
+	"lightzone/internal/core"
+	"lightzone/internal/kernel"
 )
 
 // Primitives are the per-operation cycle costs of one platform, measured
@@ -47,10 +49,10 @@ func MeasurePrimitives(plat Platform) (*Primitives, error) {
 		S2MissCost: float64(3 * plat.Prof.TLBWalkPerLevel),
 	}
 	var err error
-	if pr.SyscallNormal, err = measureSyscall(plat, false); err != nil {
+	if pr.SyscallNormal, err = coldSyscall(plat, false); err != nil {
 		return nil, fmt.Errorf("syscall: %w", err)
 	}
-	if pr.SyscallLZ, err = measureSyscall(plat, true); err != nil {
+	if pr.SyscallLZ, err = coldSyscall(plat, true); err != nil {
 		return nil, fmt.Errorf("lz syscall: %w", err)
 	}
 	pan, err := RunDomainSwitch(DomainSwitchConfig{Platform: plat, Variant: VariantLZPAN, Domains: 1, Iters: primitivesIters, Seed: primitivesSeed})
@@ -74,59 +76,45 @@ func (pr *Primitives) measurePrimitive(v Variant, domains int) (float64, error) 
 	return res.AvgCycles, nil
 }
 
+// The baselines' switch primitives are measured at no more than these
+// domain counts; callers asking for more get the clamped cost. The
+// watchpoint baseline cannot protect more than 16 domains at all.
+const (
+	wpMaxDomains  = 16
+	lwcMaxDomains = 64
+)
+
+// cached returns a per-domain-count primitive from its cache, measuring
+// it on first use.
+func (pr *Primitives) cached(cache map[int]float64, v Variant, domains int) (float64, error) {
+	if x, ok := cache[domains]; ok {
+		return x, nil
+	}
+	x, err := pr.measurePrimitive(v, domains)
+	if err != nil {
+		return 0, err
+	}
+	cache[domains] = x
+	return x, nil
+}
+
 // GatePass returns the measured cost of one secure-call-gate domain switch
 // (plus one 8-byte access) with the given number of live domains.
 func (pr *Primitives) GatePass(domains int) (float64, error) {
-	if domains < 1 {
-		domains = 1
-	}
-	if v, ok := pr.gateCache[domains]; ok {
-		return v, nil
-	}
-	v, err := pr.measurePrimitive(VariantLZTTBR, domains)
-	if err != nil {
-		return 0, err
-	}
-	pr.gateCache[domains] = v
-	return v, nil
+	return pr.cached(pr.gateCache, VariantLZTTBR, max(domains, 1))
 }
 
 // WPSwitch returns the measured cost of one watchpoint domain switch
-// (trap inclusive). Domain counts above 16 are unsupported by the
-// baseline; callers asking anyway get the 16-domain cost (the baseline
-// simply cannot protect the rest).
+// (trap inclusive), clamped at wpMaxDomains: the baseline simply cannot
+// protect the rest.
 func (pr *Primitives) WPSwitch(domains int) (float64, error) {
-	if domains < 1 {
-		domains = 1
-	}
-	if domains > 16 {
-		domains = 16
-	}
-	if v, ok := pr.wpCache[domains]; ok {
-		return v, nil
-	}
-	v, err := pr.measurePrimitive(VariantWatchpoint, domains)
-	if err != nil {
-		return 0, err
-	}
-	pr.wpCache[domains] = v
-	return v, nil
+	return pr.cached(pr.wpCache, VariantWatchpoint, min(max(domains, 1), wpMaxDomains))
 }
 
-// LwCSwitch returns the measured cost of one simulated-lwC switch.
+// LwCSwitch returns the measured cost of one simulated-lwC switch, clamped
+// at lwcMaxDomains.
 func (pr *Primitives) LwCSwitch(domains int) (float64, error) {
-	if domains < 1 {
-		domains = 1
-	}
-	if v, ok := pr.lwcCache[domains]; ok {
-		return v, nil
-	}
-	v, err := pr.measurePrimitive(VariantLwC, domains)
-	if err != nil {
-		return 0, err
-	}
-	pr.lwcCache[domains] = v
-	return v, nil
+	return pr.cached(pr.lwcCache, VariantLwC, min(max(domains, 1), lwcMaxDomains))
 }
 
 // PrewarmGates measures the per-domain-count switch primitives (gate,
@@ -160,8 +148,8 @@ func (pr *Primitives) PrewarmGates(f *Fleet, domains []int) error {
 		add(pr.gateCache, VariantLZTTBR, d)
 		// The baselines clamp their domain counts (see WPSwitch/LwCSwitch);
 		// warm the clamped key the lazy path would consult.
-		add(pr.wpCache, VariantWatchpoint, minInt(d, 16))
-		add(pr.lwcCache, VariantLwC, minInt(d, 64))
+		add(pr.wpCache, VariantWatchpoint, min(d, wpMaxDomains))
+		add(pr.lwcCache, VariantLwC, min(d, lwcMaxDomains))
 	}
 	vals, err := fleetMap(f, len(cells), func(i int) (float64, error) {
 		return pr.measurePrimitive(cells[i].variant, cells[i].domains)
@@ -242,7 +230,7 @@ func (pr *Primitives) CyclesPerRequest(p AppParams, v Variant) (float64, error) 
 		return w + p.SyscallsPerReq*pr.SyscallNormal +
 			p.WPSwitchesPerReq*wp, nil
 	case VariantLwC:
-		lwc, err := pr.LwCSwitch(minInt(p.Domains, 64))
+		lwc, err := pr.LwCSwitch(p.Domains)
 		if err != nil {
 			return 0, err
 		}
@@ -267,50 +255,35 @@ func (pr *Primitives) OverheadPct(p AppParams, v Variant) (float64, error) {
 }
 
 // measureSyscall measures an empty getpid roundtrip using the marker
-// machinery, for ordinary and LightZone processes.
-func measureSyscall(plat Platform, lz bool) (float64, error) {
-	env, err := NewEnv(plat)
-	if err != nil {
-		return 0, err
-	}
+// machinery: from an ordinary process, or (lz) from a LightZone process
+// entered with the lz_enter arguments of the env's backend.
+func measureSyscall(env *Env, lz bool) (float64, error) {
 	const iters = 64
 	a := arm64.NewAsm()
+	call := svcCall
 	if lz {
-		svcCall(a, 460, 1, 1) // lz_enter(true, SanTTBR)
-		hvcCall(a, SysMarkBegin)
-		for i := 0; i < iters; i++ {
-			hvcCall(a, 172) // getpid
-		}
-		hvcCall(a, SysMarkEnd)
-		hvcCall(a, 93, 0)
-	} else {
-		svcCall(a, SysMarkBegin)
-		for i := 0; i < iters; i++ {
-			svcCall(a, 172)
-		}
-		svcCall(a, SysMarkEnd)
-		svcCall(a, 93, 0)
+		scalable, pol := backendEnter(env.LZ.BackendName())
+		svcCall(a, core.SysLZEnter, scalable, uint64(pol))
+		call = hvcCall
 	}
+	call(a, SysMarkBegin)
+	for i := 0; i < iters; i++ {
+		call(a, kernel.SysGetpid)
+	}
+	call(a, SysMarkEnd)
+	call(a, kernel.SysExit, 0)
 	p, err := env.NewProcess("syscall-probe", a, nil, nil)
 	if err != nil {
 		return 0, err
 	}
-	if err := env.Run(p, 1_000_000); err != nil {
-		return 0, err
-	}
-	if p.Killed {
-		return 0, fmt.Errorf("probe killed: %s", p.KillMsg)
-	}
-	m, err := env.Measured()
+	return env.measure(p, 1_000_000, iters)
+}
+
+// coldSyscall is measureSyscall on a freshly booted environment.
+func coldSyscall(plat Platform, lz bool) (float64, error) {
+	env, err := NewEnv(plat)
 	if err != nil {
 		return 0, err
 	}
-	return float64(m) / iters, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return measureSyscall(env, lz)
 }

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -65,7 +68,7 @@ func buildLifecycle(a *arm64.Asm, backend string) []core.GateEntry {
 	return nil
 }
 
-// TestBackendLifecycleConformance drives every registered backend through
+// TestBackendLifecycleConformance drives every backend through
 // the same lifecycle script and asserts the documented per-backend fault
 // class, the shared observer-event sequence, and that the post-mortem
 // machine verifies clean under the backend's own checker registry.
@@ -157,7 +160,7 @@ func TestBackendLifecycleConformance(t *testing.T) {
 // unknown-name error, and per-backend checker selection.
 func TestBackendRegistry(t *testing.T) {
 	got := core.Backends()
-	want := []string{"granule", "lightzone", "overlay"} // sorted
+	want := []string{"lightzone", "overlay", "granule"} // presentation order
 	if len(got) != len(want) {
 		t.Fatalf("Backends() = %v, want %v", got, want)
 	}
@@ -197,13 +200,14 @@ func TestBackendRegistry(t *testing.T) {
 // the overlay and gate switches stay trap-free.
 func TestBackendSwitchMeasures(t *testing.T) {
 	cost := map[string]float64{}
-	for _, b := range BackendOrder() {
-		v, err := RunBackendSwitch(BackendSwitchConfig{
-			Platform: carmelHost(), Backend: b, Domains: 8, Iters: 64, Seed: Table5Seed,
+	for _, b := range core.Backends() {
+		res, err := RunDomainSwitch(DomainSwitchConfig{
+			Platform: carmelHost(), Variant: BackendVariant(b), Domains: 8, Iters: 64, Seed: Table5Seed,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
+		v := res.AvgCycles
 		if v <= 0 {
 			t.Fatalf("%s: non-positive switch cost %v", b, v)
 		}
@@ -217,15 +221,15 @@ func TestBackendSwitchMeasures(t *testing.T) {
 	// that platform contrast is the point of the comparison matrix. On
 	// Cortex-A55 the same write costs single digits and overlay must win.
 	cortex := Platform{Prof: arm64.ProfileCortexA55()}
-	ov, err := RunBackendSwitch(BackendSwitchConfig{Platform: cortex, Backend: "overlay", Domains: 8, Iters: 64, Seed: Table5Seed})
+	ov, err := RunDomainSwitch(DomainSwitchConfig{Platform: cortex, Variant: VariantOverlay, Domains: 8, Iters: 64, Seed: Table5Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate, err := RunBackendSwitch(BackendSwitchConfig{Platform: cortex, Backend: "lightzone", Domains: 8, Iters: 64, Seed: Table5Seed})
+	gate, err := RunDomainSwitch(DomainSwitchConfig{Platform: cortex, Variant: VariantLZTTBR, Domains: 8, Iters: 64, Seed: Table5Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ov >= gate {
+	if ov.AvgCycles >= gate.AvgCycles {
 		t.Fatalf("on Cortex-A55 the overlay switch (%v) should undercut the gate pass (%v)", ov, gate)
 	}
 }
@@ -237,13 +241,17 @@ func TestBackendSwitchMeasures(t *testing.T) {
 func TestBackendProtAndSyscall(t *testing.T) {
 	prot := map[string]float64{}
 	var sys []float64
-	for _, b := range BackendOrder() {
+	for _, b := range core.Backends() {
 		v, err := measureBackendProt(carmelHost(), b)
 		if err != nil {
 			t.Fatalf("%s prot: %v", b, err)
 		}
 		prot[b] = v
-		s, err := measureBackendSyscall(carmelHost(), b)
+		env, err := NewEnvBackend(carmelHost(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := measureSyscall(env, true)
 		if err != nil {
 			t.Fatalf("%s syscall: %v", b, err)
 		}
@@ -288,12 +296,61 @@ func TestBackendCrossIsolation(t *testing.T) {
 	}
 }
 
+// plantedRow is the pinned part of a PlantedResult.
+type plantedRow struct {
+	name, checker string
+	va            uint64
+	detail        string
+}
+
+// plantedGolden pins every battery's rows on Carmel Host, in order. The
+// rows were computed before the batteries were built from shared
+// constructors. To regenerate after an intended change, print each
+// PlantedResult of Fleet.PlantedSweep as a plantedRow literal (%q, %q,
+// %#x, %q) and justify every moved row.
+var plantedGolden = map[string][]plantedRow{
+	"lightzone": {
+		{"wx-flip", "wx-audit", 0x400000, "writable and executable mapping (W xor X violated)"},
+		{"gatetab-tamper", "gate-integrity", 0xffff800000340000, "gate 0: GateTab ENTRY is 0xdead0000, registered entry is 0x400210"},
+		{"smuggled-word", "sanitizer-sweep", 0x400040, "sensitive instruction in executable page: tlb maintenance"},
+		{"ttbr0-write-outside-gate", "cfg-reachability", 0x40001c, "reachable sensitive instruction: ttbr0 access outside call gate"},
+		{"reachable-tlbi", "cfg-reachability", 0x400018, "reachable sensitive instruction: tlb maintenance"},
+		{"gate-code-tamper", "gate-integrity", 0xffff800000300000, "gate 0: unexpected svc in the gate"},
+		{"tlb-tamper", "cache-coherence", 0x400000, "TLB output base 0x2000 differs from current real frame 0x1000"},
+		{"gate-pan-elide", "gate-semantics", 0xffff80000030004c, "gate 0: PAN not restored to its entry value on a gate exit path (left 0)"},
+		{"gate-ttbr-unproven", "gate-semantics", 0xffff800000300014, "gate 0: TTBR0 switched to a value not proven to be page table 1's base 0x300000001a000 (got !⊤)"},
+		{"gate-exit-redirect", "gate-semantics", 0xffff800000300048, "gate 0: exit target not proven to be the recorded return site 0x400210 (got 0x1)"},
+		{"cow-cross-domain-share", "cow-aliasing", 0x11000, "frame storage aliased across the fork family: also backs PA(0x1000)"},
+	},
+	"overlay": {
+		{"key-retag", "overlay-keys", 0x50000000, "descriptor overlay key 2 disagrees with the module's record 1"},
+		{"ungranted-key", "overlay-keys", 0x50000000, "descriptor carries overlay key 200 which was never granted"},
+		{"marker-strip", "overlay-keys", 0x50000000, "overlay key 1 on a descriptor without the protected marker"},
+		{"wx-flip", "wx-audit", 0x400000, "writable and executable mapping (W xor X violated)"},
+		{"smuggled-word", "sanitizer-sweep", 0x400040, "sensitive instruction in executable page: tlb maintenance"},
+		{"ttbr0-write", "cfg-reachability", 0x40001c, "reachable sensitive instruction: ttbr0 access outside call gate"},
+		{"reachable-tlbi", "cfg-reachability", 0x400018, "reachable sensitive instruction: tlb maintenance"},
+		{"tlb-tamper", "cache-coherence", 0x400000, "TLB output base 0x2000 differs from current real frame 0x1000"},
+	},
+	"granule": {
+		{"cross-zone-alias", "granule-state", 0x50000000, "granule assigned to zone 1 but mapped zone-protected in zone 2 (cross-zone alias)"},
+		{"undelegated-tag", "granule-state", 0x10000000, "zone-protected mapping backs onto an undelegated granule"},
+		{"unprotected-alias", "granule-state", 0x50000000, "delegated granule (zone 1) reachable through an unprotected mapping in table 1"},
+		{"wx-flip", "wx-audit", 0x400000, "writable and executable mapping (W xor X violated)"},
+		{"smuggled-word", "sanitizer-sweep", 0x400040, "sensitive instruction in executable page: tlb maintenance"},
+		{"ttbr0-write", "cfg-reachability", 0x40001c, "reachable sensitive instruction: ttbr0 access outside call gate"},
+		{"reachable-tlbi", "cfg-reachability", 0x400018, "reachable sensitive instruction: tlb maintenance"},
+		{"tlb-tamper", "cache-coherence", 0x400000, "TLB output base 0x2000 differs from current real frame 0x1000"},
+	},
+}
+
 // TestPlantedSweepBackends runs the full per-backend batteries: every
-// attack must be caught by its designated checker at the planted address.
+// attack must be caught by its designated checker at the planted address,
+// and every battery's rows must match plantedGolden.
 func TestPlantedSweepBackends(t *testing.T) {
 	f := NewFleet(0)
 	for _, b := range core.Backends() {
-		res, err := f.PlantedSweepBackend(carmelHost(), b)
+		res, err := f.PlantedSweep(carmelHost(), b)
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
@@ -302,5 +359,36 @@ func TestPlantedSweepBackends(t *testing.T) {
 				t.Fatalf("%s/%s not caught", b, r.Name)
 			}
 		}
+		want := plantedGolden[b]
+		if len(res) != len(want) {
+			t.Fatalf("%s: battery has %d rows, want %d", b, len(res), len(want))
+		}
+		for i, r := range res {
+			if got := (plantedRow{r.Name, r.Checker, r.VA, r.Detail}); got != want[i] {
+				t.Errorf("%s row %d:\n got %+v\nwant %+v", b, i, got, want[i])
+			}
+		}
+	}
+}
+
+// backendSweepGolden is the sha256 of the Carmel Host comparison matrix
+// (every backend, 200 switch iterations) marshalled as JSON, computed
+// before the backend switch cells became domain-switch variants. To
+// regenerate after an intended change, log the hash this test computes
+// and justify every moved cell of the matrix it prints.
+const backendSweepGolden = "901f66d61eb8e4cad1ba430b5d549a1d1baf8769cf0d2c87079d29ce79fec8fd"
+
+// TestBackendSweepGolden pins the comparison matrix bit for bit.
+func TestBackendSweepGolden(t *testing.T) {
+	m, err := NewFleet(0).BackendSweep(carmelHost(), core.Backends(), 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(js)); got != backendSweepGolden {
+		t.Fatalf("comparison matrix moved: sha256 %s, want %s\n%s", got, backendSweepGolden, js)
 	}
 }

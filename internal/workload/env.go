@@ -31,9 +31,34 @@ const (
 	VariantLwC        Variant = "lwc"
 )
 
+// The alternate backends' domain switches (the backend comparison matrix):
+// an untrapped POR_EL1 write under overlay, a realm-enter trap under granule.
+const (
+	VariantOverlay Variant = "overlay"
+	VariantGranule Variant = "granule"
+)
+
 // Variants lists all evaluated variants in the paper's presentation order.
 func Variants() []Variant {
 	return []Variant{VariantNone, VariantLZPAN, VariantLZTTBR, VariantWatchpoint, VariantLwC}
+}
+
+// BackendVariant returns the variant that measures a backend's domain
+// switch: the scalable TTBR gate for lightzone, the backend's own switch
+// otherwise.
+func BackendVariant(backend string) Variant {
+	if backend == "lightzone" {
+		return VariantLZTTBR
+	}
+	return Variant(backend)
+}
+
+// backend names the isolation backend a variant's machine boots with.
+func (v Variant) backend() string {
+	if v == VariantOverlay || v == VariantGranule {
+		return string(v)
+	}
+	return "lightzone"
 }
 
 // Platform selects a cost profile and host/guest placement — the four
@@ -196,6 +221,30 @@ func (e *Env) Run(p *kernel.Process, maxTraps int64) error {
 		return e.M.RunGuestProcess(e.VM, p, maxTraps)
 	}
 	return e.M.RunHostProcess(p, maxTraps)
+}
+
+// run executes a process to completion and fails if it was killed.
+func (e *Env) run(p *kernel.Process, maxTraps int64) error {
+	if err := e.Run(p, maxTraps); err != nil {
+		return err
+	}
+	if p.Killed {
+		return fmt.Errorf("%s killed: %s", p.Name, p.KillMsg)
+	}
+	return nil
+}
+
+// measure runs a process to completion and returns its marker window
+// divided by the ops the window brackets.
+func (e *Env) measure(p *kernel.Process, maxTraps int64, ops int) (float64, error) {
+	if err := e.run(p, maxTraps); err != nil {
+		return 0, err
+	}
+	m, err := e.Measured()
+	if err != nil {
+		return 0, err
+	}
+	return float64(m) / float64(ops), nil
 }
 
 // Measured returns the cycles between the program's begin/end markers. A

@@ -312,3 +312,27 @@ func TestPrewarmGatesMatchesLazyPath(t *testing.T) {
 		}
 	}
 }
+
+// TestPrewarmGatesCoversClampedCounts checks the prewarm warms the keys the
+// lazy path consults above the baselines' clamps: after PrewarmGates at 100
+// domains, GatePass, WPSwitch and LwCSwitch at 100 measure nothing new.
+func TestPrewarmGatesCoversClampedCounts(t *testing.T) {
+	pr, err := MeasurePrimitives(Platform{Prof: arm64.ProfileCortexA55()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const domains = 100
+	if err := pr.PrewarmGates(NewFleet(2), []int{domains}); err != nil {
+		t.Fatal(err)
+	}
+	cells := func() int { return len(pr.gateCache) + len(pr.wpCache) + len(pr.lwcCache) }
+	before := cells()
+	for _, get := range []func(int) (float64, error){pr.GatePass, pr.WPSwitch, pr.LwCSwitch} {
+		if _, err := get(domains); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cells() - before; n != 0 {
+		t.Fatalf("measured %d new cells after prewarming %d domains", n, domains)
+	}
+}

@@ -75,9 +75,9 @@ func MySQLFigure(pr *Primitives) ([]FigureSeries, error) {
 			// additional running domain displaces entries; the term
 			// saturates once every thread owns a resident stack set.
 			if v == VariantLZTTBR && threads >= 16 {
-				cyc += float64(minInt(threads, 48)) * 1.4 * pr.S1MissCost
+				cyc += float64(min(threads, 48)) * 1.4 * pr.S1MissCost
 			}
-			scale := float64(minInt(threads, cores))
+			scale := float64(min(threads, cores))
 			if threads > cores {
 				scale *= 1 - 0.05*float64(threads-cores)/float64(threads)
 			}

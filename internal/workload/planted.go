@@ -1,13 +1,13 @@
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"lightzone/internal/arm64"
 	"lightzone/internal/core"
 	"lightzone/internal/kernel"
 	"lightzone/internal/mem"
+	"lightzone/internal/verify"
 )
 
 // PlantedResult is one static-detection cell: a machine with a deliberately
@@ -35,12 +35,13 @@ type plantedAttack struct {
 	build   func(plat Platform) (env *Env, va uint64, absent uint64, err error)
 }
 
-// plantedCleanTTBR runs a small scalable-TTBR benchmark to completion and
-// hands back the machine with its LightZone process state intact. The
-// process has exited cleanly: everything done to the machine afterwards is
-// invisible to the dynamic enforcement paths by construction.
-func plantedCleanTTBR(plat Platform) (*Env, *core.LZProc, error) {
-	cfg := DomainSwitchConfig{Platform: plat, Variant: VariantLZTTBR, Domains: 8, Iters: 64, Seed: Table5Seed}
+// plantedClean runs a small clean benchmark of the backend's switch variant
+// (8 domains, 64 iterations) to completion and hands back the machine with
+// its LightZone process state intact. The process has exited cleanly:
+// everything done to the machine afterwards is invisible to the dynamic
+// enforcement paths by construction.
+func plantedClean(plat Platform, backend string) (*Env, *core.LZProc, error) {
+	cfg := DomainSwitchConfig{Platform: plat, Variant: BackendVariant(backend), Domains: 8, Iters: 64, Seed: Table5Seed}
 	_, env, err := runDomainSwitch(cfg, nil)
 	if err != nil {
 		return nil, nil, err
@@ -50,6 +51,34 @@ func plantedCleanTTBR(plat Platform) (*Env, *core.LZProc, error) {
 		return nil, nil, fmt.Errorf("no LightZone process survived the run")
 	}
 	return env, procs[0], nil
+}
+
+// plantedTamper is an attack on the backend's clean machine: tamper
+// modifies it and returns the VA the checker must report there.
+func plantedTamper(name, checker, backend string, tamper func(env *Env, lp *core.LZProc) (uint64, error)) plantedAttack {
+	return plantedAttack{
+		name: name, checker: checker,
+		build: func(plat Platform) (*Env, uint64, uint64, error) {
+			env, lp, err := plantedClean(plat, backend)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			va, err := tamper(env, lp)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			return env, va, 0, nil
+		},
+	}
+}
+
+// rewriteLeaf applies fn to the leaf descriptor mapping va in table d.
+func rewriteLeaf(d *core.DomainPGT, va mem.VA, fn func(uint64) uint64) error {
+	found, err := d.S1.UpdateLeaf(va, fn)
+	if err != nil || !found {
+		return fmt.Errorf("rewrite leaf %v in table %d: found=%v err=%v", va, d.ID, found, err)
+	}
+	return nil
 }
 
 // plantedExecPage picks a sanitizer-admitted executable page of the process
@@ -78,13 +107,31 @@ func plantedExecPage(lp *core.LZProc) (mem.VA, mem.PA, error) {
 	return va, real, nil
 }
 
-// plantedCFGMachine assembles a SanNone process whose text contains a TLBI
-// and a raw TTBR0_EL1 write hidden behind a branch that is always taken at
-// run time, plus a TLBI-encoded data word behind an unconditional back-edge
-// (a literal pool). The process runs to completion untrapped — only the CFG
-// checker, which walks static reachability rather than executed paths, can
-// tell the first two from the third.
-func plantedCFGMachine(plat Platform) (*Env, map[string]uint64, error) {
+// gateSlotFrame resolves the real address behind gate 0's code slot.
+func gateSlotFrame(lp *core.LZProc) (mem.PA, error) {
+	if len(lp.Gates()) == 0 {
+		return 0, fmt.Errorf("no gates registered")
+	}
+	slotVA := core.GateCodeBase()
+	res, err := lp.TTBR1Table().Walk(mem.VA(slotVA))
+	if err != nil || !res.Found {
+		return 0, fmt.Errorf("gate slot not mapped: %v", err)
+	}
+	real, ok := lp.Fake().RealOf(mem.IPA(res.Desc & mem.OAMask))
+	if !ok {
+		return 0, fmt.Errorf("no real frame behind gate slot")
+	}
+	return real + mem.PA(slotVA&mem.PageMask), nil
+}
+
+// plantedCFGMachine assembles a SanNone process, entered under the named
+// backend, whose text contains a TLBI and a raw TTBR0_EL1 write hidden
+// behind a branch that is always taken at run time, plus a TLBI-encoded
+// data word behind an unconditional back-edge (a literal pool). The process
+// runs to completion untrapped — only the CFG checker, which walks static
+// reachability rather than executed paths, can tell the first two from the
+// third.
+func plantedCFGMachine(plat Platform, backend string) (*Env, map[string]uint64, error) {
 	a := arm64.NewAsm()
 	svcCall(a, core.SysLZEnter, 0, uint64(core.SanNone))
 	a.MovImm(0, 0)
@@ -99,7 +146,7 @@ func plantedCFGMachine(plat Platform) (*Env, map[string]uint64, error) {
 	a.Label("pool")
 	a.Emit(arm64.TLBIVMALLE1()) // same encoding as a data word: must not be flagged
 
-	env, err := NewEnv(plat)
+	env, err := NewEnvBackend(plat, backend)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -107,11 +154,8 @@ func plantedCFGMachine(plat Platform) (*Env, map[string]uint64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := env.Run(p, 100_000); err != nil {
+	if err := env.run(p, 100_000); err != nil {
 		return nil, nil, err
-	}
-	if p.Killed {
-		return nil, nil, fmt.Errorf("planted CFG process was killed dynamically: %s", p.KillMsg)
 	}
 	labels := make(map[string]uint64)
 	for _, l := range []string{"tlbi", "msr", "pool"} {
@@ -122,6 +166,77 @@ func plantedCFGMachine(plat Platform) (*Env, map[string]uint64, error) {
 		labels[l] = uint64(kernel.TextBase) + uint64(off)
 	}
 	return env, labels, nil
+}
+
+// Substrate-invariant attacks, parameterized by the backend whose machine
+// they are planted on: the catching checker is the same under every
+// backend, the machine it must catch them on is not.
+
+// attackWXFlip flips a sanitizer-admitted executable page writable, as a
+// kernel-write primitive would after admission.
+func attackWXFlip(backend string) plantedAttack {
+	return plantedTamper("wx-flip", "wx-audit", backend, func(env *Env, lp *core.LZProc) (uint64, error) {
+		va, _, err := plantedExecPage(lp)
+		if err != nil {
+			return 0, err
+		}
+		d0, _ := lp.PageTable(0)
+		return uint64(va), rewriteLeaf(d0, va, func(d uint64) uint64 {
+			return d &^ (mem.AttrPXN | mem.AttrAPRO)
+		})
+	})
+}
+
+// attackSmuggledWord smuggles a sensitive word into an already-admitted
+// executable page by writing the frame directly (a DMA-style store the
+// emulated W-xor-X fault path never sees).
+func attackSmuggledWord(backend string) plantedAttack {
+	return plantedTamper("smuggled-word", "sanitizer-sweep", backend, func(env *Env, lp *core.LZProc) (uint64, error) {
+		va, real, err := plantedExecPage(lp)
+		if err != nil {
+			return 0, err
+		}
+		const off = 0x40
+		return uint64(va) + off, env.M.PM.WriteUint(real+off, 4, uint64(arm64.TLBIVMALLE1()))
+	})
+}
+
+// attackCFG points at one of the CFG machine's never-executed sensitive
+// instructions (label "msr" or "tlbi"): only the CFG can see it, and it
+// must still leave the identical word in the literal pool alone.
+func attackCFG(backend, name, label string) plantedAttack {
+	return plantedAttack{
+		name: name, checker: "cfg-reachability",
+		build: func(plat Platform) (*Env, uint64, uint64, error) {
+			env, labels, err := plantedCFGMachine(plat, backend)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			return env, labels[label], labels["pool"], nil
+		},
+	}
+}
+
+// attackTLBTamper forges a TLB entry whose output frame differs from what
+// the page tables derive — a TOCTTOU-style stale translation.
+func attackTLBTamper(backend string) plantedAttack {
+	return plantedTamper("tlb-tamper", "cache-coherence", backend, func(env *Env, lp *core.LZProc) (uint64, error) {
+		va, real, err := plantedExecPage(lp)
+		if err != nil {
+			return 0, err
+		}
+		d0, _ := lp.PageTable(0)
+		res, err := d0.S1.Walk(va)
+		if err != nil || !res.Found {
+			return 0, fmt.Errorf("walk %v: %v", va, err)
+		}
+		env.M.CPU.TLB.Insert(lp.VM().VMID, 0, va, mem.TLBEntry{
+			PABase:     real + mem.PageSize, // wrong frame
+			S1Desc:     res.Desc,
+			BlockShift: mem.PageShift,
+		})
+		return uint64(va), nil
+	})
 }
 
 // buildSemanticGate mirrors core's generated gate for gate 0 with one
@@ -209,230 +324,143 @@ func buildSemanticGate(variant string) ([]uint32, uint64, error) {
 	return words, base + uint64(off), nil
 }
 
-// plantedSemanticGate rebuilds gate 0's slot with a semantic variant and
-// installs it. The slot write is followed by a decode-cache invalidation —
-// the same host-side hook a legitimate gate (re)install performs — so the
-// cache-coherence checker stays quiet and the catch is attributable to
-// gate-semantics alone.
-func plantedSemanticGate(plat Platform, variant string) (*Env, uint64, error) {
-	env, lp, err := plantedCleanTTBR(plat)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(lp.Gates()) == 0 {
-		return nil, 0, fmt.Errorf("no gates registered")
-	}
-	words, flagVA, err := buildSemanticGate(variant)
-	if err != nil {
-		return nil, 0, err
-	}
-	slotVA := core.GateCodeBase()
-	res, err := lp.TTBR1Table().Walk(mem.VA(slotVA))
-	if err != nil || !res.Found {
-		return nil, 0, fmt.Errorf("gate slot not mapped: %v", err)
-	}
-	real, ok := lp.Fake().RealOf(mem.IPA(res.Desc & mem.OAMask))
-	if !ok {
-		return nil, 0, fmt.Errorf("no real frame behind gate slot")
-	}
-	buf := make([]byte, core.GateSlotLen) // zero tail clears the old gate
-	copy(buf, arm64.WordsToBytes(words))
-	if err := env.M.PM.Write(real+mem.PA(slotVA&mem.PageMask), buf); err != nil {
-		return nil, 0, err
-	}
-	env.M.CPU.InvalidateCode(mem.VA(slotVA))
-	return env, flagVA, nil
-}
-
-// attackSemanticGate wraps one buildSemanticGate variant as a battery cell.
+// attackSemanticGate rebuilds gate 0's slot with a buildSemanticGate
+// variant and installs it. The slot write is followed by a decode-cache
+// invalidation — the same host-side hook a legitimate gate (re)install
+// performs — so the cache-coherence checker stays quiet and the catch is
+// attributable to gate-semantics alone.
 func attackSemanticGate(name, variant string) plantedAttack {
-	return plantedAttack{
-		name: name, checker: "gate-semantics",
-		build: func(plat Platform) (*Env, uint64, uint64, error) {
-			env, va, err := plantedSemanticGate(plat, variant)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			return env, va, 0, nil
-		},
-	}
+	return plantedTamper(name, "gate-semantics", "lightzone", func(env *Env, lp *core.LZProc) (uint64, error) {
+		slot, err := gateSlotFrame(lp)
+		if err != nil {
+			return 0, err
+		}
+		words, flagVA, err := buildSemanticGate(variant)
+		if err != nil {
+			return 0, err
+		}
+		buf := make([]byte, core.GateSlotLen) // zero tail clears the old gate
+		copy(buf, arm64.WordsToBytes(words))
+		if err := env.M.PM.Write(slot, buf); err != nil {
+			return 0, err
+		}
+		env.M.CPU.InvalidateCode(mem.VA(core.GateCodeBase()))
+		return flagVA, nil
+	})
 }
 
-// plantedAttacks is the battery: one cell per attack from the paper's threat
-// model, each paired with the checker that must catch it.
-func plantedAttacks() []plantedAttack {
+// plantedLightzoneAttacks is the lightzone battery: one cell per attack
+// from the paper's threat model, each paired with the checker that must
+// catch it.
+func plantedLightzoneAttacks() []plantedAttack {
 	return []plantedAttack{
-		{
-			// Flip a sanitizer-admitted executable page writable, as a
-			// kernel-write primitive would after admission.
-			name: "wx-flip", checker: "wx-audit",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanTTBR(plat)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				va, _, err := plantedExecPage(lp)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				d0, _ := lp.PageTable(0)
-				found, err := d0.S1.UpdateLeaf(va, func(d uint64) uint64 {
-					return d &^ (mem.AttrPXN | mem.AttrAPRO)
-				})
-				if err != nil || !found {
-					return nil, 0, 0, fmt.Errorf("flip leaf %v: found=%v err=%v", va, found, err)
-				}
-				return env, uint64(va), 0, nil
-			},
-		},
-		{
-			// Redirect gate 0's registered entry point in the GateTab.
-			name: "gatetab-tamper", checker: "gate-integrity",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanTTBR(plat)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				if len(lp.Gates()) == 0 {
-					return nil, 0, 0, fmt.Errorf("no gates registered")
-				}
-				if err := env.M.PM.WriteU64(lp.GateTabPA(), 0xdead_0000); err != nil {
-					return nil, 0, 0, err
-				}
-				return env, core.GateTabBase(), 0, nil
-			},
-		},
-		{
-			// Smuggle a sensitive word into an already-admitted executable
-			// page by writing the frame directly (a DMA-style store the
-			// emulated W-xor-X fault path never sees).
-			name: "smuggled-word", checker: "sanitizer-sweep",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanTTBR(plat)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				va, real, err := plantedExecPage(lp)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				const off = 0x40
-				var buf [4]byte
-				binary.LittleEndian.PutUint32(buf[:], arm64.TLBIVMALLE1())
-				if err := env.M.PM.Write(real+off, buf[:]); err != nil {
-					return nil, 0, 0, err
-				}
-				return env, uint64(va) + off, 0, nil
-			},
-		},
-		{
-			// Raw TTBR0_EL1 write outside a gate, hidden from execution but
-			// not from the CFG.
-			name: "ttbr0-write-outside-gate", checker: "cfg-reachability",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, labels, err := plantedCFGMachine(plat)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				return env, labels["msr"], labels["pool"], nil
-			},
-		},
-		{
-			// Reachable-but-never-executed TLBI under the SanNone ablation:
-			// the sweep is off, only the CFG checker can see it — and it must
-			// still leave the identical word in the literal pool alone.
-			name: "reachable-tlbi", checker: "cfg-reachability",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, labels, err := plantedCFGMachine(plat)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				return env, labels["tlbi"], labels["pool"], nil
-			},
-		},
-		{
-			// Overwrite the first instruction of gate 0's code slot.
-			name: "gate-code-tamper", checker: "gate-integrity",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanTTBR(plat)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				slotVA := core.GateCodeBase()
-				res, err := lp.TTBR1Table().Walk(mem.VA(slotVA))
-				if err != nil || !res.Found {
-					return nil, 0, 0, fmt.Errorf("gate slot not mapped: %v", err)
-				}
-				real, ok := lp.Fake().RealOf(mem.IPA(res.Desc & mem.OAMask))
-				if !ok {
-					return nil, 0, 0, fmt.Errorf("no real frame behind gate slot")
-				}
-				var buf [4]byte
-				binary.LittleEndian.PutUint32(buf[:], arm64.SVC(0))
-				if err := env.M.PM.Write(real+mem.PA(slotVA&mem.PageMask), buf[:]); err != nil {
-					return nil, 0, 0, err
-				}
-				return env, slotVA, 0, nil
-			},
-		},
-		{
-			// Forge a TLB entry whose output frame differs from what the
-			// page tables derive — a TOCTTOU-style stale translation.
-			name: "tlb-tamper", checker: "cache-coherence",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanTTBR(plat)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				va, real, err := plantedExecPage(lp)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				d0, _ := lp.PageTable(0)
-				res, err := d0.S1.Walk(va)
-				if err != nil || !res.Found {
-					return nil, 0, 0, fmt.Errorf("walk %v: %v", va, err)
-				}
-				env.M.CPU.TLB.Insert(lp.VM().VMID, 0, va, mem.TLBEntry{
-					PABase:     real + mem.PageSize, // wrong frame
-					S1Desc:     res.Desc,
-					BlockShift: mem.PageShift,
-				})
-				return env, uint64(va), 0, nil
-			},
-		},
+		attackWXFlip("lightzone"),
+		// Redirect gate 0's registered entry point in the GateTab.
+		plantedTamper("gatetab-tamper", "gate-integrity", "lightzone", func(env *Env, lp *core.LZProc) (uint64, error) {
+			if len(lp.Gates()) == 0 {
+				return 0, fmt.Errorf("no gates registered")
+			}
+			return core.GateTabBase(), env.M.PM.WriteU64(lp.GateTabPA(), 0xdead_0000)
+		}),
+		attackSmuggledWord("lightzone"),
+		// Raw TTBR0_EL1 write outside a gate, hidden from execution but
+		// not from the CFG.
+		attackCFG("lightzone", "ttbr0-write-outside-gate", "msr"),
+		// Reachable-but-never-executed TLBI under the SanNone ablation:
+		// the sweep is off, only the CFG checker can see it.
+		attackCFG("lightzone", "reachable-tlbi", "tlbi"),
+		// Overwrite the first instruction of gate 0's code slot.
+		plantedTamper("gate-code-tamper", "gate-integrity", "lightzone", func(env *Env, lp *core.LZProc) (uint64, error) {
+			slot, err := gateSlotFrame(lp)
+			if err != nil {
+				return 0, err
+			}
+			return core.GateCodeBase(), env.M.PM.WriteUint(slot, 4, uint64(arm64.SVC(0)))
+		}),
+		attackTLBTamper("lightzone"),
 		attackSemanticGate("gate-pan-elide", "pan-elide"),
 		attackSemanticGate("gate-ttbr-unproven", "ttbr-unproven"),
 		attackSemanticGate("gate-exit-redirect", "exit-redirect"),
-		{
-			// Point the GateTab frame's slot at the storage backing an
-			// executable page — a cross-domain frame share no page table
-			// connects, so every translation audit walks clean; only the
-			// COW frame audit can see it, and it must report the exact PA.
-			name: "cow-cross-domain-share", checker: "cow-aliasing",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanTTBR(plat)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				_, real, err := plantedExecPage(lp)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				dst := lp.GateTabPA()
-				if err := env.M.PM.PlantCOWAlias(real, dst); err != nil {
-					return nil, 0, 0, err
-				}
-				return env, uint64(dst), 0, nil
-			},
-		},
+		// Point the GateTab frame's slot at the storage backing an
+		// executable page — a cross-domain frame share no page table
+		// connects, so every translation audit walks clean; only the
+		// COW frame audit can see it, and it must report the exact PA.
+		plantedTamper("cow-cross-domain-share", "cow-aliasing", "lightzone", func(env *Env, lp *core.LZProc) (uint64, error) {
+			_, real, err := plantedExecPage(lp)
+			if err != nil {
+				return 0, err
+			}
+			dst := lp.GateTabPA()
+			return uint64(dst), env.M.PM.PlantCOWAlias(real, dst)
+		}),
 	}
 }
 
-// PlantedSweep runs the planted-attack battery, one fleet cell per attack.
-// Each cell must be caught by its designated checker at the exact planted
-// VA, and the literal-pool control word must never be flagged. Missing
-// either is an error, not a result row.
-func (f *Fleet) PlantedSweep(plat Platform) ([]PlantedResult, error) {
-	return f.plantedSweep(plat, plantedAttacks())
+// plantedAttacksFor returns the battery of one backend. Overlay and granule
+// run their substrate-specific attacks first, then the substrate-invariant
+// ones re-planted on their own machines.
+func plantedAttacksFor(backend string) ([]plantedAttack, error) {
+	var own []plantedAttack
+	switch backend {
+	case "lightzone":
+		return plantedLightzoneAttacks(), nil
+	case "overlay":
+		own = plantedOverlayAttacks()
+	case "granule":
+		own = plantedGranuleAttacks()
+	default:
+		return nil, fmt.Errorf("no planted battery for backend %q", backend)
+	}
+	return append(own,
+		attackWXFlip(backend),
+		attackSmuggledWord(backend),
+		// There is no gate for a TTBR0 write to be legal in: the raw
+		// write is forbidden everywhere, and still only the CFG can see
+		// the never-executed instance.
+		attackCFG(backend, "ttbr0-write", "msr"),
+		attackCFG(backend, "reachable-tlbi", "tlbi"),
+		attackTLBTamper(backend),
+	), nil
+}
+
+// PlantedSweep runs a backend's planted-attack battery, one fleet cell per
+// attack. Each cell must be caught by its designated checker at the exact
+// planted VA, and the literal-pool control word must never be flagged.
+// Missing either is an error, not a result row.
+func (f *Fleet) PlantedSweep(plat Platform, backend string) ([]PlantedResult, error) {
+	attacks, err := plantedAttacksFor(backend)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]PlantedResult, len(attacks))
+	err = f.Run(len(attacks), func(i int) error {
+		pa := attacks[i]
+		env, va, absent, err := pa.build(plat)
+		if err != nil {
+			return fmt.Errorf("%s: %w", pa.name, err)
+		}
+		rep, err := verify.RunMachine(env.M, env.LZ)
+		if err != nil {
+			return fmt.Errorf("%s: %w", pa.name, err)
+		}
+		res := PlantedResult{Name: pa.name, Checker: pa.checker, VA: va, Total: len(rep.Findings)}
+		for _, fd := range rep.Findings {
+			if absent != 0 && fd.VA == absent {
+				return findingsf("%s: unreachable word at %#x falsely flagged: %s", pa.name, absent, fd.Detail)
+			}
+			if !res.Caught && fd.Checker == pa.checker && fd.VA == va {
+				res.Caught, res.Detail = true, fd.Detail
+			}
+		}
+		if !res.Caught {
+			return findingsf("%s: expected %s finding at %#x; verifier reported %d findings",
+				pa.name, pa.checker, va, len(rep.Findings))
+		}
+		out[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

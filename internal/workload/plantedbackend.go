@@ -1,192 +1,18 @@
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"lightzone/internal/arm64"
 	"lightzone/internal/core"
 	"lightzone/internal/kernel"
 	"lightzone/internal/mem"
-	"lightzone/internal/verify"
 )
 
-// Per-backend planted-attack batteries. The substrate-invariant attacks
-// (W-xor-X flip, smuggled word, TLB forgery, CFG smuggling) are re-planted
-// on machines running each backend — the catching checker is the same, but
-// the machine it must catch it on is not. The substrate-specific attacks
-// target each backend's own bookkeeping: overlay-key retags where lightzone
-// has gate tampering, granule-delegation violations where lightzone has
-// TTBRTab tampering.
-
-// plantedCleanBackend runs a small clean benchmark under a backend and
-// hands back the machine with its process state intact (the backend
-// analogue of plantedCleanTTBR, which it delegates to for lightzone).
-func plantedCleanBackend(plat Platform, backend string) (*Env, *core.LZProc, error) {
-	if backend == "lightzone" {
-		return plantedCleanTTBR(plat)
-	}
-	_, env, err := runBackendSwitch(BackendSwitchConfig{
-		Platform: plat, Backend: backend, Domains: 8, Iters: 64, Seed: Table5Seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	procs := env.LZ.Procs()
-	if len(procs) == 0 {
-		return nil, nil, fmt.Errorf("no LightZone process survived the run")
-	}
-	return env, procs[0], nil
-}
-
-// plantedCFGMachineBackend is plantedCFGMachine on a backend environment:
-// the same always-skipped attack body and literal-pool control, entered
-// under the named isolation backend.
-func plantedCFGMachineBackend(plat Platform, backend string) (*Env, map[string]uint64, error) {
-	a := arm64.NewAsm()
-	svcCall(a, core.SysLZEnter, 0, uint64(core.SanNone))
-	a.MovImm(0, 0)
-	a.CBZ(0, "clean")
-	a.Label("tlbi")
-	a.Emit(arm64.TLBIVMALLE1())
-	a.Label("msr")
-	a.Emit(arm64.MSR(arm64.TTBR0EL1, 9))
-	a.Label("clean")
-	hvcCall(a, kernel.SysExit, 0)
-	a.B("clean")
-	a.Label("pool")
-	a.Emit(arm64.TLBIVMALLE1())
-
-	env, err := NewEnvBackend(plat, backend)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := env.NewProcess("planted-cfg", a, nil, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := env.Run(p, 100_000); err != nil {
-		return nil, nil, err
-	}
-	if p.Killed {
-		return nil, nil, fmt.Errorf("planted CFG process was killed dynamically: %s", p.KillMsg)
-	}
-	labels := make(map[string]uint64)
-	for _, l := range []string{"tlbi", "msr", "pool"} {
-		off, err := a.Offset(l)
-		if err != nil {
-			return nil, nil, err
-		}
-		labels[l] = uint64(kernel.TextBase) + uint64(off)
-	}
-	return env, labels, nil
-}
-
-// Substrate-invariant attacks, parameterized by the backend whose clean
-// machine they are planted on.
-
-func attackWXFlip(backend string) plantedAttack {
-	return plantedAttack{
-		name: "wx-flip", checker: "wx-audit",
-		build: func(plat Platform) (*Env, uint64, uint64, error) {
-			env, lp, err := plantedCleanBackend(plat, backend)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			va, _, err := plantedExecPage(lp)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			d0, _ := lp.PageTable(0)
-			found, err := d0.S1.UpdateLeaf(va, func(d uint64) uint64 {
-				return d &^ (mem.AttrPXN | mem.AttrAPRO)
-			})
-			if err != nil || !found {
-				return nil, 0, 0, fmt.Errorf("flip leaf %v: found=%v err=%v", va, found, err)
-			}
-			return env, uint64(va), 0, nil
-		},
-	}
-}
-
-func attackSmuggledWord(backend string) plantedAttack {
-	return plantedAttack{
-		name: "smuggled-word", checker: "sanitizer-sweep",
-		build: func(plat Platform) (*Env, uint64, uint64, error) {
-			env, lp, err := plantedCleanBackend(plat, backend)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			va, real, err := plantedExecPage(lp)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			const off = 0x40
-			var buf [4]byte
-			binary.LittleEndian.PutUint32(buf[:], arm64.TLBIVMALLE1())
-			if err := env.M.PM.Write(real+off, buf[:]); err != nil {
-				return nil, 0, 0, err
-			}
-			return env, uint64(va) + off, 0, nil
-		},
-	}
-}
-
-func attackTLBTamper(backend string) plantedAttack {
-	return plantedAttack{
-		name: "tlb-tamper", checker: "cache-coherence",
-		build: func(plat Platform) (*Env, uint64, uint64, error) {
-			env, lp, err := plantedCleanBackend(plat, backend)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			va, real, err := plantedExecPage(lp)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			d0, _ := lp.PageTable(0)
-			res, err := d0.S1.Walk(va)
-			if err != nil || !res.Found {
-				return nil, 0, 0, fmt.Errorf("walk %v: %v", va, err)
-			}
-			env.M.CPU.TLB.Insert(lp.VM().VMID, 0, va, mem.TLBEntry{
-				PABase:     real + mem.PageSize,
-				S1Desc:     res.Desc,
-				BlockShift: mem.PageShift,
-			})
-			return env, uint64(va), 0, nil
-		},
-	}
-}
-
-func attackReachableTLBI(backend string) plantedAttack {
-	return plantedAttack{
-		name: "reachable-tlbi", checker: "cfg-reachability",
-		build: func(plat Platform) (*Env, uint64, uint64, error) {
-			env, labels, err := plantedCFGMachineBackend(plat, backend)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			return env, labels["tlbi"], labels["pool"], nil
-		},
-	}
-}
-
-func attackTTBR0Write(backend string) plantedAttack {
-	return plantedAttack{
-		// Under overlay and granule there is no gate for a TTBR0 write to
-		// be legal in: the raw write is forbidden everywhere, and still
-		// only the CFG can see the never-executed instance.
-		name: "ttbr0-write", checker: "cfg-reachability",
-		build: func(plat Platform) (*Env, uint64, uint64, error) {
-			env, labels, err := plantedCFGMachineBackend(plat, backend)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			return env, labels["msr"], labels["pool"], nil
-		},
-	}
-}
+// Substrate-specific planted attacks of the alternate backends. They target
+// each backend's own bookkeeping: overlay-key retags where lightzone has
+// gate tampering, granule-delegation violations where lightzone has TTBRTab
+// tampering. Each battery then re-plants the substrate-invariant attacks of
+// planted.go on its own machine (plantedAttacksFor).
 
 // overlayVictim picks the lowest-addressed keyed page of the process (the
 // battery's deterministic tamper target) and returns its base table.
@@ -211,216 +37,76 @@ func overlayVictim(lp *core.LZProc) (mem.VA, int, *core.DomainPGT, error) {
 
 const overlayKeyAttrMask = uint64(mem.OverlayKeyMax) << mem.OverlayKeyShift
 
-// plantedOverlayAttacks is the overlay-backend battery: the three
-// key-discipline attacks plus the substrate-invariant four.
+// plantedOverlayAttacks is the overlay battery's key-discipline attacks.
 func plantedOverlayAttacks() []plantedAttack {
-	retag := func(name string, newKey func(old int, granted []int) int) plantedAttack {
-		return plantedAttack{
-			name: name, checker: "overlay-keys",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanBackend(plat, "overlay")
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				va, key, d0, err := overlayVictim(lp)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				k := newKey(key, lp.OverlayGranted())
-				found, err := d0.S1.UpdateLeaf(va, func(d uint64) uint64 {
-					return d&^overlayKeyAttrMask | mem.OverlayKeyAttr(k)
-				})
-				if err != nil || !found {
-					return nil, 0, 0, fmt.Errorf("retag %v: found=%v err=%v", va, found, err)
-				}
-				return env, uint64(va), 0, nil
-			},
-		}
+	// victim rewrites the victim page's descriptor; fn also gets the key
+	// the module recorded for the page and the keys lz_alloc granted.
+	victim := func(name string, fn func(desc uint64, key int, granted []int) uint64) plantedAttack {
+		return plantedTamper(name, "overlay-keys", "overlay", func(env *Env, lp *core.LZProc) (uint64, error) {
+			va, key, d0, err := overlayVictim(lp)
+			if err != nil {
+				return 0, err
+			}
+			granted := lp.OverlayGranted()
+			return uint64(va), rewriteLeaf(d0, va, func(d uint64) uint64 { return fn(d, key, granted) })
+		})
 	}
+	retag := func(d uint64, key int) uint64 { return d&^overlayKeyAttrMask | mem.OverlayKeyAttr(key) }
 	return []plantedAttack{
 		// Retag a keyed page to another domain's granted key — the overlay
 		// form of handing one domain's memory to another.
-		retag("key-retag", func(old int, granted []int) int {
+		victim("key-retag", func(d uint64, old int, granted []int) uint64 {
 			for _, g := range granted {
 				if g != old {
-					return g
+					return retag(d, g)
 				}
 			}
-			return old + 1
+			return retag(d, old+1)
 		}),
 		// Retag to a key lz_alloc never granted.
-		retag("ungranted-key", func(int, []int) int { return 200 }),
-		{
-			// Strip the protected marker while keeping the key: the module's
-			// fault classification would no longer recognize the page.
-			name: "marker-strip", checker: "overlay-keys",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanBackend(plat, "overlay")
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				va, _, d0, err := overlayVictim(lp)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				found, err := d0.S1.UpdateLeaf(va, func(d uint64) uint64 {
-					return d &^ mem.AttrSWLZProt
-				})
-				if err != nil || !found {
-					return nil, 0, 0, fmt.Errorf("strip %v: found=%v err=%v", va, found, err)
-				}
-				return env, uint64(va), 0, nil
-			},
-		},
-		attackWXFlip("overlay"),
-		attackSmuggledWord("overlay"),
-		attackTTBR0Write("overlay"),
-		attackReachableTLBI("overlay"),
-		attackTLBTamper("overlay"),
+		victim("ungranted-key", func(d uint64, _ int, _ []int) uint64 { return retag(d, 200) }),
+		// Strip the protected marker while keeping the key: the module's
+		// fault classification would no longer recognize the page.
+		victim("marker-strip", func(d uint64, _ int, _ []int) uint64 { return d &^ mem.AttrSWLZProt }),
 	}
 }
 
-// plantedGranuleAttacks is the granule-backend battery: the three
-// delegation-discipline attacks plus the substrate-invariant four.
+// plantedGranuleAttacks is the granule battery's delegation-discipline
+// attacks.
 func plantedGranuleAttacks() []plantedAttack {
+	// zone1 rewrites the leaf mapping va in zone 1's table.
+	zone1 := func(name string, va mem.VA, fn func(uint64) uint64) plantedAttack {
+		return plantedTamper(name, "granule-state", "granule", func(env *Env, lp *core.LZProc) (uint64, error) {
+			d1, ok := lp.PageTable(1)
+			if !ok {
+				return 0, fmt.Errorf("zone 1 table missing")
+			}
+			return uint64(va), rewriteLeaf(d1, va, fn)
+		})
+	}
 	return []plantedAttack{
-		{
-			// Map zone 1's delegated granule into zone 2's table with the
-			// protected marker — a cross-zone alias of delegated memory.
-			name: "cross-zone-alias", checker: "granule-state",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanBackend(plat, "granule")
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				va := DomainVA(0) // protected by zone 1 in the clean run
-				d1, ok1 := lp.PageTable(1)
-				d2, ok2 := lp.PageTable(2)
-				if !ok1 || !ok2 {
-					return nil, 0, 0, fmt.Errorf("zone tables missing")
-				}
-				res, err := d1.S1.Walk(va)
-				if err != nil || !res.Found {
-					return nil, 0, 0, fmt.Errorf("victim %v not mapped in zone 1: %v", va, err)
-				}
-				attrs := res.Desc &^ (mem.OAMask | mem.DescValid | mem.DescTable | mem.AttrAF)
-				if err := d2.S1.Map(va, mem.PA(res.Desc&mem.OAMask), attrs); err != nil {
-					return nil, 0, 0, err
-				}
-				return env, uint64(va), 0, nil
-			},
-		},
-		{
-			// Tag an ordinary shared page zone-protected without any
-			// delegation backing it.
-			name: "undelegated-tag", checker: "granule-state",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanBackend(plat, "granule")
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				d1, ok := lp.PageTable(1)
-				if !ok {
-					return nil, 0, 0, fmt.Errorf("zone 1 table missing")
-				}
-				va := mem.VA(kernel.DataBase)
-				found, err := d1.S1.UpdateLeaf(va, func(d uint64) uint64 {
-					return d | mem.AttrSWLZProt
-				})
-				if err != nil || !found {
-					return nil, 0, 0, fmt.Errorf("tag %v: found=%v err=%v", va, found, err)
-				}
-				return env, uint64(va), 0, nil
-			},
-		},
-		{
-			// Strip the protection and ASID tagging from a delegated
-			// granule's own mapping: delegated memory becomes reachable
-			// through an unprotected global mapping.
-			name: "unprotected-alias", checker: "granule-state",
-			build: func(plat Platform) (*Env, uint64, uint64, error) {
-				env, lp, err := plantedCleanBackend(plat, "granule")
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				va := DomainVA(0)
-				d1, ok := lp.PageTable(1)
-				if !ok {
-					return nil, 0, 0, fmt.Errorf("zone 1 table missing")
-				}
-				found, err := d1.S1.UpdateLeaf(va, func(d uint64) uint64 {
-					return d &^ (mem.AttrSWLZProt | mem.AttrNG)
-				})
-				if err != nil || !found {
-					return nil, 0, 0, fmt.Errorf("strip %v: found=%v err=%v", va, found, err)
-				}
-				return env, uint64(va), 0, nil
-			},
-		},
-		attackWXFlip("granule"),
-		attackSmuggledWord("granule"),
-		attackTTBR0Write("granule"),
-		attackReachableTLBI("granule"),
-		attackTLBTamper("granule"),
-	}
-}
-
-// plantedAttacksFor returns the battery of one backend.
-func plantedAttacksFor(backend string) ([]plantedAttack, error) {
-	switch backend {
-	case "lightzone":
-		return plantedAttacks(), nil
-	case "overlay":
-		return plantedOverlayAttacks(), nil
-	case "granule":
-		return plantedGranuleAttacks(), nil
-	}
-	return nil, fmt.Errorf("no planted battery for backend %q", backend)
-}
-
-// PlantedSweepBackend runs a backend's planted battery, one fleet cell per
-// attack, with the same must-catch discipline as PlantedSweep (which is the
-// lightzone instance of this sweep).
-func (f *Fleet) PlantedSweepBackend(plat Platform, backend string) ([]PlantedResult, error) {
-	attacks, err := plantedAttacksFor(backend)
-	if err != nil {
-		return nil, err
-	}
-	return f.plantedSweep(plat, attacks)
-}
-
-// plantedSweep runs one battery; every attack must be caught by its
-// designated checker at the planted VA and the control word never flagged.
-func (f *Fleet) plantedSweep(plat Platform, attacks []plantedAttack) ([]PlantedResult, error) {
-	out := make([]PlantedResult, len(attacks))
-	err := f.Run(len(attacks), func(i int) error {
-		pa := attacks[i]
-		env, va, absent, err := pa.build(plat)
-		if err != nil {
-			return fmt.Errorf("%s: %w", pa.name, err)
-		}
-		rep, err := verify.RunMachine(env.M, env.LZ)
-		if err != nil {
-			return fmt.Errorf("%s: %w", pa.name, err)
-		}
-		res := PlantedResult{Name: pa.name, Checker: pa.checker, VA: va, Total: len(rep.Findings)}
-		for _, fd := range rep.Findings {
-			if absent != 0 && fd.VA == absent {
-				return findingsf("%s: unreachable word at %#x falsely flagged: %s", pa.name, absent, fd.Detail)
+		// Map zone 1's delegated granule into zone 2's table with the
+		// protected marker — a cross-zone alias of delegated memory.
+		plantedTamper("cross-zone-alias", "granule-state", "granule", func(env *Env, lp *core.LZProc) (uint64, error) {
+			va := DomainVA(0) // protected by zone 1 in the clean run
+			d1, ok1 := lp.PageTable(1)
+			d2, ok2 := lp.PageTable(2)
+			if !ok1 || !ok2 {
+				return 0, fmt.Errorf("zone tables missing")
 			}
-			if !res.Caught && fd.Checker == pa.checker && fd.VA == va {
-				res.Caught, res.Detail = true, fd.Detail
+			res, err := d1.S1.Walk(va)
+			if err != nil || !res.Found {
+				return 0, fmt.Errorf("victim %v not mapped in zone 1: %v", va, err)
 			}
-		}
-		if !res.Caught {
-			return findingsf("%s: expected %s finding at %#x; verifier reported %d findings",
-				pa.name, pa.checker, va, len(rep.Findings))
-		}
-		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
+			attrs := res.Desc &^ (mem.OAMask | mem.DescValid | mem.DescTable | mem.AttrAF)
+			return uint64(va), d2.S1.Map(va, mem.PA(res.Desc&mem.OAMask), attrs)
+		}),
+		// Tag an ordinary shared page zone-protected without any
+		// delegation backing it.
+		zone1("undelegated-tag", mem.VA(kernel.DataBase), func(d uint64) uint64 { return d | mem.AttrSWLZProt }),
+		// Strip the protection and ASID tagging from a delegated
+		// granule's own mapping: delegated memory becomes reachable
+		// through an unprotected global mapping.
+		zone1("unprotected-alias", DomainVA(0), func(d uint64) uint64 { return d &^ (mem.AttrSWLZProt | mem.AttrNG) }),
 	}
-	return out, nil
 }

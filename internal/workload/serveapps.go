@@ -113,15 +113,5 @@ func MeasureChurnPair(plat Platform, liveZones int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := env.Run(p, int64(10*liveZones+20*churnMeasurePairs+10_000)); err != nil {
-		return 0, err
-	}
-	if p.Killed {
-		return 0, fmt.Errorf("churn probe killed: %s", p.KillMsg)
-	}
-	m, err := env.Measured()
-	if err != nil {
-		return 0, err
-	}
-	return float64(m) / churnMeasurePairs, nil
+	return env.measure(p, int64(10*liveZones+20*churnMeasurePairs+10_000), churnMeasurePairs)
 }

@@ -34,7 +34,7 @@ func TestTable1Claims(t *testing.T) {
 		// A LightZone switch must be far below one syscall trap (it
 		// never enters the kernel); the watchpoint baseline must be
 		// above one trap (it always does).
-		sysCost, err := measureSyscall(plat, false)
+		sysCost, err := coldSyscall(plat, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,7 +71,7 @@ func RunTable4(prof *arm64.Profile) ([]Table4Row, error) {
 
 // measureEmptySyscall measures one warm empty-syscall roundtrip.
 func measureEmptySyscall(plat Platform, lz bool) (int64, error) {
-	cost, err := measureSyscall(plat, lz)
+	cost, err := coldSyscall(plat, lz)
 	if err != nil {
 		return 0, err
 	}

@@ -30,7 +30,7 @@ const (
 // DomainSwitchConfig parameterizes the microbenchmark.
 type DomainSwitchConfig struct {
 	Platform Platform
-	Variant  Variant // LZPAN, LZTTBR or Watchpoint
+	Variant  Variant // any variant but VariantNone
 	Domains  int
 	Iters    int
 	Seed     int64
@@ -80,11 +80,8 @@ func runDomainSwitch(cfg DomainSwitchConfig, env *Env) (DomainSwitchResult, *Env
 	if err != nil {
 		return res, nil, err
 	}
-	if err := env.Run(p, domainSwitchBudget(cfg)); err != nil {
+	if err := env.run(p, domainSwitchBudget(cfg)); err != nil {
 		return res, nil, err
-	}
-	if p.Killed {
-		return res, nil, fmt.Errorf("benchmark killed: %s", p.KillMsg)
 	}
 	if res.TotalCycles, err = env.Measured(); err != nil {
 		return res, nil, err
@@ -117,13 +114,13 @@ func PrepareDomainSwitch(cfg DomainSwitchConfig) (*Env, *kernel.Process, error) 
 	return prepareDomainSwitch(cfg, nil)
 }
 
-// prepareDomainSwitch boots the environment (unless one is supplied) and
-// assembles the benchmark process without running it. It always boots
-// cold; ForkDomainSwitch, which also uses it to prepare a zygote on first
-// use, is the forking alternative. Callers other than runDomainSwitch drive
-// the process in trap-budget slices (Env.Run returns kernel.ErrTrapBudget
-// until the program exits) — the cross-machine isolation tests interleave
-// two machines this way.
+// prepareDomainSwitch boots the environment (unless one is supplied) on the
+// variant's backend and assembles the benchmark process without running
+// it. It always boots cold; ForkDomainSwitch, which also uses it to prepare
+// a zygote on first use, is the forking alternative. Callers other than
+// runDomainSwitch drive the process in trap-budget slices (Env.Run returns
+// kernel.ErrTrapBudget until the program exits) — the cross-machine
+// isolation tests interleave two machines this way.
 func prepareDomainSwitch(cfg DomainSwitchConfig, env *Env) (*Env, *kernel.Process, error) {
 	if cfg.Domains <= 0 || cfg.Iters <= 0 {
 		return nil, nil, fmt.Errorf("bad config %+v", cfg)
@@ -136,7 +133,7 @@ func prepareDomainSwitch(cfg DomainSwitchConfig, env *Env) (*Env, *kernel.Proces
 	}
 	if env == nil {
 		var err error
-		env, err = NewEnv(cfg.Platform)
+		env, err = NewEnvBackend(cfg.Platform, cfg.Variant.backend())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -163,6 +160,10 @@ func prepareDomainSwitch(cfg DomainSwitchConfig, env *Env) (*Env, *kernel.Proces
 		buildWatchpointSwitchProgram(a, cfg)
 	case VariantLwC:
 		buildLwCSwitchProgram(a, cfg)
+	case VariantOverlay:
+		buildOverlaySwitchProgram(a, cfg)
+	case VariantGranule:
+		buildGranuleSwitchProgram(a, cfg)
 	default:
 		return nil, nil, fmt.Errorf("variant %q has no domain-switch mechanism", cfg.Variant)
 	}
@@ -234,20 +235,28 @@ func emitDomainAccess(a *arm64.Asm) {
 	a.Emit(arm64.LDRImm(9, 13, 0, 3))
 }
 
+// emitDomainSetup emits lz_enter under the backend's arguments and then,
+// per domain, lz_alloc, the gate binding (lightzone only) and lz_prot of
+// the domain's page. Domain ids are sequential from 1 under every backend
+// (the base is 0): domain d gets d+1, and under lightzone gate d.
+func emitDomainSetup(a *arm64.Asm, backend string, domains int) {
+	scalable, pol := backendEnter(backend)
+	svcCall(a, core.SysLZEnter, scalable, uint64(pol))
+	for d := 0; d < domains; d++ {
+		hvcCall(a, core.SysLZAlloc)
+		if backend == "lightzone" {
+			hvcCall(a, core.SysLZMapGatePgt, uint64(d+1), uint64(d))
+		}
+		hvcCall(a, core.SysLZProt, uint64(DomainVA(d)), mem.PageSize, uint64(d+1), core.PermRead|core.PermWrite)
+	}
+}
+
 // buildTTBRSwitchProgram builds the scalable-isolation benchmark: one page
 // table and one call gate per domain; the loop jumps through the gate of
 // the randomly selected domain. All gates share one registered entry (the
 // loop's resume point).
 func buildTTBRSwitchProgram(a *arm64.Asm, cfg DomainSwitchConfig) []core.GateEntry {
-	svcCall(a, core.SysLZEnter, 1, uint64(core.SanTTBR))
-	// Setup: per-domain page table, gate binding, and protection.
-	for d := 0; d < cfg.Domains; d++ {
-		hvcCall(a, core.SysLZAlloc)
-		// Page-table ids are sequential (base is 0): domain d gets d+1.
-		hvcCall(a, core.SysLZMapGatePgt, uint64(d+1), uint64(d))
-		addr := domainRegionBase + uint64(d)*domainRegionStride
-		hvcCall(a, core.SysLZProt, addr, mem.PageSize, uint64(d+1), core.PermRead|core.PermWrite)
-	}
+	emitDomainSetup(a, "lightzone", cfg.Domains)
 	a.MovImm(6, core.GateCodeBase()) // loop-invariant gate base
 	emitSwitchLoop(a, cfg, true, func() {
 		// Gate address: gateCodeVA + d*slot; slot is 128 bytes.

@@ -45,7 +45,7 @@ func TestVerifySweepClean(t *testing.T) {
 // inside the sweep. The test re-checks the result rows and that all five
 // checkers are exercised by the battery.
 func TestPlantedSweep(t *testing.T) {
-	results, err := NewFleet(0).PlantedSweep(verifyTestPlatform(t))
+	results, err := NewFleet(0).PlantedSweep(verifyTestPlatform(t), "lightzone")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestInvariantMonitorTraceAndNeutrality(t *testing.T) {
 // The verification report must round-trip through JSON with its identifying
 // fields intact — the schema lzverify -json and lzinspect -invariants emit.
 func TestVerifyReportJSON(t *testing.T) {
-	env, _, err := plantedCleanTTBR(verifyTestPlatform(t))
+	env, _, err := plantedClean(verifyTestPlatform(t), "lightzone")
 	if err != nil {
 		t.Fatal(err)
 	}
