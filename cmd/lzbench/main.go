@@ -153,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		backend  = fs.String("backend", "all", "backends suite: measure this backend, or \"all\" side by side")
 		parallel = fs.Int("parallel", runtime.NumCPU(), "worker goroutines for the measurement sweeps (1 = fully sequential)")
 		interp   = fs.Bool("interp", false, "run every machine on the plain Step interpreter (no decode cache, block replay, micro-TLBs or traces); emitted rows must stay byte-identical")
-		proofAud = fs.Bool("proofaudit", false, "cross-check every cached-block replay against its static BlockProof; summary on stderr, nonzero exit on any divergence, stdout byte-identical")
+		proofAud = fs.Bool("proofaudit", false, "cross-check every cached-block and trace replay against its static proof; summary on stderr, nonzero exit on any divergence, stdout byte-identical")
 		cpuProf  = fs.String("cpuprofile", "", "write a host CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a host heap profile to this file")
 		record   = fs.String("record", "", "record the run (config, journal inputs, emitted rows) into a replay journal at this path; implies -json")
@@ -362,7 +362,7 @@ func (c *runCtx) compare(j *replay.Journal, path string) error {
 	return fmt.Errorf("replay diverged")
 }
 
-// reportProofAudit summarizes the block-proof oracle on stderr and fails
+// reportProofAudit summarizes the proof oracle on stderr and fails
 // the run when any completed replay contradicted its static proof. The
 // auditor is observation-only, so stdout stays byte-identical to a run
 // without the flag.
@@ -374,7 +374,7 @@ func reportProofAudit(log io.Writer) error {
 		fmt.Fprintf(log, "  %s\n", d)
 	}
 	if st.Divergences > 0 {
-		return fmt.Errorf("proofaudit: %d divergences between static block proofs and execution", st.Divergences)
+		return fmt.Errorf("proofaudit: %d divergences between static proofs and execution", st.Divergences)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package absint
 
 import (
+	"fmt"
 	"testing"
 
 	"lightzone/internal/arm64"
@@ -331,5 +332,143 @@ func TestProveBlockSysregShapes(t *testing.T) {
 	p = ProveBlock(0x7000, ld)
 	if len(p.Claims) != 1 || p.InteriorAccesses() != 0 {
 		t.Fatalf("single-insn block: %+v", p)
+	}
+}
+
+// prove decodes words and proves them as one block at pc.
+func prove(pc uint64, words ...uint32) *Proof {
+	insns := make([]arm64.Insn, len(words))
+	for i, w := range words {
+		insns[i] = arm64.Decode(w)
+	}
+	return ProveBlock(pc, insns)
+}
+
+func TestComposeTrace(t *testing.T) {
+	add := arm64.ADDImm(0, 0, 1, false)
+	// a's B is taken to b, b's BL to the leaf c: three non-contiguous
+	// members with accesses in each.
+	a := prove(0x1000, arm64.LDRImm(1, 2, 0, 3), arm64.STRImm(1, 3, 0, 3), arm64.B(0x100))
+	b := prove(0x1108, add, arm64.LDRImm(4, 2, 0, 2), arm64.BL(0x40))
+	c := prove(0x1150, arm64.STRImm(4, 3, 0, 2), arm64.RET(30))
+	// A member (block) proof carries no PC list and no trace terms; PCAt
+	// counts from its PC.
+	if a.PCs != nil || a.PCAt(2) != 0x1008 || a.Branches != 0 || a.PanToggles != 0 {
+		t.Fatalf("block proof: %+v", a)
+	}
+	pure := prove(0x2000, add, arm64.B(8))
+	ttbr := prove(0x3000, arm64.MSR(arm64.TTBR0EL1, 1))
+	pan := prove(0x4000, add, arm64.MSRPan(1))
+	repeat := func(p *Proof, n int) (proofs []*Proof, pcs []uint64) {
+		for i := 0; i < n; i++ {
+			proofs = append(proofs, p)
+			pcs = append(pcs, p.PC, p.PC+arm64.InsnBytes)
+		}
+		return proofs, pcs
+	}
+	pures, purePCs := repeat(pure, 10)
+	pans, panPCs := repeat(pan, 3)
+	type claim struct {
+		index int
+		write bool
+	}
+	for _, tc := range []struct {
+		name   string
+		proofs []*Proof
+		edges  []TraceEdge
+		nilOut bool
+
+		pcs                  []uint64
+		claims               []claim
+		branches, panToggles int
+		sysregFree, panFree  bool
+	}{
+		{
+			name:   "claims rebased along taken branches",
+			proofs: []*Proof{a, b, c},
+			edges:  []TraceEdge{{Term: arm64.OpB}, {Term: arm64.OpBL}},
+			pcs:    []uint64{0x1000, 0x1004, 0x1008, 0x1108, 0x110c, 0x1110, 0x1150, 0x1154},
+			claims: []claim{{0, false}, {1, true}, {4, false}, {6, true}},
+			// c's RET is the trace's own exit, not an edge.
+			branches: 2, sysregFree: true, panFree: true,
+		},
+		{
+			name:   "unconditional edges always charge, conditional ones only when taken",
+			proofs: pures,
+			edges: []TraceEdge{
+				{Term: arm64.OpB}, {Term: arm64.OpBL}, {Term: arm64.OpRET},
+				{Term: arm64.OpBCond}, {Term: arm64.OpBCond, TakenPred: true},
+				{Term: arm64.OpCBZ}, {Term: arm64.OpCBZ, TakenPred: true},
+				{Term: arm64.OpCBNZ}, {Term: arm64.OpCBNZ, TakenPred: true},
+			},
+			pcs:      purePCs,
+			branches: 6, sysregFree: true, panFree: true,
+		},
+		{
+			name:   "fused PAN edges toggle; freedom is the conjunction",
+			proofs: append(pans, pure),
+			edges: []TraceEdge{
+				{Term: arm64.OpMSRImm, FusedPAN: true}, {Term: arm64.OpMSRImm},
+				{Term: arm64.OpMSRImm, FusedPAN: true},
+			},
+			pcs:        append(panPCs, 0x2000, 0x2004),
+			panToggles: 2,
+		},
+		{
+			name:     "a sysreg write keeps PAN freedom",
+			proofs:   []*Proof{pure, ttbr},
+			edges:    []TraceEdge{{Term: arm64.OpB}},
+			pcs:      []uint64{0x2000, 0x2004, 0x3000},
+			branches: 1, panFree: true,
+		},
+		{name: "no proofs", nilOut: true},
+		{name: "one proof", proofs: []*Proof{a}, nilOut: true},
+		{name: "too few edges", proofs: []*Proof{a, b}, nilOut: true},
+		{name: "too many edges", proofs: []*Proof{a, b},
+			edges: []TraceEdge{{Term: arm64.OpB}, {Term: arm64.OpB}}, nilOut: true},
+		{name: "nil first member", proofs: []*Proof{nil, b},
+			edges: []TraceEdge{{Term: arm64.OpB}}, nilOut: true},
+		{name: "nil later member", proofs: []*Proof{a, nil, c},
+			edges: []TraceEdge{{Term: arm64.OpB}, {Term: arm64.OpBL}}, nilOut: true},
+	} {
+		var entry uint64
+		if len(tc.proofs) > 0 && tc.proofs[0] != nil {
+			entry = tc.proofs[0].PC
+		}
+		tp := ComposeTrace(entry, tc.proofs, tc.edges)
+		if tc.nilOut {
+			if tp != nil {
+				t.Errorf("%s: malformed input composed %+v", tc.name, tp)
+			}
+			continue
+		}
+		if tp == nil {
+			t.Errorf("%s: composition refused", tc.name)
+			continue
+		}
+		if tp.PC != entry || tp.Insns != len(tc.pcs) || len(tp.PCs) != len(tc.pcs) {
+			t.Errorf("%s: pc %#x, %d insns, %d PCs; want %#x and %d", tc.name, tp.PC, tp.Insns, len(tp.PCs), entry, len(tc.pcs))
+			continue
+		}
+		for i, want := range tc.pcs {
+			if tp.PCAt(i) != want {
+				t.Errorf("%s: step %d at %#x, want %#x", tc.name, i, tp.PCAt(i), want)
+			}
+		}
+		got := make([]claim, len(tp.Claims))
+		for i, cl := range tp.Claims {
+			got[i] = claim{cl.Index, cl.Write}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.claims) {
+			t.Errorf("%s: claims %v, want %v", tc.name, got, tc.claims)
+		}
+		if tp.Branches != tc.branches || tp.PanToggles != tc.panToggles {
+			t.Errorf("%s: %d branches, %d PAN toggles; want %d and %d",
+				tc.name, tp.Branches, tp.PanToggles, tc.branches, tc.panToggles)
+		}
+		if tp.SysregFree != tc.sysregFree || tp.PANFree != tc.panFree {
+			t.Errorf("%s: sysreg-free %v, PAN-free %v; want %v and %v",
+				tc.name, tp.SysregFree, tp.PANFree, tc.sysregFree, tc.panFree)
+		}
 	}
 }

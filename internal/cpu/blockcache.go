@@ -29,7 +29,7 @@ type dblock struct {
 	// proof is the lazily derived static block proof (see proofaudit.go;
 	// all access is confined to that file by tools/lint). Its lifetime is
 	// the block's: both are dropped when the page's code epoch moves.
-	proof *absint.BlockProof
+	proof *absint.Proof
 	// hot counts validated entries toward the trace-stitch threshold (see
 	// trace.go). Saturates at the threshold; reset when a transient stitch
 	// failure or trace invalidation makes a retry worthwhile.

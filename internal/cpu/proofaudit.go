@@ -11,15 +11,16 @@ import (
 )
 
 // The proof auditor is the dynamic oracle for the abstract interpreter's
-// BlockProof artifacts (internal/arm64/absint): whenever the pipeline
-// replays a cached decoded block, the auditor opens a span over the replay
-// and cross-checks what the proof predicted against what the concrete
-// machine did — every interior data access in order (direction, width, and
-// page when the proof pinned one), system-register and PAN freedom, and
-// the minimum cycle charge implied by the proof's instruction, access and
-// barrier counts. A span abandons silently on any control discontinuity
-// (exception delivery, cursor invalidation, IRQ); it records a divergence
-// only when a completed straight-line replay contradicts its proof.
+// proofs (internal/arm64/absint): whenever the pipeline replays a cached
+// decoded block or a stitched trace, the auditor opens a span over the
+// replay and cross-checks what the unit's Proof predicted against what the
+// concrete machine did — every interior data access in order (direction,
+// width, and page when the proof pinned one), system-register and PAN
+// freedom, and the minimum cycle charge implied by the proof's instruction,
+// access, barrier, branch and PAN-toggle counts. A span abandons silently
+// on any control discontinuity (exception delivery, cursor invalidation,
+// IRQ, trace side exit); it records a divergence when a completed replay
+// contradicts its proof, or when a trace replay leaves the composed path.
 //
 // The auditor is strictly observation-only: it never calls Charge, never
 // touches Stats, and never mutates architectural state, so enabling it
@@ -30,8 +31,8 @@ import (
 // (lzbench -proofaudit) can configure machines booted deep inside sweeps.
 var proofAuditDefault atomic.Bool
 
-// SetProofAuditDefault sets whether new vCPUs start with the block-proof
-// audit oracle attached.
+// SetProofAuditDefault sets whether new vCPUs start with the proof audit
+// oracle attached.
 func SetProofAuditDefault(on bool) { proofAuditDefault.Store(on) }
 
 // ProofAuditDefault reports the current default for new vCPUs.
@@ -56,10 +57,12 @@ var (
 	paAbandoned   atomic.Int64
 	paDivergences atomic.Int64
 
-	paDetailMu  sync.Mutex
-	paDetails   []string
-	paDetailCap = 32
+	paDetailMu sync.Mutex
+	paDetails  []string
 )
+
+// paDetailCap bounds the divergence details kept for ReadProofAudit.
+const paDetailCap = 32
 
 // ReadProofAudit snapshots the global audit counters.
 func ReadProofAudit() ProofAuditStats {
@@ -103,31 +106,20 @@ type seenAccess struct {
 }
 
 // proofAudit is the per-vCPU audit state. One span is live at a time — a
-// replay of one cached block from its first instruction to its terminator.
+// replay of one cached block, or of one stitched trace, from its first
+// instruction to its last.
 type proofAudit struct {
 	active bool
-	blk    *dblock // identity guard against cursor invalidation
-	proof  *absint.BlockProof
-	idx    int    // index of the next instruction expected to dispatch
-	expect uint64 // PC of that instruction
-	start  int64  // Cycles+batch at span open
+	proof  *absint.Proof
+	blk    *dblock // identity guard against cursor invalidation; nil for a trace
+	trace  bool    // the span replays a stitched trace
+	idx    int     // index of the next instruction expected to dispatch
+	start  int64   // Cycles+batch at span open
 
 	sysSnap [4]uint64 // TTBR0, TTBR1, SCTLR, VBAR at span open
 	panSnap bool
 
 	seen []seenAccess
-
-	// Trace-span state: one composed-trace replay audited end to end
-	// against its TraceProof. Mutually exclusive with a block span —
-	// noteTraceEnter abandons any active block span, and block spans only
-	// open at a block entry in runBlock, never mid-trace.
-	tActive bool
-	tProof  *absint.TraceProof
-	tIdx    int
-	tStart  int64
-	tSys    [4]uint64
-	tPan    bool
-	tSeen   []seenAccess
 }
 
 // SetProofAudit attaches or detaches the audit oracle on this vCPU.
@@ -142,70 +134,127 @@ func (c *VCPU) SetProofAudit(on bool) {
 // ProofAuditEnabled reports whether the audit oracle is attached.
 func (c *VCPU) ProofAuditEnabled() bool { return c.audit != nil }
 
-// noteEnter opens a span over a full-block replay beginning at pc. The
-// proof is derived lazily and cached on the block: a dblock is discarded
-// whenever its page's code epoch moves, so the proof's lifetime is exactly
-// the decoded bytes' lifetime.
+// blockProof returns the block's proof, deriving it on first use and
+// caching it on the block: a dblock is discarded whenever its page's code
+// epoch moves, so the proof's lifetime is exactly the decoded bytes'
+// lifetime.
+func blockProof(b *dblock, pc uint64) *absint.Proof {
+	if b.proof == nil {
+		b.proof = absint.ProveBlock(pc, b.insns)
+	}
+	return b.proof
+}
+
+// traceProof returns the trace's composed proof, composing it on first use:
+// each member block is proven and the absint factory folds the proofs along
+// the stitched edges. The audit oracle is the only reader of a trace proof,
+// so stitching never pays for one; this file owns every `.proof` slot
+// (tools/lint), so composition lives here rather than in the stitcher. A
+// trace's members and their proofs are fixed for its lifetime, so composing
+// late yields exactly the proof composing at stitch time would have.
+func traceProof(t *trace) *absint.Proof {
+	if t.proof != nil {
+		return t.proof
+	}
+	proofs := make([]*absint.Proof, len(t.members))
+	edges := make([]absint.TraceEdge, len(t.members)-1)
+	for i := range t.members {
+		m := &t.members[i]
+		proofs[i] = blockProof(m.blk, m.start)
+		if i < len(edges) {
+			edges[i] = m.edge
+		}
+	}
+	t.proof = absint.ComposeTrace(t.members[0].start, proofs, edges)
+	return t.proof
+}
+
+// noteEnter opens a span over a full-block replay beginning at pc.
 func (a *proofAudit) noteEnter(c *VCPU, b *dblock, pc uint64) {
 	if len(b.insns) < 2 {
 		return // single-instruction blocks have no interior to audit
 	}
-	if a.active {
-		a.abandon()
+	a.abandon()
+	a.open(c, blockProof(b, pc), b)
+}
+
+// noteTraceEnter opens a span over a guarded trace replay, abandoning any
+// live span first: the trace replaces the replay it was watching. A
+// stitched trace the composer refuses is a stitcher bug — its shape broke
+// ComposeTrace's contract — and counts as a divergence.
+func (a *proofAudit) noteTraceEnter(c *VCPU, t *trace) {
+	a.abandon()
+	p := traceProof(t)
+	if p == nil {
+		paDiverge("trace %#x: stitched shape refused by ComposeTrace (%d members)",
+			t.members[0].start, len(t.members))
+		return
 	}
-	if b.proof == nil {
-		b.proof = absint.ProveBlock(pc, b.insns)
+	a.open(c, p, nil)
+}
+
+// open starts a span over a replay of p: of block b, or of a trace when b
+// is nil.
+func (a *proofAudit) open(c *VCPU, p *absint.Proof, b *dblock) {
+	*a = proofAudit{
+		active:  true,
+		proof:   p,
+		blk:     b,
+		trace:   b == nil,
+		start:   c.Cycles + c.batch,
+		sysSnap: sysState(c),
+		panSnap: c.PAN(),
+		seen:    a.seen[:0],
 	}
-	a.active = true
-	a.blk = b
-	a.proof = b.proof
-	a.idx = 0
-	a.expect = pc
-	a.start = c.Cycles + c.batch
-	a.sysSnap = [4]uint64{
-		c.sys[arm64.TTBR0EL1], c.sys[arm64.TTBR1EL1],
-		c.sys[arm64.SCTLREL1], c.sys[arm64.VBAREL1],
-	}
-	a.panSnap = c.PAN()
-	a.seen = a.seen[:0]
 	paSpans.Add(1)
 }
 
-// noteDispatch observes one instruction about to dispatch. The terminator
-// closes the span before its handler runs — interior effects are complete,
-// and the terminator itself (the one instruction allowed to trap, branch,
-// or write a system register) is out of scope.
+// sysState is the system-register state a SysregFree proof promises to keep.
+func sysState(c *VCPU) [4]uint64 {
+	return [4]uint64{
+		c.sys[arm64.TTBR0EL1], c.sys[arm64.TTBR1EL1],
+		c.sys[arm64.SCTLREL1], c.sys[arm64.VBAREL1],
+	}
+}
+
+// noteDispatch observes one instruction at pc about to dispatch, from
+// Step, runBlock or runTrace. The final instruction closes the span before
+// its handler runs — interior effects are complete, and the final
+// instruction itself (the one allowed to trap, branch, or write a system
+// register) is out of scope. A block span that leaves its path abandons:
+// control left the block. A trace span that leaves its path diverges:
+// runTrace side-exits before any step off its stitched path, and the
+// stitcher and the composer derived that path independently.
 func (a *proofAudit) noteDispatch(c *VCPU, pc uint64) {
 	if !a.active {
 		return
 	}
-	if pc != a.expect {
-		a.abandon()
+	p := a.proof
+	if want := p.PCAt(a.idx); pc != want {
+		if !a.trace {
+			a.abandon()
+			return
+		}
+		a.active = false
+		paDiverge("trace %#x step %d: pc %#x, composed proof predicts %#x",
+			p.PC, a.idx, pc, want)
 		return
 	}
-	if a.idx == a.proof.Insns-1 {
+	if a.idx == p.Insns-1 {
 		a.finish(c)
 		return
 	}
-	// Interior instruction: the replay cursor must still be walking the
-	// audited block, or a code write invalidated it under our feet.
-	if c.cur.blk != a.blk {
+	// Interior block instruction: the replay cursor must still be walking
+	// the audited block, or a code write invalidated it under our feet.
+	if !a.trace && c.cur.blk != a.blk {
 		a.abandon()
 		return
 	}
 	a.idx++
-	a.expect += arm64.InsnBytes
 }
 
-// noteAccess observes one successful charged data access, feeding whichever
-// span is live (at most one is, by construction).
+// noteAccess observes one successful charged data access.
 func (a *proofAudit) noteAccess(write bool, va mem.VA, size int) {
-	if a.tActive {
-		if len(a.tSeen) < len(a.tProof.Claims)+4 {
-			a.tSeen = append(a.tSeen, seenAccess{write: write, page: uint64(va) >> mem.PageShift, size: size})
-		}
-		return
-	}
 	if !a.active {
 		return
 	}
@@ -214,7 +263,11 @@ func (a *proofAudit) noteAccess(write bool, va mem.VA, size int) {
 	}
 }
 
+// abandon drops the live span, if any, on a control discontinuity.
 func (a *proofAudit) abandon() {
+	if !a.active {
+		return
+	}
 	a.active = false
 	a.blk = nil
 	paAbandoned.Add(1)
@@ -228,46 +281,42 @@ func (a *proofAudit) finish(c *VCPU) {
 	a.blk = nil
 	paFinished.Add(1)
 	p := a.proof
+	kind := "block"
+	if a.trace {
+		kind = "trace"
+	}
 
 	claims := p.InteriorClaims()
 	if len(a.seen) != len(claims) {
-		paDiverge("block %#x: %d interior accesses observed, proof claims %d",
-			p.PC, len(a.seen), len(claims))
+		paDiverge("%s %#x: %d interior accesses observed, proof claims %d",
+			kind, p.PC, len(a.seen), len(claims))
 		return
 	}
 	for i, cl := range claims {
 		got := a.seen[i]
 		if got.write != cl.Write || got.size != cl.Size {
-			paDiverge("block %#x claim %d: observed %s/%d, proof claims %s/%d",
-				p.PC, i, rw(got.write), got.size, rw(cl.Write), cl.Size)
+			paDiverge("%s %#x claim %d: observed %s/%d, proof claims %s/%d",
+				kind, p.PC, i, rw(got.write), got.size, rw(cl.Write), cl.Size)
 			return
 		}
 		if cl.Known && got.page != cl.Page {
-			paDiverge("block %#x claim %d: observed page %#x, proof pins %#x",
-				p.PC, i, got.page, cl.Page)
+			paDiverge("%s %#x claim %d: observed page %#x, proof pins %#x",
+				kind, p.PC, i, got.page, cl.Page)
 			return
 		}
 	}
-	if p.SysregFree {
-		now := [4]uint64{
-			c.sys[arm64.TTBR0EL1], c.sys[arm64.TTBR1EL1],
-			c.sys[arm64.SCTLREL1], c.sys[arm64.VBAREL1],
-		}
-		if now != a.sysSnap {
-			paDiverge("block %#x: sysreg state moved across a SysregFree block", p.PC)
-			return
-		}
-	}
-	if p.PANFree && c.PAN() != a.panSnap {
-		paDiverge("block %#x: PAN moved across a PANFree block", p.PC)
+	if p.SysregFree && sysState(c) != a.sysSnap {
+		paDiverge("%s %#x: sysreg state moved across a SysregFree %s", kind, p.PC, kind)
 		return
 	}
-	min := int64(p.Insns)*c.Prof.InsnCost +
-		int64(p.InteriorAccesses())*c.Prof.MemAccessCost +
-		int64(p.ISBs)*c.Prof.ISBCost +
-		int64(p.DSBs)*c.Prof.DSBCost
+	if p.PANFree && c.PAN() != a.panSnap {
+		paDiverge("%s %#x: PAN moved across a PANFree %s", kind, p.PC, kind)
+		return
+	}
+	min := p.MinCharge(c.Prof.InsnCost, c.Prof.MemAccessCost,
+		c.Prof.ISBCost, c.Prof.DSBCost, c.Prof.BranchCost, c.Prof.PanToggleCost)
 	if got := c.Cycles + c.batch - a.start; got < min {
-		paDiverge("block %#x: charged %d cycles, proof minimum %d", p.PC, got, min)
+		paDiverge("%s %#x: charged %d cycles, proof minimum %d", kind, p.PC, got, min)
 	}
 }
 
@@ -276,155 +325,4 @@ func rw(write bool) string {
 		return "write"
 	}
 	return "read"
-}
-
-// traceProof returns the trace's composed TraceProof, composing it on first
-// use: each member block is proven (the proof cached on the block, as
-// noteEnter does) and the absint factory folds the proofs along the stitched
-// edges. The audit oracle is the only reader of a TraceProof, so stitching
-// never pays for one; this file owns every `.proof` slot (tools/lint), so
-// composition lives here rather than in the stitcher. A trace's members and
-// their proofs are fixed for its lifetime, so composing late yields exactly
-// the proof composing at stitch time would have.
-func traceProof(t *trace) *absint.TraceProof {
-	if t.proof != nil {
-		return t.proof
-	}
-	proofs := make([]*absint.BlockProof, len(t.members))
-	edges := make([]absint.TraceEdge, len(t.members)-1)
-	for i := range t.members {
-		m := &t.members[i]
-		if m.blk.proof == nil {
-			m.blk.proof = absint.ProveBlock(m.start, m.blk.insns)
-		}
-		proofs[i] = m.blk.proof
-		if i < len(edges) {
-			edges[i] = m.edge
-		}
-	}
-	t.proof = absint.ComposeTrace(t.members[0].start, proofs, edges)
-	return t.proof
-}
-
-// noteTraceEnter opens a span over a guarded trace replay. Any active block
-// span is abandoned first: the trace replaces the block-pipeline replay the
-// span was watching. A stitched trace the composer refuses is a stitcher
-// bug — its shape broke ComposeTrace's contract — and counts as a
-// divergence.
-func (a *proofAudit) noteTraceEnter(c *VCPU, t *trace) {
-	if a.active {
-		a.abandon()
-	}
-	if a.tActive {
-		a.abandonTraceSpan()
-	}
-	tp := traceProof(t)
-	if tp == nil {
-		paDiverge("trace %#x: stitched shape refused by ComposeTrace (%d members)",
-			t.members[0].start, len(t.members))
-		return
-	}
-	a.tActive = true
-	a.tProof = tp
-	a.tIdx = 0
-	a.tStart = c.Cycles + c.batch
-	a.tSys = [4]uint64{
-		c.sys[arm64.TTBR0EL1], c.sys[arm64.TTBR1EL1],
-		c.sys[arm64.SCTLREL1], c.sys[arm64.VBAREL1],
-	}
-	a.tPan = c.PAN()
-	a.tSeen = a.tSeen[:0]
-	paSpans.Add(1)
-}
-
-// noteTraceStep observes trace step i about to dispatch. The final step
-// closes the span before its handler runs, mirroring noteDispatch: interior
-// effects are complete and the trace's own exit is out of scope. A PC
-// disagreeing with the composed proof's prediction is a real divergence —
-// the stitcher and the composer derived the same path independently.
-func (a *proofAudit) noteTraceStep(c *VCPU, i int) {
-	if !a.tActive {
-		return
-	}
-	tp := a.tProof
-	if a.tIdx != i || i >= len(tp.PCs) || c.PC != tp.PCs[i] {
-		paDiverge("trace %#x step %d: pc %#x, composed proof predicts %#x",
-			tp.EntryPC, i, c.PC, tp.PCs[min(i, len(tp.PCs)-1)])
-		a.tActive = false
-		return
-	}
-	if i == tp.Insns-1 {
-		a.finishTrace(c)
-		return
-	}
-	a.tIdx = i + 1
-}
-
-// abandonTraceSpan drops the live trace span on a side-exit (misprediction,
-// generation movement, exception delivery). No-op when no span is live —
-// the finished/abandoned paths may both fire on one exit.
-func (a *proofAudit) abandonTraceSpan() {
-	if !a.tActive {
-		return
-	}
-	a.tActive = false
-	paAbandoned.Add(1)
-}
-
-// finishTrace closes a completed trace span: every interior composed claim
-// consumed in order, trace-wide freedom invariants held, and the cycle
-// delta covered the composed minimum charge.
-func (a *proofAudit) finishTrace(c *VCPU) {
-	a.tActive = false
-	paFinished.Add(1)
-	tp := a.tProof
-
-	interior := 0
-	for _, cl := range tp.Claims {
-		if cl.Index >= tp.Insns-1 {
-			continue
-		}
-		if interior >= len(a.tSeen) {
-			paDiverge("trace %#x: %d interior accesses observed, composed proof claims more",
-				tp.EntryPC, len(a.tSeen))
-			return
-		}
-		got := a.tSeen[interior]
-		if got.write != cl.Write || got.size != cl.Size {
-			paDiverge("trace %#x claim %d: observed %s/%d, proof claims %s/%d",
-				tp.EntryPC, interior, rw(got.write), got.size, rw(cl.Write), cl.Size)
-			return
-		}
-		if cl.Known && got.page != cl.Page {
-			paDiverge("trace %#x claim %d: observed page %#x, proof pins %#x",
-				tp.EntryPC, interior, got.page, cl.Page)
-			return
-		}
-		interior++
-	}
-	if interior != len(a.tSeen) {
-		paDiverge("trace %#x: %d interior accesses observed, composed proof claims %d",
-			tp.EntryPC, len(a.tSeen), interior)
-		return
-	}
-	if tp.SysregFree {
-		now := [4]uint64{
-			c.sys[arm64.TTBR0EL1], c.sys[arm64.TTBR1EL1],
-			c.sys[arm64.SCTLREL1], c.sys[arm64.VBAREL1],
-		}
-		if now != a.tSys {
-			paDiverge("trace %#x: sysreg state moved across a SysregFree trace", tp.EntryPC)
-			return
-		}
-	}
-	if tp.PANFree && c.PAN() != a.tPan {
-		paDiverge("trace %#x: PAN moved across a PANFree trace", tp.EntryPC)
-		return
-	}
-	min := tp.MinCharge(c.Prof.InsnCost, c.Prof.MemAccessCost,
-		c.Prof.ISBCost, c.Prof.DSBCost, c.Prof.BranchCost, c.Prof.PanToggleCost)
-	if got := c.Cycles + c.batch - a.tStart; got < min {
-		paDiverge("trace %#x: charged %d cycles, composed proof minimum %d",
-			tp.EntryPC, got, min)
-	}
 }

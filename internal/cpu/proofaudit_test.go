@@ -212,3 +212,110 @@ func TestStitchWithoutAuditProvesNothing(t *testing.T) {
 		}
 	}
 }
+
+// stitchedChain returns an env whose chainProgram entry has stitched into a
+// trace (the oracle detached, so no proof exists yet), with the audit
+// aggregates reset.
+func stitchedChain(t *testing.T) (*env, *trace) {
+	t.Helper()
+	e := newEnv(t)
+	e.c.SetTraceHotThreshold(2)
+	e.load(t, chainProgram())
+	e.run(t, 1000)
+	e.rerun(t, 1000)
+	e.rerun(t, 1000) // stitch pass
+	tr := e.c.tcache.traces[e.c.Decoded.keyFor(e.c, uint64(codeVA))]
+	if tr == nil {
+		t.Fatal("no trace at the program entry")
+	}
+	ResetProofAudit()
+	return e, tr
+}
+
+// TestProofAuditTraceOffPathDiverges: a trace step off the composed path is
+// a divergence, not an abandon. runTrace side-exits before it dispatches
+// any step off its stitched path, so only a disagreement between the
+// stitcher and the composer can get there.
+func TestProofAuditTraceOffPathDiverges(t *testing.T) {
+	e, tr := stitchedChain(t)
+	au := &proofAudit{}
+	au.noteTraceEnter(e.c, tr)
+	e.c.PC = tr.steps[0].pc
+	au.noteDispatch(e.c, e.c.PC)
+	e.c.PC = tr.steps[1].pc + mem.PageSize // not the predicted step 1
+	au.noteDispatch(e.c, e.c.PC)
+	st := ReadProofAudit()
+	if au.active {
+		t.Error("span survived a step off the composed path")
+	}
+	if st.Spans != 1 || st.Divergences != 1 || st.Abandoned != 0 || st.Finished != 0 {
+		t.Errorf("spans/divergences/abandoned/finished = %d/%d/%d/%d, want 1/1/0/0",
+			st.Spans, st.Divergences, st.Abandoned, st.Finished)
+	}
+	if len(st.Details) != 1 || !strings.Contains(st.Details[0], "trace") || !strings.Contains(st.Details[0], "step 1") {
+		t.Errorf("divergence detail does not name the trace step: %q", st.Details)
+	}
+}
+
+// TestProofAuditTraceMinimumCountsBranches: a trace's minimum charge
+// includes its stitched branch edges. A span charged only the block terms
+// (Insns × InsnCost) diverges and names the minimum; a span charged the
+// composed minimum finishes clean.
+func TestProofAuditTraceMinimumCountsBranches(t *testing.T) {
+	for _, full := range []bool{false, true} {
+		e, tr := stitchedChain(t)
+		au := &proofAudit{}
+		au.noteTraceEnter(e.c, tr)
+		p := tr.proof
+		if p == nil || p.Branches == 0 || e.c.Prof.BranchCost == 0 {
+			t.Fatalf("chain trace has no charged branch edges: %+v", p)
+		}
+		charge := int64(p.Insns) * e.c.Prof.InsnCost
+		if full {
+			charge += int64(p.Branches) * e.c.Prof.BranchCost
+		}
+		for i := range tr.steps {
+			if i == len(tr.steps)-1 {
+				e.c.Charge(charge)
+			}
+			e.c.PC = tr.steps[i].pc
+			au.noteDispatch(e.c, e.c.PC)
+		}
+		st := ReadProofAudit()
+		if st.Spans != 1 || st.Finished != 1 || st.Abandoned != 0 {
+			t.Errorf("full=%v: spans/finished/abandoned = %d/%d/%d, want 1/1/0",
+				full, st.Spans, st.Finished, st.Abandoned)
+		}
+		if full {
+			if st.Divergences != 0 {
+				t.Errorf("composed minimum charged, yet diverged: %q", st.Details)
+			}
+			continue
+		}
+		if st.Divergences != 1 || len(st.Details) != 1 || !strings.Contains(st.Details[0], "minimum") {
+			t.Errorf("block-only charge: divergences = %d, details %q; want 1 naming the minimum",
+				st.Divergences, st.Details)
+		}
+	}
+}
+
+// TestProofAuditTraceSideExitAbandons: a side exit after step 0 drops the
+// span without a divergence, and runTrace's later exit-path abandon is a
+// no-op.
+func TestProofAuditTraceSideExitAbandons(t *testing.T) {
+	e, tr := stitchedChain(t)
+	au := &proofAudit{}
+	au.noteTraceEnter(e.c, tr)
+	e.c.PC = tr.steps[0].pc
+	au.noteDispatch(e.c, e.c.PC)
+	au.abandon()
+	au.abandon()
+	st := ReadProofAudit()
+	if au.active {
+		t.Error("span survived a side exit")
+	}
+	if st.Spans != 1 || st.Abandoned != 1 || st.Divergences != 0 || st.Finished != 0 {
+		t.Errorf("spans/abandoned/divergences/finished = %d/%d/%d/%d, want 1/1/0/0",
+			st.Spans, st.Abandoned, st.Divergences, st.Finished)
+	}
+}

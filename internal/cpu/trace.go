@@ -6,7 +6,7 @@
 // This file owns every trace-cache field and all code that reads or writes
 // them — tools/lint rejects `.tcache` selectors anywhere else in package cpu,
 // mirroring the `.mtlb` confinement — so the identity argument below is an
-// audit of this one file (plus the trace-span oracle in proofaudit.go, which
+// audit of this one file (plus the proof oracle in proofaudit.go, which
 // owns the composed proof slot).
 //
 // The identity argument (DESIGN.md §13): a trace is a memoised sequence of
@@ -126,10 +126,10 @@ type trace struct {
 	pages   []tracePage
 	steps   []traceStep
 
-	// proof is the composed TraceProof, built on the trace's first audited
+	// proof is the composed trace proof, built on the trace's first audited
 	// entry (see proofaudit.go; all access is confined to that file by
 	// tools/lint, like dblock.proof).
-	proof *absint.TraceProof
+	proof *absint.Proof
 
 	// Entry-guard memo: when gValid and neither generation nor privilege
 	// moved since the last full validation, the guard is a three-compare.
@@ -362,7 +362,7 @@ func (c *VCPU) noteBlockHot(b *dblock, key blockKey, pc uint64) {
 // A stitch costs this one walk over the per-cache scratch (at most
 // maxTraceBlocks members and maxTracePages pages, so membership tests are
 // linear scans) plus, on success, one exactly-sized copy of each trace
-// slice. No proof work happens here: the composed TraceProof is built on
+// slice. No proof work happens here: the composed trace proof is built on
 // the trace's first audited entry.
 func (c *VCPU) maybeStitch(b *dblock, key blockKey, pc uint64) {
 	tc := &c.tcache
@@ -430,7 +430,6 @@ walk:
 			if !known || r.MinEL() > arm64.EL1 {
 				break walk
 			}
-			edge.ChargeFree = true
 			if r == arm64.TTBR0EL1 {
 				gate = true // the gate check-phase reads TTBR0_EL1
 			}
@@ -707,7 +706,7 @@ func (c *VCPU) runTrace(t *trace) (int64, *Exit, error) {
 		}
 		c.nextPC = st.pc + arm64.InsnBytes
 		if aud != nil {
-			aud.noteTraceStep(c, i)
+			aud.noteDispatch(c, c.PC)
 		}
 		switch st.kind {
 		case kPure:
@@ -753,7 +752,7 @@ func (c *VCPU) runTrace(t *trace) (int64, *Exit, error) {
 			err := c.stepErr
 			c.stepErr = nil
 			if aud != nil {
-				aud.abandonTraceSpan()
+				aud.abandon()
 			}
 			tc.sideExits++
 			finish()
@@ -766,7 +765,7 @@ func (c *VCPU) runTrace(t *trace) (int64, *Exit, error) {
 				tc.completed++
 			}
 			if aud != nil {
-				aud.abandonTraceSpan()
+				aud.abandon()
 			}
 			finish()
 			return done, exit, nil
@@ -782,7 +781,7 @@ func (c *VCPU) runTrace(t *trace) (int64, *Exit, error) {
 			// Exception delivered, branch mispredicted, or a memory effect
 			// moved a generation the entry guard froze: resume untraced.
 			if aud != nil {
-				aud.abandonTraceSpan()
+				aud.abandon()
 			}
 			tc.sideExits++
 			finish()

@@ -37,9 +37,9 @@ type VCPU struct {
 	tcache traceCache
 	excSeq uint64
 
-	// audit, when non-nil, cross-checks cached-block replays against their
-	// static BlockProof (see proofaudit.go; observation-only, confined to
-	// that file by tools/lint).
+	// audit, when non-nil, cross-checks cached-block and trace replays
+	// against their static proofs (see proofaudit.go; observation-only,
+	// confined to that file by tools/lint).
 	audit *proofAudit
 
 	// Handler dispatch state for the instruction in flight: the committed

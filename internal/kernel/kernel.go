@@ -94,10 +94,10 @@ type Kernel struct {
 	// rngState backs the deterministic getrandom stream.
 	rngState uint64
 
-	// lastHCR/lastVTTBR model the §5.2.1 optimization: HCR_EL2 and
-	// VTTBR_EL2 retain their values across traps and are only written
-	// when they actually change. DisableRetainOpt forces the
-	// conventional always-switch behaviour (ablation).
+	// DisableRetainOpt turns off the §5.2.1 optimization in writeWorldReg:
+	// by default HCR_EL2 and VTTBR_EL2 keep their values across traps and
+	// a world switch writes each only when its value changes. Set, every
+	// switch writes both (the conventional behaviour; an ablation).
 	DisableRetainOpt bool
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lightzone/internal/arm64"
+	"lightzone/internal/cpu"
 )
 
 // TestTable5CycleIdentityCacheOnOff runs Table 5 configurations through the
@@ -145,6 +146,49 @@ func TestMicroTLBDHitRateManyDomains(t *testing.T) {
 		if rate < 0.95 {
 			t.Errorf("%v %v-%d: D-side micro-TLB hit rate %.4f, want >= 0.95",
 				cfg.Platform, cfg.Variant, cfg.Domains, rate)
+		}
+	}
+}
+
+// TestProofAuditSpanCounts pins the proof audit's span accounting on two
+// cells, so a change to the oracle that silently stops opening, finishing
+// or abandoning spans fails here, not only one that diverges. Both cells
+// enter stitched traces, so the counts cover block and trace spans. The
+// counts are deterministic for a config; to regenerate them after a
+// deliberate change to the pipeline, run this test with -v and copy the
+// logged counts.
+func TestProofAuditSpanCounts(t *testing.T) {
+	audit := cpu.ProofAuditDefault()
+	cpu.SetProofAuditDefault(true)
+	t.Cleanup(func() { cpu.SetProofAuditDefault(audit) })
+	for _, tc := range []struct {
+		cfg  DomainSwitchConfig
+		want cpu.ProofAuditStats
+	}{
+		{DomainSwitchConfig{Platform: Platform{Prof: arm64.ProfileCortexA55()}, Variant: VariantLZTTBR, Domains: 32},
+			cpu.ProofAuditStats{Spans: 4440, Finished: 4439, Abandoned: 1}},
+		{DomainSwitchConfig{Platform: Platform{Prof: arm64.ProfileCarmel(), Guest: true}, Variant: VariantLZPAN, Domains: 1},
+			cpu.ProofAuditStats{Spans: 1031, Finished: 1030, Abandoned: 1}},
+	} {
+		cfg := tc.cfg
+		cfg.Iters, cfg.Seed = 1000, 42
+		cpu.ResetProofAudit()
+		before := cpu.ReadTraceStats()
+		if _, err := RunDomainSwitch(cfg); err != nil {
+			t.Fatalf("%v %v-%d: %v", cfg.Platform, cfg.Variant, cfg.Domains, err)
+		}
+		got := cpu.ReadProofAudit()
+		t.Logf("%v %v-%d: %d spans (%d finished, %d abandoned), %d divergences",
+			cfg.Platform, cfg.Variant, cfg.Domains, got.Spans, got.Finished, got.Abandoned, got.Divergences)
+		if got.Spans != tc.want.Spans || got.Finished != tc.want.Finished ||
+			got.Abandoned != tc.want.Abandoned || got.Divergences != 0 {
+			t.Errorf("%v %v-%d: %d spans (%d finished, %d abandoned), %d divergences %q; want %d (%d, %d), 0",
+				cfg.Platform, cfg.Variant, cfg.Domains, got.Spans, got.Finished, got.Abandoned,
+				got.Divergences, got.Details, tc.want.Spans, tc.want.Finished, tc.want.Abandoned)
+		}
+		if d := cpu.ReadTraceStats().Sub(before); d.Entered == 0 {
+			t.Errorf("%v %v-%d: no stitched trace entered; the pin covers block spans only",
+				cfg.Platform, cfg.Variant, cfg.Domains)
 		}
 	}
 }

@@ -109,6 +109,47 @@ func TestPublicAPIViolationDetection(t *testing.T) {
 	}
 }
 
+// TestViolationsReadsMostRecentProcess: Violations reports the most recent
+// process run under a name, so a clean rerun of a program that violated
+// reads 0, not the earlier run's count.
+func TestViolationsReadsMostRecentProcess(t *testing.T) {
+	sys, err := NewSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const secret = uint64(0x4400_0000)
+	attack := func(violate bool) *Program {
+		p := NewProgram("attacker").
+			EnterLightZone(true, SanTTBR).
+			MMap(secret, PageSize, ProtRead|ProtWrite).
+			AllocPageTable().
+			Protect(secret, PageSize, 1, PermRead|PermWrite)
+		if violate {
+			p = p.LoadImm(1, secret).Load(0, 1, 0)
+		}
+		return p.Exit(0)
+	}
+	for i, violate := range []bool{true, false} {
+		res, err := sys.Run(attack(violate))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Killed != violate {
+			t.Fatalf("run %d: killed=%v msg=%q", i, res.Killed, res.KillMsg)
+		}
+		want := int64(0)
+		if violate {
+			want = 1
+		}
+		if got := sys.Violations("attacker"); got != want {
+			t.Errorf("run %d: violations = %d, want %d", i, got, want)
+		}
+	}
+	if got := sys.Violations("never-run"); got != 0 {
+		t.Errorf("violations of an unknown name = %d, want 0", got)
+	}
+}
+
 func TestPublicAPIMeasurement(t *testing.T) {
 	sys, err := NewSystem()
 	if err != nil {

@@ -77,6 +77,7 @@ func WithIdentityStage2() Option {
 type System struct {
 	env  *workload.Env
 	plat workload.Platform
+	last map[string]int // pid of the most recent process run under each name
 }
 
 // NewSystem boots a platform.
@@ -95,7 +96,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		return nil, err
 	}
 	env.LZ.Opts = cfg.modOpts
-	return &System{env: env, plat: plat}, nil
+	return &System{env: env, plat: plat, last: map[string]int{}}, nil
 }
 
 // Platform describes the booted configuration ("Carmel Host", ...).
@@ -125,6 +126,7 @@ func (s *System) Run(p *Program) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.last[p.name] = proc.PID
 	if err := s.env.Run(proc, p.maxTraps); err != nil {
 		return nil, err
 	}
@@ -148,19 +150,19 @@ func (s *System) Run(p *Program) (*Result, error) {
 }
 
 // Violations returns the number of LightZone-detected isolation
-// violations for the most recent process, if it entered LightZone.
+// violations for the most recent process Run under name, or 0 if that
+// process never entered LightZone.
 func (s *System) Violations(name string) int64 {
-	for pid := 1; pid < 1024; pid++ {
-		p, ok := s.env.K.Process(pid)
-		if !ok {
-			continue
-		}
-		if p.Name != name {
-			continue
-		}
-		if lp, ok := s.env.LZ.ProcState(p); ok {
-			return lp.Violations
-		}
+	pid, ok := s.last[name]
+	if !ok {
+		return 0
+	}
+	p, ok := s.env.K.Process(pid)
+	if !ok {
+		return 0
+	}
+	if lp, ok := s.env.LZ.ProcState(p); ok {
+		return lp.Violations
 	}
 	return 0
 }

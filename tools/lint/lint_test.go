@@ -188,27 +188,84 @@ func f(m *memo) int { return len(m.entries) }
 	}
 }
 
+// proofCase is one source file for the proof-confinement rule: want is ""
+// for no violation, else a substring the single violation must contain.
+type proofCase struct{ file, src, want string }
+
+func checkProofCases(t *testing.T, cases []proofCase) {
+	t.Helper()
+	for _, tc := range cases {
+		probs := lintNamed(t, tc.file, tc.src)
+		if tc.want == "" {
+			if len(probs) != 0 {
+				t.Errorf("%s: want no violation, got %v", tc.file, probs)
+			}
+			continue
+		}
+		if len(probs) != 1 || !strings.Contains(probs[0], tc.want) {
+			t.Errorf("%s: want one Proof violation naming %q, got %v", tc.file, tc.want, probs)
+		}
+	}
+}
+
 func TestBlockProofConfinedToAbsint(t *testing.T) {
-	// A BlockProof literal outside the abstract interpreter is an unproven
+	// A block proof literal outside the abstract interpreter is an unproven
 	// claim wearing a proof's type — only ProveBlock may mint one.
-	probs := lintNamed(t, "blockcache.go", `package cpu
-func forge() *absint.BlockProof { return &absint.BlockProof{SysregFree: true} }
-`)
-	if len(probs) != 1 || !strings.Contains(probs[0], "ProveBlock") {
-		t.Fatalf("want one BlockProof violation, got %v", probs)
-	}
-	// The bare-identifier form is caught too.
-	probs = lintNamed(t, "anything.go", `package verify
-func forge() BlockProof { return BlockProof{} }
-`)
-	if len(probs) != 1 {
-		t.Fatalf("want one BlockProof violation, got %v", probs)
-	}
+	checkProofCases(t, []proofCase{
+		{"blockcache.go", `package cpu
+import "lightzone/internal/arm64/absint"
+func forge() *absint.Proof { return &absint.Proof{SysregFree: true} }
+`, "ProveBlock"},
+		// The bare-identifier form is caught through a dot import.
+		{"anything.go", `package verify
+import . "lightzone/internal/arm64/absint"
+func forge() Proof { return Proof{} }
+`, "absint.Proof"},
+	})
+}
+
+func TestTraceProofConfinedToAbsint(t *testing.T) {
+	// A trace proof literal outside the abstract interpreter is a composed
+	// claim nobody composed — only ComposeTrace may mint one.
+	checkProofCases(t, []proofCase{
+		{"trace.go", `package cpu
+import "lightzone/internal/arm64/absint"
+func forge() *absint.Proof { return &absint.Proof{PANFree: true} }
+`, "ComposeTrace"},
+		// absint itself composes trace proofs.
+		{"proof.go", `package absint
+func ComposeTrace() *Proof { return &Proof{} }
+`, ""},
+	})
+}
+
+func TestProofConfinedToAbsint(t *testing.T) {
+	// The rule resolves Proof through the file's imports: a renamed absint
+	// import is followed, and a type named Proof that is not absint's is not
+	// a proof.
+	checkProofCases(t, []proofCase{
+		{"anything.go", `package verify
+import ai "lightzone/internal/arm64/absint"
+func forge() ai.Proof { return ai.Proof{} }
+`, "absint.Proof"},
+		// A local Proof, even beside an absint import.
+		{"anything.go", `package verify
+import "lightzone/internal/arm64/absint"
+type Proof struct{ ok bool }
+var _ = absint.ProveBlock
+func mint() Proof { return Proof{ok: true} }
+`, ""},
+		// Another package's Proof.
+		{"anything.go", `package verify
+import "example.com/zk"
+func mint() zk.Proof { return zk.Proof{} }
+`, ""},
+	})
 }
 
 func TestBlockProofAllowedInAbsint(t *testing.T) {
 	probs := lintNamed(t, "blockproof.go", `package absint
-func ProveBlock() *BlockProof { return &BlockProof{SysregFree: true} }
+func ProveBlock() *Proof { return &Proof{SysregFree: true} }
 `)
 	if len(probs) != 0 {
 		t.Fatalf("absint must mint proofs, got %v", probs)
@@ -244,23 +301,6 @@ func bump(d *BlockCache) { d.epochs.BumpVA(0) }
 `)
 	if len(probs) != 0 {
 		t.Fatalf("blockcache.go must own .epochs, got %v", probs)
-	}
-}
-
-func TestTraceProofConfinedToAbsint(t *testing.T) {
-	// A TraceProof literal outside the abstract interpreter is a composed
-	// claim nobody composed — only ComposeTrace may mint one.
-	probs := lintNamed(t, "trace.go", `package cpu
-func forge() *absint.TraceProof { return &absint.TraceProof{PANFree: true} }
-`)
-	if len(probs) != 1 || !strings.Contains(probs[0], "ComposeTrace") {
-		t.Fatalf("want one TraceProof violation, got %v", probs)
-	}
-	probs = lintNamed(t, "traceproof.go", `package absint
-func ComposeTrace() *TraceProof { return &TraceProof{} }
-`)
-	if len(probs) != 0 {
-		t.Fatalf("absint must mint trace proofs, got %v", probs)
 	}
 }
 

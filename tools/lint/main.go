@@ -25,11 +25,13 @@
 //     surface; state reaching across it would let one backend's semantics
 //     leak into another's.
 //
-//  5. proof confinement: a BlockProof or TraceProof is constructed only
-//     inside internal/arm64/absint (ProveBlock and ComposeTrace are the
-//     sole factories — a literal built elsewhere would be an unproven claim
-//     wearing a proof's type), the cached proof slot (`.proof` in package
-//     cpu) is touched only by proofaudit.go, and the code-epoch tracker
+//  5. proof confinement: an absint.Proof is constructed only inside
+//     internal/arm64/absint (ProveBlock and ComposeTrace are the sole
+//     factories — a literal built elsewhere would be an unproven claim
+//     wearing a proof's type; literals are matched through the file's
+//     import of absint, so an unrelated type named Proof is not flagged),
+//     the cached proof slots (`.proof` in package cpu, on blocks and
+//     traces) are touched only by proofaudit.go, and the code-epoch tracker
 //     (`.epochs` in package cpu) only by blockcache.go — epoch bumps are
 //     the proof/block invalidation chokepoint, so the soundness audit is
 //     those two files.
@@ -61,6 +63,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -133,6 +136,24 @@ var confined = map[string]map[string]string{
 	},
 }
 
+// absintPath is the import path of the package that alone mints proofs.
+const absintPath = "lightzone/internal/arm64/absint"
+
+// absintImport returns the name under which f imports absintPath ("." for
+// a dot import), or "" when it does not import it.
+func absintImport(f *ast.File) string {
+	for _, imp := range f.Imports {
+		if path, _ := strconv.Unquote(imp.Path.Value); path != absintPath {
+			continue
+		}
+		if imp.Name == nil {
+			return "absint"
+		}
+		return imp.Name.Name
+	}
+	return ""
+}
+
 // lintFile checks one parsed file and returns its violations.
 func lintFile(fset *token.FileSet, f *ast.File) []string {
 	var problems []string
@@ -152,23 +173,24 @@ func lintFile(fset *token.FileSet, f *ast.File) []string {
 			return true
 		})
 	}
-	if f.Name.Name != "absint" {
+	if name := absintImport(f); name != "" && f.Name.Name != "absint" {
 		ast.Inspect(f, func(n ast.Node) bool {
 			cl, ok := n.(*ast.CompositeLit)
 			if !ok {
 				return true
 			}
-			name := ""
+			minted := false
 			switch t := cl.Type.(type) {
 			case *ast.Ident:
-				name = t.Name
+				minted = name == "." && t.Name == "Proof"
 			case *ast.SelectorExpr:
-				name = t.Sel.Name
+				x, ok := t.X.(*ast.Ident)
+				minted = ok && x.Name == name && t.Sel.Name == "Proof"
 			}
-			if name == "BlockProof" || name == "TraceProof" {
+			if minted {
 				problems = append(problems, fmt.Sprintf(
-					"%s: %s constructed outside internal/arm64/absint; only ProveBlock/ComposeTrace may mint proofs",
-					fset.Position(cl.Pos()), name))
+					"%s: absint.Proof constructed outside internal/arm64/absint; only ProveBlock/ComposeTrace may mint proofs",
+					fset.Position(cl.Pos())))
 			}
 			return true
 		})
