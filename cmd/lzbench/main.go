@@ -57,11 +57,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // suite is one registry entry: a named block of rows.
 type suite struct {
-	name string
-	all  bool // -all includes it
-	// pin draws the suite's journal inputs through the run's replay.Source
-	// before any suite runs; nil when the suite has none.
-	pin   func(*runCtx) error
+	name  string
+	all   bool // -all includes it
 	print func(*runCtx) error
 }
 
@@ -69,20 +66,20 @@ type suite struct {
 // journals record in replay.RunConfig.Suites.
 func suites() []suite {
 	return []suite{
-		{"table4", true, nil, (*runCtx).printTable4},
-		{"table5", true, (*runCtx).pinTable5, (*runCtx).printTable5},
-		{"figure3", true, nil, figure(3)},
-		{"figure4", true, nil, figure(4)},
-		{"figure5", true, nil, figure(5)},
-		{"pentest", true, nil, (*runCtx).printPentest},
-		{"ablations", true, nil, (*runCtx).printAblations},
+		{"table4", true, (*runCtx).printTable4},
+		{"table5", true, (*runCtx).printTable5},
+		{"figure3", true, figure(3)},
+		{"figure4", true, figure(4)},
+		{"figure5", true, figure(5)},
+		{"pentest", true, (*runCtx).printPentest},
+		{"ablations", true, (*runCtx).printAblations},
 		// The rest are opt-in: static verification, the backend matrix,
 		// continuous load and fault injection are not part of the paper's
 		// evaluation.
-		{"invariants", false, nil, (*runCtx).printVerify},
-		{"backends", false, (*runCtx).pinBackends, (*runCtx).printBackends},
-		{"serve", false, (*runCtx).pinServe, (*runCtx).printServe},
-		{"chaos", false, (*runCtx).pinChaos, (*runCtx).printChaos},
+		{"invariants", false, (*runCtx).printVerify},
+		{"backends", false, (*runCtx).printBackends},
+		{"serve", false, (*runCtx).printServe},
+		{"chaos", false, (*runCtx).printChaos},
 	}
 }
 
@@ -109,33 +106,24 @@ func selectSuites(sel map[string]bool, list string) error {
 	return nil
 }
 
-// runCtx is one invocation: the boundary configuration (from the flags, or
-// from the journal being replayed), where rows go, and the inputs the
-// suites pinned. Every printer reads it; suites share nothing else.
+// runCtx is one invocation: the run's configuration (from the flags, or
+// from the journal being replayed) and where rows go. Every printer reads
+// it; suites share nothing else.
 type runCtx struct {
 	cfg   replay.RunConfig
 	out   *errWriter
 	log   io.Writer
 	json  bool
 	fleet *workload.Fleet
-	// source supplies the journal inputs; nil on plain runs, where draws
-	// pass their generators through. capture, when non-nil, accumulates
-	// every emitted row for the journal (-record) or the comparison
-	// (-replay).
-	source  *replay.Source
+	// capture, when non-nil, accumulates every emitted row for the journal
+	// (-record) or the comparison (-replay).
 	capture []string
 
-	csvDir    string
-	chaosOut  string
-	chaosN    int
-	chaosSeed int64
+	csvDir   string
+	chaosOut string
 
-	// Inputs the pin functions drew, and what -serveout writes.
-	table5Iters  int
-	backendIters int
-	backends     []string
-	serveCfg     serve.Config
-	serveCells   []serve.Cell
+	backends   []string     // the backends suite's resolved scope
+	serveCells []serve.Cell // what -serveout writes
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -156,8 +144,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		proofAud = fs.Bool("proofaudit", false, "cross-check every cached-block and trace replay against its static proof; summary on stderr, nonzero exit on any divergence, stdout byte-identical")
 		cpuProf  = fs.String("cpuprofile", "", "write a host CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a host heap profile to this file")
-		record   = fs.String("record", "", "record the run (config, journal inputs, emitted rows) into a replay journal at this path; implies -json")
-		replayP  = fs.String("replay", "", "replay a recorded journal: re-run its suites under the recorded inputs and fail unless every row is byte-identical; implies -json")
+		record   = fs.String("record", "", "record the run (config and emitted rows) into a replay journal at this path; implies -json")
+		replayP  = fs.String("replay", "", "replay a recorded journal: re-run its suites under the recorded config and fail unless every row is byte-identical; implies -json")
 		chaosN   = fs.Int("chaos", 32, "chaos suite: number of derived fault-injection cases")
 		chaosSd  = fs.Int64("chaosseed", 1, "chaos suite: seed for deriving the case plans")
 		chaosOut = fs.String("chaosout", "", "chaos suite: write one replayable journal per failing case into this directory")
@@ -195,10 +183,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	c := &runCtx{
 		out: &errWriter{w: stdout}, log: stderr,
 		json: *jsonMode || *record != "" || *replayP != "", fleet: workload.NewFleet(*parallel),
-		csvDir: *csvDir, chaosOut: *chaosOut, chaosN: *chaosN, chaosSeed: *chaosSd,
+		csvDir: *csvDir, chaosOut: *chaosOut,
 		cfg: replay.RunConfig{
-			Iters: *iters, Mem: true, Seed: workload.Table5Seed, Parallel: *parallel,
-			Interp: *interp,
+			Iters: *iters, Seed: workload.Table5Seed, Parallel: *parallel, Interp: *interp,
 		},
 	}
 	var j *replay.Journal
@@ -208,29 +195,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "lzbench:", err)
 			return 1
 		}
-		// The journal's boundary config replaces the flags', except the
-		// fleet width (a journal must replay identically at any width) and
-		// -interp, which may only add to the recorded pipeline switch.
+		// The journal's config replaces the flags', except the fleet width
+		// (a journal must replay identically at any width) and -interp,
+		// which may only add to the recorded pipeline switch.
 		c.cfg = j.Config
 		c.cfg.Interp = c.cfg.Interp || *interp
 		if err := selectSuites(sel, strings.Join(j.Config.Suites, ",")); err != nil {
 			fmt.Fprintf(stderr, "lzbench: %s: %v\n", *replayP, err)
 			return 1
 		}
-		c.source = replay.NewReplaying(j.Inputs)
-		c.capture = []string{}
 	} else {
-		c.cfg.Invariants = sel["invariants"]
 		if sel["backends"] {
 			c.cfg.Backend = *backend
 		}
 		if sel["serve"] {
 			c.cfg.Arrival, c.cfg.RPS, c.cfg.DurationS, c.cfg.SLOMicros = *arrival, *rps, *duration, *slo
 		}
-		if *record != "" {
-			c.source = replay.NewRecording()
-			c.capture = []string{}
+		if sel["chaos"] {
+			c.cfg.ChaosCases, c.cfg.ChaosSeed = *chaosN, *chaosSd
 		}
+	}
+	if *record != "" || *replayP != "" {
+		c.capture = []string{}
 	}
 	var selected []suite
 	c.cfg.Suites = nil
@@ -239,6 +225,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			selected = append(selected, s)
 			c.cfg.Suites = append(c.cfg.Suites, s.name)
 		}
+	}
+
+	if err := c.check(); err != nil {
+		fmt.Fprintln(stderr, "lzbench:", err)
+		return 1
 	}
 
 	defer setDefaults(c.cfg, *proofAud)()
@@ -287,22 +278,32 @@ func setDefaults(cfg replay.RunConfig, proofAudit bool) (restore func()) {
 	}
 }
 
-// execute pins every selected suite's inputs, then runs the suites in
-// registry order.
-func (c *runCtx) execute(selected []suite) error {
-	// The cost-model axis: a replayed journal must see the same platform
-	// profile set the recording did.
-	if profs := c.pin("platform/profiles", int64(len(arm64.Profiles()))); profs != int64(len(arm64.Profiles())) {
-		return fmt.Errorf("journal recorded %d platform profiles, this build has %d", profs, len(arm64.Profiles()))
+// check validates the configuration, from the flags or from a journal, and
+// resolves the backends suite's scope before any suite runs: bad input
+// emits no rows.
+func (c *runCtx) check() error {
+	if c.cfg.Seed != workload.Table5Seed {
+		return fmt.Errorf("config seed %d, this build uses %d", c.cfg.Seed, workload.Table5Seed)
 	}
-	for _, s := range selected {
-		if s.pin == nil {
-			continue
-		}
-		if err := s.pin(c); err != nil {
+	if slices.Contains(c.cfg.Suites, "backends") {
+		var err error
+		if c.backends, err = workload.ResolveBackends(c.cfg.Backend); err != nil {
 			return err
 		}
 	}
+	if slices.Contains(c.cfg.Suites, "serve") {
+		if _, err := serve.ParseArrival(c.cfg.Arrival); err != nil {
+			return err
+		}
+	}
+	if slices.Contains(c.cfg.Suites, "chaos") && c.cfg.ChaosCases < 1 {
+		return fmt.Errorf("chaos suite needs chaos_cases (-chaos) of 1 or more, got %d", c.cfg.ChaosCases)
+	}
+	return nil
+}
+
+// execute runs the selected suites in registry order.
+func (c *runCtx) execute(selected []suite) error {
 	for _, s := range selected {
 		if err := s.print(c); err != nil {
 			return err
@@ -311,12 +312,8 @@ func (c *runCtx) execute(selected []suite) error {
 			return c.out.err
 		}
 	}
-	return c.source.Err()
+	return nil
 }
-
-// pin draws one journal input: recording logs v under key, replaying
-// returns the recorded value, and a plain run returns v.
-func (c *runCtx) pin(key string, v int64) int64 { return c.source.Int64(key, replay.Fixed(v)) }
 
 // record seals the run into a journal.
 func (c *runCtx) record(path string) error {
@@ -324,7 +321,6 @@ func (c *runCtx) record(path string) error {
 		Version: replay.Version,
 		Kind:    replay.KindBench,
 		Config:  c.cfg,
-		Inputs:  c.source.Inputs(),
 		Rows:    c.capture,
 	}
 	j.Seal()
@@ -497,18 +493,8 @@ func band(r workload.Table4Row) string {
 	return fmt.Sprintf("%d~%d", r.Lo, r.Hi)
 }
 
-// pinTable5 pins the iteration budget and cross-checks the workload seed
-// against the build's constant.
-func (c *runCtx) pinTable5() error {
-	c.table5Iters = int(c.pin("table5/iters", int64(c.cfg.Iters)))
-	if seed := c.pin("table5/seed", workload.Table5Seed); seed != workload.Table5Seed {
-		return fmt.Errorf("journal recorded table5 seed %d, this build uses %d", seed, workload.Table5Seed)
-	}
-	return nil
-}
-
 func (c *runCtx) printTable5() error {
-	iters := c.table5Iters
+	iters := c.cfg.Iters
 	cells, err := c.fleet.Table5Sweep(iters)
 	if err != nil {
 		return err
@@ -649,37 +635,31 @@ func (c *runCtx) printFigure(f int) error {
 			w.Flush()
 		}
 	}
-	// Journals recorded before the memory overheads became part of every
-	// figure suite carry mem=false.
-	if c.cfg.Mem {
-		plat := workload.AllPlatforms()[2]
-		var m workload.MemoryOverheads
-		var err error
-		switch f {
-		case 3:
-			m, err = workload.NginxMemory(plat)
-		case 4:
-			m, err = workload.MySQLMemory(plat)
-		case 5:
-			m, err = workload.NVMMemory(plat)
-		}
-		if err != nil {
-			return err
-		}
-		if c.json {
-			c.emit(map[string]any{
-				"kind": "memory", "figure": f, "platform": plat.String(),
-				"baseline_bytes": m.BaselineBytes, "frag_pct": m.FragPct,
-				"pan_pt_pct": m.PANPTPct, "ttbr_pt_pct": m.TTBRPTPct,
-			})
-			return nil
-		}
-		fmt.Fprintf(c.out, "  memory: baseline %.1fMB, fragmentation/app overhead %.1f%%, page tables PAN %.1f%% / TTBR %.1f%%\n",
-			float64(m.BaselineBytes)/(1<<20), m.FragPct, m.PANPTPct, m.TTBRPTPct)
+	// The §9 memory overheads of the figure's workload.
+	plat := workload.AllPlatforms()[2]
+	var m workload.MemoryOverheads
+	switch f {
+	case 3:
+		m, err = workload.NginxMemory(plat)
+	case 4:
+		m, err = workload.MySQLMemory(plat)
+	case 5:
+		m, err = workload.NVMMemory(plat)
 	}
-	if !c.json {
-		fmt.Fprintln(c.out)
+	if err != nil {
+		return err
 	}
+	if c.json {
+		c.emit(map[string]any{
+			"kind": "memory", "figure": f, "platform": plat.String(),
+			"baseline_bytes": m.BaselineBytes, "frag_pct": m.FragPct,
+			"pan_pt_pct": m.PANPTPct, "ttbr_pt_pct": m.TTBRPTPct,
+		})
+		return nil
+	}
+	fmt.Fprintf(c.out, "  memory: baseline %.1fMB, fragmentation/app overhead %.1f%%, page tables PAN %.1f%% / TTBR %.1f%%\n",
+		float64(m.BaselineBytes)/(1<<20), m.FragPct, m.PANPTPct, m.TTBRPTPct)
+	fmt.Fprintln(c.out)
 	return nil
 }
 
@@ -715,7 +695,7 @@ func (c *runCtx) printPentest() error {
 	}
 	// With the invariants suite selected, the pentest also runs the
 	// planted-attack battery against the static verifier.
-	if c.cfg.Invariants {
+	if slices.Contains(c.cfg.Suites, "invariants") {
 		if err := c.printPlanted(); err != nil {
 			return err
 		}
@@ -817,25 +797,15 @@ func (c *runCtx) printVerify() error {
 	return nil
 }
 
-// pinBackends pins the comparison matrix's iteration budget (it shares
-// table 5's) and resolves its backend scope, which the journal config
-// carries.
-func (c *runCtx) pinBackends() error {
-	c.backendIters = int(c.pin("backends/iters", int64(c.cfg.Iters)))
-	var err error
-	c.backends, err = workload.ResolveBackends(c.cfg.Backend)
-	return err
-}
-
 // printBackends measures the cross-backend comparison matrix on the Table 5
 // platforms: domain-switch cycles at every Table 5 domain count, the
 // per-page lz_mprotect cost, and the lz-syscall roundtrip, per backend.
 func (c *runCtx) printBackends() error {
 	if !c.json {
-		fmt.Fprintf(c.out, "Backend comparison: cycles per operation (%d switch iterations)\n", c.backendIters)
+		fmt.Fprintf(c.out, "Backend comparison: cycles per operation (%d switch iterations)\n", c.cfg.Iters)
 	}
 	for _, row := range workload.Table5Platforms() {
-		m, err := c.fleet.BackendSweep(row.Plat, c.backends, c.backendIters)
+		m, err := c.fleet.BackendSweep(row.Plat, c.backends, c.cfg.Iters)
 		if err != nil {
 			return err
 		}
@@ -878,39 +848,19 @@ func (c *runCtx) printBackends() error {
 	return nil
 }
 
-// pinServe pins every serve setting. Floats are pinned in fixed point
-// (milli-rps, milli-seconds, nano-seconds) so each draw is an exact int64;
-// the journal config carries the same settings as a cross-check.
-func (c *runCtx) pinServe() error {
-	ar, err := serve.ParseArrival(c.cfg.Arrival)
-	if err != nil {
-		return err
-	}
-	arrivalCode := int64(0)
-	if ar == serve.ArrivalBursty {
-		arrivalCode = 1
-	}
-	c.serveCfg = serve.Config{
-		Platform:   workload.Table5Platforms()[0].Plat, // Carmel Host
-		Arrival:    serve.ArrivalPoisson,
-		RPS:        float64(c.pin("serve/rps_milli", int64(c.cfg.RPS*1000))) / 1000,
-		DurationS:  float64(c.pin("serve/duration_ms", int64(c.cfg.DurationS*1000))) / 1000,
-		SLOMicros:  float64(c.pin("serve/slo_ns", int64(c.cfg.SLOMicros*1000))) / 1000,
-		QueueBound: int(c.pin("serve/queue", serve.DefaultQueueBound)),
-		Seed:       c.pin("serve/seed", serve.DefaultSeed),
-	}
-	if c.pin("serve/arrival", arrivalCode) == 1 {
-		c.serveCfg.Arrival = serve.ArrivalBursty
-	}
-	return nil
-}
-
 // printServe runs the always-on service harness: one fleet cell per
 // (app, zone-id regime), each calibrated on private emulated machines and
 // churned through the real lz_alloc/lz_free paths, then simulated across
-// its operating points in virtual time.
+// its operating points in virtual time. The queue bound and the arrival
+// seed are the harness defaults.
 func (c *runCtx) printServe() error {
-	cfg := c.serveCfg
+	cfg := serve.Config{
+		Platform:  workload.Table5Platforms()[0].Plat, // Carmel Host
+		Arrival:   serve.Arrival(c.cfg.Arrival),
+		RPS:       c.cfg.RPS,
+		DurationS: c.cfg.DurationS,
+		SLOMicros: c.cfg.SLOMicros,
+	}
 	cells, err := serve.Sweep(c.fleet, cfg, serve.DefaultSpecs())
 	if err != nil {
 		return err
@@ -961,21 +911,11 @@ func (c *runCtx) printServe() error {
 	return nil
 }
 
-// pinChaos pins the sweep's case count and plan seed.
-func (c *runCtx) pinChaos() error {
-	c.chaosN = int(c.pin("chaos/cases", int64(c.chaosN)))
-	c.chaosSeed = c.pin("chaos/seed", c.chaosSeed)
-	if c.chaosN < 1 {
-		return fmt.Errorf("chaos suite needs -chaos 1 or more, got %d", c.chaosN)
-	}
-	return nil
-}
-
 // printChaos derives and runs the fault-injection sweep. Every case must
 // land in its injection's expectation class; each failing case is
 // journalled for standalone replay when -chaosout is set.
 func (c *runCtx) printChaos() error {
-	n, seed := c.chaosN, c.chaosSeed
+	n, seed := c.cfg.ChaosCases, c.cfg.ChaosSeed
 	results, err := replay.ChaosSweep(c.fleet, n, seed)
 	if err != nil {
 		return err

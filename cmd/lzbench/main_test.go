@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"path/filepath"
 	"slices"
@@ -98,16 +99,105 @@ func TestRecordReplayEverySuite(t *testing.T) {
 	if !slices.Equal(j.Config.Suites, suiteNames()) {
 		t.Errorf("journal suites = %v, want the registry order %v", j.Config.Suites, suiteNames())
 	}
-	for _, key := range []string{"table5/iters", "backends/iters", "serve/rps_milli", "chaos/cases", "chaos/seed"} {
-		if !slices.ContainsFunc(j.Inputs, func(in replay.Input) bool { return in.Key == key }) {
-			t.Errorf("journal does not pin %s", key)
-		}
+	if c := j.Config; c.Iters != 200 || c.RPS != 2000 || c.DurationS != 0.1 || c.ChaosCases != 3 || c.ChaosSeed != 1 {
+		t.Errorf("journal config = %+v, want iters 200, rps 2000, duration 0.1, chaos cases 3 and seed 1", c)
 	}
 	for _, kind := range []string{"table4", "table5", "figure", "memory", "pentest", "planted",
 		"ablation", "verify", "backend", "serve-cell", "serve", "chaos"} {
 		if !strings.Contains(outputs[0], `"kind":"`+kind+`"`) {
 			t.Errorf("no %q rows in the recording", kind)
 		}
+	}
+}
+
+// TestReplayIgnoresInputFlags records the suites with inputs and replays
+// the journal under different input flags: the journal's config wins, so
+// the replay emits the recorded bytes.
+func TestReplayIgnoresInputFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal.json")
+	code, rec, stderr := lzbench(t, "-suite", "table5,backends,serve,chaos", "-record", path,
+		"-iters", "150", "-backend", "overlay", "-rps", "1500", "-duration", "0.05",
+		"-arrival", "bursty", "-chaos", "2", "-chaosseed", "4")
+	if code != 0 {
+		t.Fatalf("record: exit %d\n%s", code, stderr)
+	}
+	code, rep, stderr := lzbench(t, "-replay", path,
+		"-iters", "300", "-backend", "granule", "-rps", "5", "-duration", "9",
+		"-arrival", "poisson", "-chaos", "1", "-chaosseed", "9")
+	if code != 0 {
+		t.Fatalf("replay under conflicting flags: exit %d\n%s", code, stderr)
+	}
+	if rep != rec {
+		t.Error("replay under conflicting flags differs from the recording")
+	}
+}
+
+// TestBadInputEmitsNoRows requires an invalid input, from the flags or
+// from a journal, to fail the run before any suite emits a row, even one
+// selected ahead of the bad suite.
+func TestBadInputEmitsNoRows(t *testing.T) {
+	// A chaos journal whose config lacks the case count, as journals
+	// recorded before the config carried it do.
+	noCases := &replay.Journal{Version: replay.Version, Kind: replay.KindBench, Rows: []string{"{}"},
+		Config: replay.RunConfig{Suites: []string{"table4", "chaos"}, Seed: 42}}
+	noCases.Seal()
+	path := filepath.Join(t.TempDir(), "nocases.journal.json")
+	if err := noCases.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-suite", "table4,backends", "-backend", "bogus"}, `unknown backend "bogus"`},
+		{[]string{"-suite", "table4,chaos", "-chaos", "0"}, "-chaos"},
+		{[]string{"-suite", "table4,serve", "-arrival", "weird"}, `unknown arrival process "weird"`},
+		{[]string{"-replay", path}, "chaos_cases"},
+	} {
+		code, stdout, stderr := lzbench(t, tc.args...)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("lzbench %q: exit %d, stdout %q, stderr missing %q:\n%s", tc.args, code, stdout, tc.want, stderr)
+		}
+	}
+}
+
+// TestServeInputsRunAsGiven runs the serve harness on inputs below one
+// thousandth of their unit: every row and the journal carry them exactly,
+// rather than the defaults that replace zero.
+func TestServeInputsRunAsGiven(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "serve.journal.json")
+	code, stdout, stderr := lzbench(t, "-suite", "serve", "-rps", "2000", "-duration", "0.0004",
+		"-slo", "0.0005", "-json", "-record", path)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	serveRows := 0
+	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
+		var row struct {
+			Kind      string  `json:"kind"`
+			DurationS float64 `json:"duration_s"`
+			SLOMicros float64 `json:"slo_us"`
+		}
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatal(err)
+		}
+		if row.Kind != "serve" {
+			continue
+		}
+		serveRows++
+		if row.DurationS != 0.0004 || row.SLOMicros != 0.0005 {
+			t.Errorf("serve row ran duration_s %g, slo_us %g; want 0.0004 and 0.0005", row.DurationS, row.SLOMicros)
+		}
+	}
+	if serveRows == 0 {
+		t.Error("no serve rows")
+	}
+	j, err := replay.ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := j.Config; c.Arrival != "poisson" || c.RPS != 2000 || c.DurationS != 0.0004 || c.SLOMicros != 0.0005 {
+		t.Errorf("journal config = %+v, want the flags", c)
 	}
 }
 

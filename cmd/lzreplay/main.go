@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"lightzone/internal/arm64"
 	"lightzone/internal/replay"
@@ -82,12 +83,19 @@ func doInspect(w io.Writer, path string) error {
 	fmt.Fprintf(w, "%s: valid %s journal (version %d)\n", path, j.Kind, j.Version)
 	switch j.Kind {
 	case replay.KindBench:
-		fmt.Fprintf(w, "  suites:   %v\n", j.Config.Suites)
-		fmt.Fprintf(w, "  config:   iters=%d seed=%d parallel=%d interp=%v invariants=%v\n",
-			j.Config.Iters, j.Config.Seed, j.Config.Parallel, j.Config.Interp, j.Config.Invariants)
-		fmt.Fprintf(w, "  inputs:   %d recorded draws\n", len(j.Inputs))
-		for _, in := range j.Inputs {
-			fmt.Fprintf(w, "    %-24s %d\n", in.Key, in.Value)
+		cfg := j.Config
+		fmt.Fprintf(w, "  suites:   %v\n", cfg.Suites)
+		fmt.Fprintf(w, "  config:   iters=%d seed=%d parallel=%d interp=%v\n",
+			cfg.Iters, cfg.Seed, cfg.Parallel, cfg.Interp)
+		if slices.Contains(cfg.Suites, "backends") {
+			fmt.Fprintf(w, "  backends: %s\n", cfg.Backend)
+		}
+		if slices.Contains(cfg.Suites, "serve") {
+			fmt.Fprintf(w, "  serve:    arrival=%s rps=%g duration_s=%g slo_us=%g\n",
+				cfg.Arrival, cfg.RPS, cfg.DurationS, cfg.SLOMicros)
+		}
+		if slices.Contains(cfg.Suites, "chaos") {
+			fmt.Fprintf(w, "  chaos:    cases=%d seed=%d\n", cfg.ChaosCases, cfg.ChaosSeed)
 		}
 		fmt.Fprintf(w, "  rows:     %d (sha256 %.16s…)\n", len(j.Rows), j.RowsSHA)
 	case replay.KindChaos:

@@ -21,7 +21,6 @@ func writeBenchJournal(t *testing.T, path string, cfg replay.RunConfig, rows []s
 		Version: replay.Version,
 		Kind:    replay.KindBench,
 		Config:  cfg,
-		Inputs:  []replay.Input{{Key: "table5/iters", Value: 100}},
 		Rows:    rows,
 	}
 	j.Seal()
@@ -33,17 +32,28 @@ func writeBenchJournal(t *testing.T, path string, cfg replay.RunConfig, rows []s
 
 func TestInspectBenchJournal(t *testing.T) {
 	dir := t.TempDir()
-	for _, interp := range []bool{false, true} {
-		cfg := replay.RunConfig{Suites: []string{"table5"}, Iters: 100, Seed: 42, Parallel: 2, Interp: interp}
-		path := writeBenchJournal(t, filepath.Join(dir, fmt.Sprintf("interp-%v.json", interp)), cfg,
+	table5 := replay.RunConfig{Suites: []string{"table5"}, Iters: 100, Seed: 42, Parallel: 2}
+	interp := table5
+	interp.Interp = true
+	serveChaos := replay.RunConfig{Suites: []string{"serve", "chaos"}, Iters: 100, Seed: 42, Parallel: 2,
+		Arrival: "bursty", RPS: 2000, DurationS: 0.0004, SLOMicros: 500, ChaosCases: 12, ChaosSeed: 3}
+	for i, tc := range []struct {
+		cfg  replay.RunConfig
+		want []string
+	}{
+		{table5, []string{"table5", "interp=false"}},
+		{interp, []string{"table5", "interp=true"}},
+		// The serve and chaos settings the journal replays under.
+		{serveChaos, []string{"arrival=bursty rps=2000 duration_s=0.0004 slo_us=500", "cases=12 seed=3"}},
+	} {
+		path := writeBenchJournal(t, filepath.Join(dir, fmt.Sprintf("j%d.json", i)), tc.cfg,
 			[]string{`{"r":1}`, `{"r":2}`})
 		var sb strings.Builder
 		if err := doInspect(&sb, path); err != nil {
 			t.Fatal(err)
 		}
 		out := sb.String()
-		for _, want := range []string{"valid bench journal", "table5", "2 (sha256", "table5/iters",
-			fmt.Sprintf("interp=%v", interp)} {
+		for _, want := range append([]string{"valid bench journal", "2 (sha256", "iters=100"}, tc.want...) {
 			if !strings.Contains(out, want) {
 				t.Errorf("inspect output missing %q:\n%s", want, out)
 			}

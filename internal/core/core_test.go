@@ -330,15 +330,20 @@ func TestSanitizerBlocksSensitiveInstructionInText(t *testing.T) {
 }
 
 func TestSanitizerPANPolicyBlocksLDTR(t *testing.T) {
-	r := newRig(t)
-	a := arm64.NewAsm()
-	svcCall(a, SysLZEnter, 0, uint64(SanPAN))
-	a.MovImm(1, uint64(kernel.DataBase))
-	a.Emit(arm64.LDTR(0, 1, 0, 3)) // would bypass PAN
-	hvcCall(a, kernel.SysExit, 0)
-	p := r.run(t, a, nil)
-	if !p.Killed || !strings.Contains(p.KillMsg, "sanitizer") {
-		t.Errorf("killed=%v msg=%q", p.Killed, p.KillMsg)
+	for _, word := range []uint32{
+		arm64.LDTR(0, 1, 0, 3), // LDTR x0, [x1]
+		0xb8800820,             // LDTRSW x0, [x1]: a form the decoder does not model
+	} {
+		r := newRig(t)
+		a := arm64.NewAsm()
+		svcCall(a, SysLZEnter, 0, uint64(SanPAN))
+		a.MovImm(1, uint64(kernel.DataBase))
+		a.Emit(word) // would bypass PAN
+		hvcCall(a, kernel.SysExit, 0)
+		p := r.run(t, a, nil)
+		if !p.Killed || !strings.Contains(p.KillMsg, "sanitizer") || !strings.Contains(p.KillMsg, "bypasses PAN") {
+			t.Errorf("%#08x: killed=%v msg=%q", word, p.Killed, p.KillMsg)
+		}
 	}
 }
 

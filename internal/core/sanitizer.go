@@ -80,26 +80,29 @@ func CheckWord(word uint32, policy SanPolicy) string {
 	if policy == SanNone {
 		return ""
 	}
-	in := arm64.Decode(word)
 
-	// Exception generation and return: ERET is forbidden under both
-	// policies (Table 3 row 1).
-	if in.Op == arm64.OpERET {
+	// The next two classes are decided by encoding, not through the
+	// decoder, which models only some of their members.
+	//
+	// Exception return (ERET, ERETAA, ERETAB and the unallocated words
+	// beside them) is forbidden under both policies (Table 3 row 1).
+	if word&0xFFFFF000 == 0xD69F0000 {
 		return "eret"
 	}
-	// SMC would escape to firmware; HCR_EL2.TSC traps it, but the
-	// sanitizer rejects it outright as defence in depth.
-	if in.Op == arm64.OpSMC {
-		return "smc"
-	}
-
-	// Unprivileged load/store: allowed under ①, forbidden under ② (they
-	// perform EL0-permission accesses, bypassing PAN).
-	if in.Op == arm64.OpLdtr || in.Op == arm64.OpSttr {
+	// Unprivileged load/store at every size and opc (LDTR[B/H],
+	// LDTRS[B/H/W], STTR[B/H] and the unallocated words among them):
+	// allowed under ①, forbidden under ② (they perform EL0-permission
+	// accesses, bypassing PAN).
+	if word&0x3F200C00 == 0x38000800 {
 		if policy == SanPAN {
 			return "unprivileged load/store bypasses PAN"
 		}
 		return ""
+	}
+	// SMC would escape to firmware; HCR_EL2.TSC traps it, but the
+	// sanitizer rejects it outright as defence in depth.
+	if arm64.Decode(word).Op == arm64.OpSMC {
+		return "smc"
 	}
 
 	if !arm64.IsSystemSpace(word) {

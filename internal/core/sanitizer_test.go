@@ -18,6 +18,8 @@ func TestSanitizerTable3Matrix(t *testing.T) {
 	}{
 		// Exception generation and return.
 		{"eret", arm64.WordERET, false, false},
+		{"eretaa", 0xd69f0bff, false, false},
+		{"eretab", 0xd69f0fff, false, false},
 		{"smc", arm64.SMC(0), false, false},
 		{"svc allowed", arm64.SVC(0), true, true},
 		{"hvc allowed (api library)", arm64.HVC(HVCSyscall), true, true},
@@ -28,6 +30,11 @@ func TestSanitizerTable3Matrix(t *testing.T) {
 		{"ldtrh", arm64.LDTR(0, 1, 4, 1), true, false},
 		{"sttr 64", arm64.STTR(0, 1, 0, 3), true, false},
 		{"sttrb", arm64.STTR(0, 1, 0, 0), true, false},
+		{"ldtrsb x", 0x38800822, true, false},
+		{"ldtrsb w", 0x38c00822, true, false},
+		{"ldtrsh x", 0x78800822, true, false},
+		{"ldtrsh w", 0x78c00822, true, false},
+		{"ldtrsw", 0xb8800822, true, false},
 
 		// System: op0=0b00 && CRn=0b0100 && op2==PAN -> allowed.
 		{"msr pan #0", arm64.MSRPan(0), true, true},
@@ -102,6 +109,39 @@ func TestSanitizerTable3Matrix(t *testing.T) {
 					gotPAN, tt.allowPAN, CheckWord(tt.word, SanPAN))
 			}
 		})
+	}
+}
+
+// TestSanitizerEncodingClasses sweeps two Table 3 classes whole, built
+// from their encoding fields rather than from the decoder: every
+// unprivileged load and store (size:111:0:00:opc:0:imm9:10:Rn:Rt, 2^23
+// words, allocated or not) is refused under ② and admitted under ①, and
+// every exception return word (0xd69f0000 | op3:Rn:op4) is refused under
+// both.
+func TestSanitizerEncodingClasses(t *testing.T) {
+	bad := 0
+	for hi := uint32(0); hi < 1<<4; hi++ { // size:opc
+		size, opc := hi>>2, hi&3
+		for lo := uint32(0); lo < 1<<19; lo++ { // imm9:Rn:Rt
+			word := size<<30 | 0b111<<27 | opc<<22 | lo>>10<<12 | 0b10<<10 | lo&0x3FF
+			if CheckWord(word, SanPAN) == "" || CheckWord(word, SanTTBR) != "" {
+				if bad++; bad <= 5 {
+					t.Errorf("unprivileged load/store %#08x: pan %q, ttbr %q",
+						word, CheckWord(word, SanPAN), CheckWord(word, SanTTBR))
+				}
+			}
+		}
+	}
+	for low := uint32(0); low < 1<<12; low++ {
+		word := 0xd69f0000 | low
+		if CheckWord(word, SanPAN) == "" || CheckWord(word, SanTTBR) == "" {
+			if bad++; bad <= 5 {
+				t.Errorf("exception return %#08x admitted", word)
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d words misclassified", bad)
 	}
 }
 

@@ -1,14 +1,15 @@
 // Package replay implements LightZone's deterministic record/replay and
-// chaos fault-injection engine. Recording captures every nondeterministic
-// input at its boundary — workload RNG seeds, iteration budgets, platform
-// and cost-model selection, fleet width — into a compact versioned journal
-// together with the run's emitted rows; replaying a journal re-executes the
-// run under the recorded inputs and proves the output byte-identical. The
-// chaos engine perturbs replays at the architecture's chokepoints (TLB
-// eviction and pressure, spurious guest TLBI, ASID/PAN flips, block-cache
-// cohort eviction, gate/GateTab tamper) and asserts that every injection
-// either converges back to the recorded baseline or is flagged by a named
-// internal/verify checker — never a silent divergence.
+// chaos fault-injection engine. A bench journal records a run's explicit
+// configuration (suites, iteration budget, seed, backend scope, serve and
+// chaos settings) together with the rows the run emitted; every row is a
+// deterministic function of that configuration, so replaying a journal
+// re-executes the run under the recorded configuration and proves the
+// output byte-identical. The chaos engine perturbs replays at the
+// architecture's chokepoints (TLB eviction and pressure, spurious guest
+// TLBI, ASID/PAN flips, block-cache cohort eviction, gate/GateTab tamper)
+// and asserts that every injection either converges back to the recorded
+// baseline or is flagged by a named internal/verify checker — never a
+// silent divergence.
 package replay
 
 import (
@@ -37,11 +38,8 @@ type Journal struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
 
-	// Config captures the boundary inputs of a bench run.
+	// Config is the whole input of a bench run.
 	Config RunConfig `json:"config,omitempty"`
-	// Inputs are the keyed nondeterministic draws consumed during
-	// recording, sorted by key (see Source).
-	Inputs []Input `json:"inputs,omitempty"`
 
 	// Rows are the emitted JSON result lines of a bench run; RowsSHA is
 	// their chained digest, so `lzreplay -inspect` can validate a journal
@@ -53,36 +51,33 @@ type Journal struct {
 	Fuzz  *FuzzCase  `json:"fuzz,omitempty"`
 }
 
-// RunConfig is the boundary configuration of a recorded lzbench run.
-// Parallel is informational: replays must produce identical rows at any
-// fleet width, so the replayer deliberately does not restore it. Interp
-// records that the run used the plain Step interpreter; rows never depend
-// on the pipeline, so journals from before it existed, whose
-// nofastpath/nodecode/notrace keys decoding now ignores, replay under the
-// default pipeline.
+// RunConfig is the one record of a bench run's inputs: every emitted row
+// is a deterministic function of these fields and the build. A replay
+// restores all of them except Parallel, which is informational (rows are
+// identical at any fleet width). Interp records that the run used the
+// plain Step interpreter; rows never depend on the pipeline. Decoding
+// ignores the keys older journals carry (inputs, mem, invariants,
+// nofastpath/nodecode/notrace): the suites say whether the planted battery
+// ran, and figures always report §9 memory. Suite-scoped fields are set
+// only when their suite is selected.
 type RunConfig struct {
-	Suites     []string `json:"suites"`
-	Iters      int      `json:"iters"`
-	Mem        bool     `json:"mem,omitempty"` // figures also report §9 memory overheads
-	Seed       int64    `json:"seed"`
-	Parallel   int      `json:"parallel"`
-	Interp     bool     `json:"interp,omitempty"`
-	Invariants bool     `json:"invariants,omitempty"` // the invariants suite ran (and pentest ran its planted battery)
-	Backend    string   `json:"backend,omitempty"`    // isolation-backend matrix scope ("", name, or "all")
+	Suites   []string `json:"suites"`
+	Iters    int      `json:"iters"`
+	Seed     int64    `json:"seed"`
+	Parallel int      `json:"parallel"`
+	Interp   bool     `json:"interp,omitempty"`
+	Backend  string   `json:"backend,omitempty"` // isolation-backend matrix scope ("", name, or "all")
 
-	// Serve-harness boundary inputs (set only when the suites include
-	// "serve"). The replayer restores them and the keyed inputs cross-check
-	// them, the same belt-and-braces the backend selector uses.
+	// Serve harness. Zero RPS sweeps the utilization ladder and zero
+	// SLOMicros derives the SLO from each cell's service time.
 	Arrival   string  `json:"arrival,omitempty"`
 	RPS       float64 `json:"rps,omitempty"`
 	DurationS float64 `json:"duration_s,omitempty"`
 	SLOMicros float64 `json:"slo_us,omitempty"`
-}
 
-// Input is one keyed nondeterministic draw.
-type Input struct {
-	Key   string `json:"key"`
-	Value int64  `json:"value"`
+	// Chaos sweep: the number of derived cases and the plan seed.
+	ChaosCases int   `json:"chaos_cases,omitempty"`
+	ChaosSeed  int64 `json:"chaos_seed,omitempty"`
 }
 
 // ChaosCase pins one fault-injection case: the scenario it ran against and
