@@ -7,7 +7,7 @@
 //
 //	lzinspect -gate 0          # disassemble call gate 0
 //	lzinspect -stub            # disassemble the trap stub's vectors
-//	lzinspect -word 0xd518200a # classify an instruction under both policies
+//	lzinspect -word 0xd518200a # classify an instruction under the ttbr, pan and overlay policies
 //	lzinspect -pipeline        # execution-pipeline counters for a probe run
 //	lzinspect -invariants      # chokepoint-verified probe run + final report
 //	lzinspect -invariants -json # the same as a machine-readable JSON object
@@ -63,15 +63,7 @@ func run(gate int, stub bool, word string, pipeline, invariants, jsonMode bool) 
 		if err != nil {
 			return fmt.Errorf("bad word %q: %w", word, err)
 		}
-		fmt.Printf("%#08x  %s\n", uint32(w), arm64.Disassemble(uint32(w)))
-		for _, pol := range []core.SanPolicy{core.SanTTBR, core.SanPAN} {
-			reason := core.CheckWord(uint32(w), pol)
-			verdict := "allowed"
-			if reason != "" {
-				verdict = "SENSITIVE: " + reason
-			}
-			fmt.Printf("  policy %-4v  %s\n", pol, verdict)
-		}
+		fmt.Print(classifyWord(uint32(w)))
 	}
 	if pipeline {
 		any = true
@@ -89,6 +81,21 @@ func run(gate int, stub bool, word string, pipeline, invariants, jsonMode bool) 
 		flag.Usage()
 	}
 	return nil
+}
+
+// classifyWord disassembles w and gives the sanitizer's Table 3 verdict on
+// it under each enforcing policy, one line per policy.
+func classifyWord(w uint32) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%#08x  %s\n", w, arm64.Disassemble(w))
+	for _, pol := range []core.SanPolicy{core.SanTTBR, core.SanPAN, core.SanOverlay} {
+		verdict := "allowed"
+		if reason := core.CheckWord(w, pol); reason != "" {
+			verdict = "SENSITIVE: " + reason
+		}
+		fmt.Fprintf(&b, "  policy %-4v  %s\n", pol, verdict)
+	}
+	return b.String()
 }
 
 // printPipeline runs the TTBR-gate domain-switch probe on each cost profile

@@ -70,3 +70,30 @@ func keys(m map[string]json.RawMessage) []string {
 	}
 	return out
 }
+
+// -word prints one verdict line per enforcing policy: LDTRSW is refused only
+// under pan, ERETAA under all three, and POR_EL1 is admitted only under
+// overlay.
+func TestClassifyWordPolicies(t *testing.T) {
+	for _, tc := range []struct {
+		word uint32
+		want string
+	}{
+		{0xb8800822, "0xb8800822  .inst 0xb8800822\n" +
+			"  policy ttbr  allowed\n" +
+			"  policy pan   SENSITIVE: unprivileged load/store bypasses PAN\n" +
+			"  policy overlay  allowed\n"},
+		{0xd69f0bff, "0xd69f0bff  .inst 0xd69f0bff\n" +
+			"  policy ttbr  SENSITIVE: eret\n" +
+			"  policy pan   SENSITIVE: eret\n" +
+			"  policy overlay  SENSITIVE: eret\n"},
+		{0xd518a280, "0xd518a280  msr por_el1, x0\n" +
+			"  policy ttbr  SENSITIVE: privileged system-register access\n" +
+			"  policy pan   SENSITIVE: privileged system-register access\n" +
+			"  policy overlay  allowed\n"},
+	} {
+		if got := classifyWord(tc.word); got != tc.want {
+			t.Errorf("classifyWord(%#08x) =\n%s\nwant\n%s", tc.word, got, tc.want)
+		}
+	}
+}

@@ -6,9 +6,9 @@ func signExtend(v uint64, bits uint) int64 {
 }
 
 // Decode decodes a 32-bit instruction word into the modelled subset.
-// Words outside the subset decode to OpUnknown (the CPU raises an undefined
-// instruction exception; the sanitizer treats unknown system-space words as
-// sensitive).
+// Words outside the subset decode to OpUnknown, and the CPU raises an
+// undefined instruction exception. The sanitizer does not decode: it
+// matches Table 3's bit patterns itself (core.CheckWord).
 func Decode(word uint32) Insn {
 	in := Insn{Raw: word, SF: true}
 
@@ -30,7 +30,7 @@ func Decode(word uint32) Insn {
 		return in
 	}
 
-	if IsSystemSpace(word) {
+	if isSystemSpace(word) {
 		return decodeSystem(word, in)
 	}
 
@@ -138,7 +138,7 @@ func Decode(word uint32) Insn {
 }
 
 func decodeSystem(word uint32, in Insn) Insn {
-	enc := SysEncOf(word)
+	enc := sysEncOf(word)
 	in.Sys = enc
 	in.Rt = uint8(word & 0x1F)
 	l := word >> 21 & 1

@@ -179,8 +179,8 @@ func TestSystemSpacePredicate(t *testing.T) {
 		TLBIVMALLE1(), ATS1E1R(0), WordNOP, WordISB, WordDSBSY,
 	}
 	for _, w := range system {
-		if !IsSystemSpace(w) {
-			t.Errorf("IsSystemSpace(%#08x) = false, want true", w)
+		if !isSystemSpace(w) {
+			t.Errorf("isSystemSpace(%#08x) = false, want true", w)
 		}
 	}
 	nonSystem := []uint32{
@@ -188,8 +188,8 @@ func TestSystemSpacePredicate(t *testing.T) {
 		LDRImm(0, 1, 0, 3), MOVZ(0, 1, 0),
 	}
 	for _, w := range nonSystem {
-		if IsSystemSpace(w) {
-			t.Errorf("IsSystemSpace(%#08x) = true, want false", w)
+		if isSystemSpace(w) {
+			t.Errorf("isSystemSpace(%#08x) = true, want false", w)
 		}
 	}
 }

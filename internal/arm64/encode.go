@@ -323,9 +323,9 @@ func sysWord(l uint32, e SysRegEnc) uint32 {
 		uint32(e.CRn&0xF)<<12 | uint32(e.CRm&0xF)<<8 | uint32(e.Op2&7)<<5
 }
 
-// SysEncOf extracts the (op0,op1,CRn,CRm,op2) fields from a word in the
+// sysEncOf extracts the (op0,op1,CRn,CRm,op2) fields from a word in the
 // system-instruction space.
-func SysEncOf(word uint32) SysRegEnc {
+func sysEncOf(word uint32) SysRegEnc {
 	return SysRegEnc{
 		Op0: uint8(word >> 19 & 3),
 		Op1: uint8(word >> 16 & 7),

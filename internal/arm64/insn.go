@@ -132,10 +132,10 @@ func (o Op) Terminates() bool {
 	return false
 }
 
-// IsSystemSpace reports whether the instruction word lives in the A64
-// system-instruction encoding space (bits 31:22 == 0b1101010100), the space
-// the paper's Table 3 sanitizer rules pattern-match.
-func IsSystemSpace(word uint32) bool {
+// isSystemSpace reports whether the instruction word lives in the A64
+// system-instruction encoding space (bits 31:22 == 0b1101010100), which the
+// decoder models field by field for the MSR, MRS and SYS handlers.
+func isSystemSpace(word uint32) bool {
 	return word>>22 == 0b1101010100
 }
 

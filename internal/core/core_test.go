@@ -392,36 +392,81 @@ func TestLDTRToKernelPageKillsUnderTTBRPolicy(t *testing.T) {
 func TestWXTOCTTOUInjectionBlocked(t *testing.T) {
 	// TOCTTOU: execute a clean page, then write a sensitive instruction
 	// into it, then jump back in. Break-before-make plus re-sanitization
-	// must catch the injected instruction.
-	r := newRig(t)
-	const scratch = uint64(0x4300_0000)
-	a := arm64.NewAsm()
-	svcCall(a, SysLZEnter, 1, uint64(SanTTBR))
-	hvcCall(a, kernel.SysMmap, scratch, mem.PageSize, uint64(kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec))
-	// Write a benign function {MOV x0,#1; RET} and call it.
-	a.MovImm(1, scratch)
-	a.MovImm(2, uint64(arm64.MOVZ(0, 1, 0)))
-	a.Emit(arm64.STRImm(2, 1, 0, 2))
-	a.MovImm(2, uint64(arm64.RET(30)))
-	a.Emit(arm64.STRImm(2, 1, 4, 2))
-	a.Emit(arm64.MOVReg(16, 1))
-	a.Emit(arm64.BLR(16))
-	// Now inject TLBI (sensitive) over the first word and call again.
-	a.MovImm(1, scratch)
-	a.MovImm(2, uint64(arm64.TLBIVMALLE1()))
-	a.Emit(arm64.STRImm(2, 1, 0, 2))
-	a.Emit(arm64.MOVReg(16, 1))
-	a.Emit(arm64.BLR(16))
-	hvcCall(a, kernel.SysExit, 0)
-	p := r.run(t, a, nil)
-	if !p.Killed || !strings.Contains(p.KillMsg, "sanitizer") {
-		t.Errorf("killed=%v msg=%q", p.Killed, p.KillMsg)
+	// must catch the injected instruction, with the reason of its Table 3
+	// row.
+	for _, tc := range []struct {
+		name     string
+		scalable uint64
+		policy   SanPolicy
+		injected uint32
+		reason   string
+	}{
+		{"ttbr tlbi", 1, SanTTBR, arm64.TLBIVMALLE1(), "tlb maintenance"},
+		{"pan ldtrsw", 0, SanPAN, 0xb8800820, "unprivileged load/store bypasses PAN"}, // LDTRSW x0, [x1]
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t)
+			const scratch = uint64(0x4300_0000)
+			a := arm64.NewAsm()
+			svcCall(a, SysLZEnter, tc.scalable, uint64(tc.policy))
+			hvcCall(a, kernel.SysMmap, scratch, mem.PageSize, uint64(kernel.ProtRead|kernel.ProtWrite|kernel.ProtExec))
+			// Write a benign function {MOV x0,#1; RET} and call it.
+			a.MovImm(1, scratch)
+			a.MovImm(2, uint64(arm64.MOVZ(0, 1, 0)))
+			a.Emit(arm64.STRImm(2, 1, 0, 2))
+			a.MovImm(2, uint64(arm64.RET(30)))
+			a.Emit(arm64.STRImm(2, 1, 4, 2))
+			a.Emit(arm64.MOVReg(16, 1))
+			a.Emit(arm64.BLR(16))
+			// Now inject the sensitive word over the first one and call
+			// again.
+			a.MovImm(1, scratch)
+			a.MovImm(2, uint64(tc.injected))
+			a.Emit(arm64.STRImm(2, 1, 0, 2))
+			a.Emit(arm64.MOVReg(16, 1))
+			a.Emit(arm64.BLR(16))
+			hvcCall(a, kernel.SysExit, 0)
+			p := r.run(t, a, nil)
+			if !p.Killed || !strings.Contains(p.KillMsg, "sanitizer") || !strings.Contains(p.KillMsg, tc.reason) {
+				t.Errorf("killed=%v msg=%q, want the sanitizer's %q", p.Killed, p.KillMsg, tc.reason)
+			}
+			// The first call cached decoded blocks for the scratch page;
+			// the injection store must have invalidated them so the
+			// second call was re-fetched (and re-sanitized), never
+			// replayed from the decode cache.
+			if r.m.CPU.Stats.CodeInvalidations == 0 {
+				t.Error("TOCTTOU injection did not invalidate cached decodes")
+			}
+		})
 	}
-	// The first call cached decoded blocks for the scratch page; the
-	// injection store must have invalidated them so the second call was
-	// re-fetched (and re-sanitized), never replayed from the decode cache.
-	if r.m.CPU.Stats.CodeInvalidations == 0 {
-		t.Error("TOCTTOU injection did not invalidate cached decodes")
+}
+
+// TestEnterRefusesUndefinedPolicy pins lz_enter's insn_san check: the
+// argument is 64 bits wide, and a value above SanOverlay (including one
+// whose low byte names a policy) returns -1 and leaves the process outside
+// LightZone instead of truncating to a policy.
+func TestEnterRefusesUndefinedPolicy(t *testing.T) {
+	for _, san := range []uint64{0, 1, 2, 3, 4, 0x100, 0x102} {
+		r := newRig(t)
+		a := arm64.NewAsm()
+		svcCall(a, SysLZEnter, 1, san)
+		a.Emit(arm64.MOVReg(19, 0))
+		svcCall(a, kernel.SysExit, 0)
+		p := r.run(t, a, nil)
+		entered := san <= uint64(SanOverlay)
+		_, inLZ := r.lz.ProcState(p)
+		if p.Killed || inLZ != entered || (p.LZ != nil) != entered || (r.m.CPU.R(19) == lzErr()) == entered {
+			t.Errorf("insn_san %#x: killed=%v in lightzone=%v x0=%#x, want entered=%v",
+				san, p.Killed, inLZ, r.m.CPU.R(19), entered)
+		}
+	}
+	r := newRig(t)
+	p, err := r.m.Host.CreateProcess("direct", kernel.Program{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.lz.EnterProcess(r.m.Host, p, true, SanOverlay+1); err == nil || p.LZ != nil {
+		t.Errorf("EnterProcess under policy %v: err=%v, in lightzone=%v", SanOverlay+1, err, p.LZ != nil)
 	}
 }
 

@@ -102,6 +102,9 @@ func (lz *LightZone) ProcState(p *kernel.Process) (*LZProc, bool) {
 func (lz *LightZone) Syscall(k *kernel.Kernel, t *kernel.Thread, num int, args [6]uint64) (uint64, bool, error) {
 	switch num {
 	case SysLZEnter:
+		if args[1] > uint64(SanOverlay) { // before the uint8 conversion truncates it
+			return lzErr(), true, nil
+		}
 		ret, err := lz.enter(k, t, args[0] != 0, SanPolicy(args[1]))
 		return ret, true, err
 	case SysLZAlloc, SysLZFree, SysLZProt, SysLZMapGatePgt:
@@ -155,7 +158,7 @@ func (lz *LightZone) observe(event string, lp *LZProc) {
 // installed in the TTBR1 range; and the thread resumes in EL1.
 func (lz *LightZone) enter(k *kernel.Kernel, t *kernel.Thread, allowScalable bool, policy SanPolicy) (uint64, error) {
 	p := t.Proc
-	if p.LZ != nil {
+	if p.LZ != nil || policy > SanOverlay {
 		return lzErr(), nil
 	}
 	vm, err := lz.Hyp.NewVM(fmt.Sprintf("lz-%s-%d", p.Name, p.PID), false)

@@ -59,110 +59,103 @@ func (v *Violation) Error() string {
 		v.Word, arm64.Disassemble(v.Word), v.Offset, v.Reason)
 }
 
-// nzcvFPTargets are the op0=0b11, CRn=4 registers Table 3 exempts.
-var nzcvFPTargets = map[uint32]bool{
-	arm64.NZCV.Enc().Key(): true,
-	arm64.FPCR.Enc().Key(): true,
-	arm64.FPSR.Enc().Key(): true,
+// rule is one row of Table 3 as a bit pattern: it matches the words w with
+// w&mask == value and refuses them under the policies set in refuse.
+type rule struct {
+	mask, value uint32
+	refuse      uint8 // bit p set: refused under SanPolicy p
+	reason      string
 }
 
-var (
-	ttbr0Key  = arm64.TTBR0EL1.Enc().Key()
-	porEL1Key = arm64.POREL1.Enc().Key()
+const (
+	refuseAll = 1<<SanTTBR | 1<<SanPAN | 1<<SanOverlay
+	free      = -1 // a sysRule field that matches any value
 )
 
-// CheckWord classifies one instruction word under a policy. It returns a
-// non-empty reason string when the word is sensitive and must not appear in
-// application executable pages. The rules implement the paper's Table 3;
-// instruction forms the table leaves unspecified default to deny (an
-// unrecognized system-space word cannot be proven harmless).
+// sysRule is the row for the system-instruction words (bits 31:22 ==
+// 0b1101010100) whose op0, op1, CRn, CRm and op2 fields hold the given
+// values. Free fields, L (bit 21) and Rt match anything.
+func sysRule(op0, op1, crn, crm, op2 int, refuse uint8, reason string) rule {
+	r := rule{mask: 0xFFD80000, value: 0xD5000000 | uint32(op0)<<19, refuse: refuse, reason: reason}
+	for _, f := range [...]struct{ v, shift, width int }{{op1, 16, 3}, {crn, 12, 4}, {crm, 8, 4}, {op2, 5, 3}} {
+		if f.v != free {
+			r.mask |= uint32(1<<f.width-1) << f.shift
+			r.value |= uint32(f.v) << f.shift
+		}
+	}
+	return r
+}
+
+// table3 is the paper's Table 3, walked in order: the first row that
+// matches a word decides it. System-space forms the paper leaves
+// unspecified are denied: they cannot be proven harmless.
+var table3 = [...]rule{
+	// Exception return (ERET, ERETAA, ERETAB and the unallocated words
+	// beside them) is forbidden under every policy (Table 3 row 1).
+	{0xFFFFF000, 0xD69F0000, refuseAll, "eret"},
+	// Unprivileged load/store at every size and opc: allowed under ①,
+	// forbidden under ② (EL0-permission accesses bypass PAN).
+	{0x3F200C00, 0x38000800, 1 << SanPAN, "unprivileged load/store bypasses PAN"},
+	// SMC would escape to firmware; HCR_EL2.TSC traps it, but the
+	// sanitizer rejects it outright as defence in depth.
+	{0xFFE0001F, 0xD4000003, refuseAll, "smc"},
+	// op0=0: MSR (immediate) may set only PAN (NZCV has no immediate
+	// form); the rest is hint/barrier space (NOP, ISB, DSB, DMB).
+	sysRule(0, arm64.PStateFieldPANOp1, 4, free, arm64.PStateFieldPANOp2, 0, ""),
+	sysRule(0, free, 4, free, free, refuseAll, "msr-immediate to non-PAN pstate field"),
+	sysRule(0, free, free, free, free, 0, ""),
+	// op0=1: SYS/SYSL. Table 3 forbids CRn=7 (address translation); CRn=8
+	// (TLB maintenance) is hypervisor-trapped but rejected too; the rest
+	// is deny-by-default.
+	sysRule(1, free, 7, free, free, refuseAll, "address-translation/cache op (op0=01, CRn=7)"),
+	sysRule(1, free, 8, free, free, refuseAll, "tlb maintenance"),
+	sysRule(1, free, free, free, free, refuseAll, "unclassified sys op"),
+	// op0=2: debug registers.
+	sysRule(2, free, free, free, free, refuseAll, "debug-register access"),
+	// op0=3, CRn=4: only NZCV, FPCR and FPSR.
+	sysRule(3, 3, 4, 2, 0, 0, ""), // NZCV
+	sysRule(3, 3, 4, 4, 0, 0, ""), // FPCR
+	sysRule(3, 3, 4, 4, 1, 0, ""), // FPSR
+	sysRule(3, free, 4, free, free, refuseAll, "system access to non-NZCV/FPCR/FPSR CRn=4 register"),
+	// op0=3, op1=3: EL0-accessible registers (TPIDR_EL0, counters).
+	sysRule(3, 3, free, free, free, 0, ""),
+	// TTBR0_EL1 is legal only inside the TTBR1-mapped call gate, which
+	// the sanitizer never scans; in application pages it is forbidden.
+	sysRule(3, 0, 2, 0, 0, refuseAll, "ttbr0 access outside call gate"),
+	// POR_EL1 is the overlay backend's untrapped domain switch: only
+	// SanOverlay admits it in application code.
+	sysRule(3, 0, 10, 2, 4, 1<<SanTTBR|1<<SanPAN, "privileged system-register access"),
+	sysRule(3, free, free, free, free, refuseAll, "privileged system-register access"),
+	{0, 0, 0, ""}, // every other word is admitted: this row matches all
+}
+
+// table3Row returns the index of the first table3 row that matches word.
+func table3Row(word uint32) int {
+	i := 0
+	for word&table3[i].mask != table3[i].value {
+		i++
+	}
+	return i
+}
+
+// verdict is the row's reason for refusing a word under p, or "" when the
+// row admits it.
+func (r *rule) verdict(p SanPolicy) string {
+	if r.refuse>>p&1 == 0 {
+		return ""
+	}
+	return r.reason
+}
+
+// CheckWord classifies one instruction word under a policy, which must be
+// one of the four defined ones (lz_enter refuses any other). It returns a
+// non-empty reason when the word is sensitive and must not appear in
+// application executable pages.
 func CheckWord(word uint32, policy SanPolicy) string {
 	if policy == SanNone {
 		return ""
 	}
-
-	// The next two classes are decided by encoding, not through the
-	// decoder, which models only some of their members.
-	//
-	// Exception return (ERET, ERETAA, ERETAB and the unallocated words
-	// beside them) is forbidden under both policies (Table 3 row 1).
-	if word&0xFFFFF000 == 0xD69F0000 {
-		return "eret"
-	}
-	// Unprivileged load/store at every size and opc (LDTR[B/H],
-	// LDTRS[B/H/W], STTR[B/H] and the unallocated words among them):
-	// allowed under ①, forbidden under ② (they perform EL0-permission
-	// accesses, bypassing PAN).
-	if word&0x3F200C00 == 0x38000800 {
-		if policy == SanPAN {
-			return "unprivileged load/store bypasses PAN"
-		}
-		return ""
-	}
-	// SMC would escape to firmware; HCR_EL2.TSC traps it, but the
-	// sanitizer rejects it outright as defence in depth.
-	if arm64.Decode(word).Op == arm64.OpSMC {
-		return "smc"
-	}
-
-	if !arm64.IsSystemSpace(word) {
-		return ""
-	}
-	enc := arm64.SysEncOf(word)
-	key := enc.Key()
-	switch enc.Op0 {
-	case 0:
-		if enc.CRn != 4 {
-			return "" // hint/barrier space (NOP, ISB, DSB, DMB)
-		}
-		// MSR (immediate): only the PAN field is permitted
-		// (op2 != NZCV && op2 != PAN -> forbidden; NZCV has no
-		// MSR-immediate form, so only PAN survives).
-		if enc.Op2 == arm64.PStateFieldPANOp2 && enc.Op1 == arm64.PStateFieldPANOp1 {
-			return ""
-		}
-		return "msr-immediate to non-PAN pstate field"
-	case 1:
-		// SYS/SYSL space. Table 3 forbids CRn=7 (address translation);
-		// CRn=8 (TLB maintenance) is hypervisor-trapped but rejected
-		// here too; everything else is deny-by-default.
-		switch enc.CRn {
-		case 7:
-			return "address-translation/cache op (op0=01, CRn=7)"
-		case 8:
-			return "tlb maintenance"
-		default:
-			return "unclassified sys op"
-		}
-	case 2:
-		return "debug-register access"
-	case 3:
-		if enc.CRn == 4 {
-			if nzcvFPTargets[key] {
-				return ""
-			}
-			return "system access to non-NZCV/FPCR/FPSR CRn=4 register"
-		}
-		if enc.Op1 == 3 {
-			return "" // EL0-accessible registers (TPIDR_EL0, counters)
-		}
-		if key == ttbr0Key {
-			// TTBR0_EL1: permitted only inside the call gate, which
-			// is TTBR1-mapped and never passes through the
-			// sanitizer. In application pages it is forbidden under
-			// both policies.
-			return "ttbr0 access outside call gate"
-		}
-		if key == porEL1Key && policy == SanOverlay {
-			// POR_EL1 is the overlay backend's domain-switch register;
-			// SanOverlay admits it in application code (the switch is
-			// deliberately untrapped). Every other policy keeps the
-			// generic deny below.
-			return ""
-		}
-		return "privileged system-register access"
-	}
-	return "unclassified system instruction"
+	return table3[table3Row(word)].verdict(policy)
 }
 
 // sanitize scans data's instruction words under the policy, collecting up

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -112,12 +115,18 @@ func TestSanitizerTable3Matrix(t *testing.T) {
 	}
 }
 
-// TestSanitizerEncodingClasses sweeps two Table 3 classes whole, built
-// from their encoding fields rather than from the decoder: every
-// unprivileged load and store (size:111:0:00:opc:0:imm9:10:Rn:Rt, 2^23
-// words, allocated or not) is refused under ② and admitted under ①, and
-// every exception return word (0xd69f0000 | op3:Rn:op4) is refused under
-// both.
+// TestSanitizerEncodingClasses sweeps Table 3 classes whole, built from
+// their encoding fields rather than from the decoder: every unprivileged
+// load and store (size:111:0:00:opc:0:imm9:10:Rn:Rt, 2^23 words, allocated
+// or not) is refused under ② and admitted under ①, and every exception
+// return word (0xd69f0000 | op3:Rn:op4) is refused under both. Then four
+// whole encoding classes (62,914,560 words) are classified once each
+// through the row lookup, and their verdicts under ①, ② and the overlay
+// policy are pinned: the words per reason, and a SHA-256 of the verdict
+// stream in ascending word order, run-length encoded (each maximal run of
+// words with the same three verdicts hashes as "ttbr\0pan\0overlay\0n\n").
+// Both pins were taken from the decoder-driven CheckWord the table
+// replaced.
 func TestSanitizerEncodingClasses(t *testing.T) {
 	bad := 0
 	for hi := uint32(0); hi < 1<<4; hi++ { // size:opc
@@ -142,6 +151,81 @@ func TestSanitizerEncodingClasses(t *testing.T) {
 	}
 	if bad > 0 {
 		t.Errorf("%d words misclassified", bad)
+	}
+
+	sys := map[string]int{
+		"":                                  1_107_136,
+		"debug-register access":             1_048_576,
+		"unclassified sys op":               917_504,
+		"privileged system-register access": 860_096,
+		"address-translation/cache op (op0=01, CRn=7)": 65_536,
+		"tlb maintenance": 65_536,
+		"system access to non-NZCV/FPCR/FPSR CRn=4 register": 65_344,
+		"msr-immediate to non-PAN pstate field":              64_512,
+		"ttbr0 access outside call gate":                     64,
+	}
+	sysOverlay := maps.Clone(sys) // the overlay policy admits the 64 POR_EL1 words
+	sysOverlay[""] += 64
+	sysOverlay["privileged system-register access"] -= 64
+	unpriv := map[string]int{"": 1 << 23}
+	excGen := map[string]int{"": 1<<24 - 65_536, "smc": 65_536}
+	branchReg := map[string]int{"": 1<<25 - 4_096, "eret": 4_096}
+	policies := [3]SanPolicy{SanTTBR, SanPAN, SanOverlay}
+	for _, c := range []struct {
+		name        string
+		mask, value uint32
+		want        [3]map[string]int // words per reason, indexed like policies
+		digest      string
+	}{
+		{"system", 0xFFC00000, 0xD5000000, [3]map[string]int{sys, sys, sysOverlay},
+			"ea04471b6bc7b2b5f3130cdff60a65ba7b77de8797adc3fa18730c244979889f"},
+		{"unprivileged load/store", 0x3F200C00, 0x38000800,
+			[3]map[string]int{unpriv, {"unprivileged load/store bypasses PAN": 1 << 23}, unpriv},
+			"23af37609c8c57c3fb5b65ea7af1a2223efeedc22010d5a5c9feeb3abd051bee"},
+		{"exception generation", 0xFF000000, 0xD4000000, [3]map[string]int{excGen, excGen, excGen},
+			"037d4be6e98f03f70930159c296da2354c49cbcf900442c976339bb3f03b6891"},
+		{"branch to register", 0xFE000000, 0xD6000000, [3]map[string]int{branchReg, branchReg, branchReg},
+			"b62ea0bcadb7036caf7357dbd3c139871d84a7cc41774edf960d8913d45f46f2"},
+	} {
+		got := [3]map[string]int{{}, {}, {}}
+		h := sha256.New()
+		var run [3]string // the current run's verdicts
+		n, prev := 0, -1
+		flush := func() {
+			fmt.Fprintf(h, "%s\x00%s\x00%s\x00%d\n", run[0], run[1], run[2], n)
+			for i, reason := range run {
+				got[i][reason] += n
+			}
+		}
+		// Words with w&mask == value in ascending order: the free bits
+		// count up as one binary number.
+		for w := c.value; ; w = ((w|c.mask)+1)&^c.mask | c.value {
+			if row := table3Row(w); row != prev {
+				prev = row
+				var v [3]string
+				for i, p := range policies {
+					v[i] = table3[row].verdict(p)
+				}
+				if v != run && n > 0 {
+					flush()
+					n = 0
+				}
+				run = v
+			}
+			n++
+			if w == c.value|^c.mask {
+				break
+			}
+		}
+		flush()
+		for i, p := range policies {
+			if !maps.Equal(got[i], c.want[i]) {
+				t.Errorf("%s under %v: words per reason %v, want %v", c.name, p, got[i], c.want[i])
+			}
+		}
+		if d := fmt.Sprintf("%x", h.Sum(nil)); d != c.digest {
+			t.Errorf("%s: verdict digest %s, want %s", c.name, d, c.digest)
+		}
 	}
 }
 

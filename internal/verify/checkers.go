@@ -399,9 +399,9 @@ func checkCFG(s *Snapshot) []Finding {
 					return true
 				}
 				detail := ""
-				switch {
-				case core.CheckWord(word, pol) != "":
-					detail = fmt.Sprintf("reachable sensitive instruction: %s", core.CheckWord(word, pol))
+				switch reason := core.CheckWord(word, pol); {
+				case reason != "":
+					detail = fmt.Sprintf("reachable sensitive instruction: %s", reason)
 				case in.Op == arm64.OpHVC && in.Imm != core.HVCSyscall &&
 					!(p.Backend == "granule" && in.Imm == core.HVCGranuleEnter):
 					// The realm-enter call is part of the granule backend's

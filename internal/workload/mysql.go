@@ -1,13 +1,5 @@
 package workload
 
-import (
-	"fmt"
-
-	"lightzone/internal/core"
-	"lightzone/internal/kernel"
-	"lightzone/internal/mem"
-)
-
 // Figure 4 — multi-threaded database protection in MySQL 8.0 (§9.2).
 //
 // Workload: sysbench OLTP read-write over 10 tables x 10,000 records; each
@@ -90,88 +82,6 @@ func MySQLFigure(pr *Primitives) ([]FigureSeries, error) {
 		}
 		s.OverheadPct = (satCur - satBase) / satCur * 100
 		out = append(out, s)
-	}
-	return out, nil
-}
-
-// MySQLMemory measures the §9.2 memory overheads: the application overhead
-// of guard-paged per-thread stacks plus key padding, and the page-table
-// overhead of the PAN and scalable configurations. The buffer pool is
-// scaled to 64MB (the paper's 512.9MB instance is linear in pool size; see
-// EXPERIMENTS.md).
-func MySQLMemory(plat Platform) (MemoryOverheads, error) {
-	const (
-		poolBytes = 64 << 20
-		nThreads  = 32
-		stackSize = 256 * 1024
-		poolBase  = mem.VA(0x4000_0000)
-		stackBase = mem.VA(0x6000_0000)
-	)
-	var out MemoryOverheads
-	appBytes := uint64(poolBytes + nThreads*stackSize)
-	out.BaselineBytes = appBytes
-	// Application overhead: stack guard pages, HP_PTRS page rounding, and
-	// per-domain alignment — one page per stack boundary plus the padded
-	// heap objects (the paper reports 13.3%).
-	out.FragPct = float64(nThreads*2*mem.PageSize+poolBytes/8) / float64(appBytes) * 100
-
-	measure := func(scalable bool) (float64, error) {
-		env, err := NewEnv(plat)
-		if err != nil {
-			return 0, err
-		}
-		poolVMA := kernel.VMA{Start: poolBase, End: poolBase + poolBytes, Prot: kernel.ProtRead | kernel.ProtWrite, Name: "bufferpool"}
-		extra := []kernel.VMA{poolVMA}
-		for i := 0; i < nThreads; i++ {
-			base := stackBase + mem.VA(i*2*stackSize)
-			extra = append(extra, kernel.VMA{Start: base, End: base + stackSize, Prot: kernel.ProtRead | kernel.ProtWrite, Name: "tstack"})
-		}
-		p, err := env.K.CreateProcess("mysql-mem", kernel.Program{Extra: extra})
-		if err != nil {
-			return 0, err
-		}
-		if err := p.AS.EnsureMapped(poolVMA.Start, poolBytes); err != nil {
-			return 0, err
-		}
-		for i := 0; i < nThreads; i++ {
-			base := stackBase + mem.VA(i*2*stackSize)
-			if err := p.AS.EnsureMapped(base, stackSize); err != nil {
-				return 0, err
-			}
-		}
-		policy := core.SanPAN
-		if scalable {
-			policy = core.SanTTBR
-		}
-		lp, err := env.LZ.EnterProcess(env.K, p, scalable, policy)
-		if err != nil {
-			return 0, err
-		}
-		// HP_PTRS heap data: PAN-protected in both configurations.
-		if err := lp.Prot(poolBase, 8<<20, 0, core.PermRead|core.PermWrite|core.PermUser); err != nil {
-			return 0, err
-		}
-		if scalable {
-			for i := 0; i < nThreads; i++ {
-				id, err := lp.Alloc()
-				if err != nil {
-					return 0, err
-				}
-				base := stackBase + mem.VA(i*2*stackSize)
-				if err := lp.Prot(base, stackSize, id, core.PermRead|core.PermWrite); err != nil {
-					return 0, err
-				}
-			}
-		}
-		return float64(lp.PageTableBytes()) / float64(appBytes) * 100, nil
-	}
-
-	var err error
-	if out.PANPTPct, err = measure(false); err != nil {
-		return out, fmt.Errorf("pan layout: %w", err)
-	}
-	if out.TTBRPTPct, err = measure(true); err != nil {
-		return out, fmt.Errorf("ttbr layout: %w", err)
 	}
 	return out, nil
 }

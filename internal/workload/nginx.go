@@ -1,13 +1,5 @@
 package workload
 
-import (
-	"fmt"
-
-	"lightzone/internal/core"
-	"lightzone/internal/kernel"
-	"lightzone/internal/mem"
-)
-
 // Figure 3 — cryptographic key protection in Nginx (§9.1).
 //
 // Workload: ab issues 10,000 HTTPS requests for a 1KB file against a
@@ -98,84 +90,6 @@ func requestFigure(pr *Primitives, p AppParams, xs []int, curve func(float64, in
 			s.Points = append(s.Points, FigurePoint{X: x, Tput: curve(capacity, x)})
 		}
 		out = append(out, s)
-	}
-	return out, nil
-}
-
-// NginxMemory measures the §9.1 memory overheads by building the protected
-// process layout for real and reading the page-table state: baseline
-// application memory, per-key page fragmentation, and the page-table
-// overhead of the PAN and scalable configurations.
-type MemoryOverheads struct {
-	BaselineBytes uint64
-	FragPct       float64
-	PANPTPct      float64
-	TTBRPTPct     float64
-}
-
-// NginxMemory builds the Nginx protection layout (§9.1: 21.7MB baseline,
-// one 4KB page per AES_KEY).
-func NginxMemory(plat Platform) (MemoryOverheads, error) {
-	const (
-		appBytes = 21_700 * 1024 // 21.7MB baseline consumption
-		nKeys    = 93
-		keySize  = 280 // AES_KEY structure bytes
-		keysBase = mem.VA(0x6000_0000)
-	)
-	var out MemoryOverheads
-	out.BaselineBytes = appBytes
-	out.FragPct = float64(nKeys*(mem.PageSize-keySize)) / float64(appBytes) * 100
-
-	measure := func(scalable bool) (float64, error) {
-		env, err := NewEnv(plat)
-		if err != nil {
-			return 0, err
-		}
-		appVMA := kernel.VMA{Start: 0x4000_0000, End: 0x4000_0000 + mem.VA(appBytes-nKeys*mem.PageSize), Prot: kernel.ProtRead | kernel.ProtWrite, Name: "app"}
-		keysVMA := kernel.VMA{Start: keysBase, End: keysBase + mem.VA(nKeys*mem.PageSize), Prot: kernel.ProtRead | kernel.ProtWrite, Name: "keys"}
-		p, err := env.K.CreateProcess("nginx-mem", kernel.Program{Extra: []kernel.VMA{appVMA, keysVMA}})
-		if err != nil {
-			return 0, err
-		}
-		if err := p.AS.EnsureMapped(appVMA.Start, uint64(appVMA.End-appVMA.Start)); err != nil {
-			return 0, err
-		}
-		if err := p.AS.EnsureMapped(keysVMA.Start, uint64(keysVMA.End-keysVMA.Start)); err != nil {
-			return 0, err
-		}
-		policy := core.SanPAN
-		if scalable {
-			policy = core.SanTTBR
-		}
-		lp, err := env.LZ.EnterProcess(env.K, p, scalable, policy)
-		if err != nil {
-			return 0, err
-		}
-		if scalable {
-			for k := 0; k < nKeys; k++ {
-				id, err := lp.Alloc()
-				if err != nil {
-					return 0, err
-				}
-				addr := keysBase + mem.VA(k*mem.PageSize)
-				if err := lp.Prot(addr, mem.PageSize, id, core.PermRead|core.PermWrite); err != nil {
-					return 0, err
-				}
-			}
-		} else {
-			if err := lp.Prot(keysBase, nKeys*mem.PageSize, 0, core.PermRead|core.PermWrite|core.PermUser); err != nil {
-				return 0, err
-			}
-		}
-		return float64(lp.PageTableBytes()) / float64(appBytes) * 100, nil
-	}
-
-	var err error
-	if out.PANPTPct, err = measure(false); err != nil {
-		return out, fmt.Errorf("pan layout: %w", err)
-	}
-	if out.TTBRPTPct, err = measure(true); err != nil {
-		return out, fmt.Errorf("ttbr layout: %w", err)
 	}
 	return out, nil
 }

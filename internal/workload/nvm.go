@@ -1,13 +1,5 @@
 package workload
 
-import (
-	"fmt"
-
-	"lightzone/internal/core"
-	"lightzone/internal/kernel"
-	"lightzone/internal/mem"
-)
-
 // Figure 5 — NVM data isolation (§9.3), after MERR: multiple 2MB buffers
 // filled with strings; each operation performs a substring search over a
 // randomly selected string (7,000-8,500 cycles per search on both SoCs),
@@ -62,79 +54,6 @@ func NVMFigure(pr *Primitives) ([]NVMSeries, error) {
 			s.OverheadPct = append(s.OverheadPct, pct)
 		}
 		out = append(out, s)
-	}
-	return out, nil
-}
-
-// NVMMemory measures the §9.3 memory overheads on the paper's full layout
-// (309MB: 128 x 2MB huge-page buffers plus 53MB of 4KB application
-// memory): huge pages mean no fragmentation; the page-table overhead of
-// scalable protection comes from each per-buffer table duplicating the
-// application's 4KB mappings.
-func NVMMemory(plat Platform) (MemoryOverheads, error) {
-	const (
-		nBuffers = 128 // the paper's full sweep: 128 x 2MB buffers
-		bufBase  = mem.VA(0x8000_0000)
-		appBase  = mem.VA(0x4000_0000)
-		appBytes = 53 << 20 // 309MB total = 256MB buffers + 53MB app
-	)
-	var out MemoryOverheads
-	total := uint64(nBuffers*mem.HugePageSize + appBytes)
-	out.BaselineBytes = total
-	out.FragPct = 0 // huge pages: "no memory fragmentation issue" (§9.3)
-
-	measure := func(scalable bool) (float64, error) {
-		env, err := NewEnv(plat)
-		if err != nil {
-			return 0, err
-		}
-		extra := []kernel.VMA{
-			{Start: appBase, End: appBase + appBytes, Prot: kernel.ProtRead | kernel.ProtWrite, Name: "app"},
-			{Start: bufBase, End: bufBase + mem.VA(nBuffers*mem.HugePageSize), Prot: kernel.ProtRead | kernel.ProtWrite, Name: "nvm", Huge: true},
-		}
-		p, err := env.K.CreateProcess("nvm-mem", kernel.Program{Extra: extra})
-		if err != nil {
-			return 0, err
-		}
-		if err := p.AS.EnsureMapped(appBase, appBytes); err != nil {
-			return 0, err
-		}
-		if err := p.AS.EnsureMapped(bufBase, nBuffers*mem.HugePageSize); err != nil {
-			return 0, err
-		}
-		policy := core.SanPAN
-		if scalable {
-			policy = core.SanTTBR
-		}
-		lp, err := env.LZ.EnterProcess(env.K, p, scalable, policy)
-		if err != nil {
-			return 0, err
-		}
-		if scalable {
-			for i := 0; i < nBuffers; i++ {
-				id, err := lp.Alloc()
-				if err != nil {
-					return 0, err
-				}
-				addr := bufBase + mem.VA(i*mem.HugePageSize)
-				if err := lp.Prot(addr, mem.HugePageSize, id, core.PermRead|core.PermWrite); err != nil {
-					return 0, err
-				}
-			}
-		} else {
-			if err := lp.Prot(bufBase, nBuffers*mem.HugePageSize, 0, core.PermRead|core.PermWrite|core.PermUser); err != nil {
-				return 0, err
-			}
-		}
-		return float64(lp.PageTableBytes()) / float64(total) * 100, nil
-	}
-
-	var err error
-	if out.PANPTPct, err = measure(false); err != nil {
-		return out, fmt.Errorf("pan layout: %w", err)
-	}
-	if out.TTBRPTPct, err = measure(true); err != nil {
-		return out, fmt.Errorf("ttbr layout: %w", err)
 	}
 	return out, nil
 }
