@@ -90,3 +90,17 @@ func (lp *LZProc) Backend() Backend { return lp.backend }
 
 // BackendName returns the name of the substrate the process entered with.
 func (lp *LZProc) BackendName() string { return lp.backend.Name() }
+
+// Alloc is lz_alloc under the process's backend, for Go callers and syscalls.
+func (lp *LZProc) Alloc() (int, error) { return lp.backend.Alloc(lp) }
+
+// Free is lz_free under the process's backend.
+func (lp *LZProc) Free(pgt int) error { return lp.backend.Free(lp, pgt) }
+
+// Prot is lz_prot under the process's backend.
+func (lp *LZProc) Prot(addr mem.VA, length uint64, pgt, perm int) error {
+	return lp.backend.Prot(lp, addr, length, pgt, perm)
+}
+
+// MapGatePgt is lz_map_gate_pgt under the process's backend.
+func (lp *LZProc) MapGatePgt(pgt, gate int) error { return lp.backend.MapGatePgt(lp, pgt, gate) }

@@ -181,9 +181,9 @@ func (lp *LZProc) installGates() error {
 	return nil
 }
 
-// MapGatePgt implements lz_map_gate_pgt (Table 2): associate a call gate
-// with the stage-1 page table it switches to.
-func (lp *LZProc) MapGatePgt(pgt, gate int) error {
+// MapGatePgt implements the lightzone lz_map_gate_pgt (Table 2): associate
+// a call gate with the stage-1 page table it switches to.
+func (lightzoneBackend) MapGatePgt(lp *LZProc, pgt, gate int) error {
 	if _, ok := lp.gateEntries[gate]; !ok {
 		return fmt.Errorf("lz_map_gate_pgt: gate %d not registered", gate)
 	}

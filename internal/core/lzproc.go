@@ -357,11 +357,11 @@ func (lp *LZProc) kernelFrame(va mem.VA) (mem.PA, uint64, uint64, error) {
 	return pa, res.Desc, size, nil
 }
 
-// Prot implements lz_prot (Table 2): attach [addr, addr+len) to page table
-// pgt with a permission overlay. perm&PermUser attaches to all tables as
-// PAN-protected user pages. During later faults, protected pages receive
-// the least permission by intersecting the overlay with the kernel VMA.
-func (lp *LZProc) Prot(addr mem.VA, length uint64, pgt int, perm int) error {
+// Prot implements the lightzone lz_prot (Table 2): attach [addr, addr+len)
+// to page table pgt with a permission overlay. perm&PermUser attaches to all
+// tables as PAN-protected user pages. Later faults give protected pages the
+// least permission: the overlay intersected with the kernel VMA.
+func (lightzoneBackend) Prot(lp *LZProc, addr mem.VA, length uint64, pgt int, perm int) error {
 	if uint64(addr)&mem.PageMask != 0 {
 		return fmt.Errorf("lz_prot: unaligned address %v", addr)
 	}
@@ -499,12 +499,12 @@ func (lp *LZProc) attachUserPagesTo(d *DomainPGT) error {
 	return nil
 }
 
-// Alloc implements lz_alloc: allocate a stage-1 page table that maps all
-// unprotected memory (copied from the base table) plus the PAN-protected
-// user pages, propagate the TTBR1-visible TTBRTab entry, and return its
-// identifier (§6.1: "Each page table of a LightZone process can map all
-// unprotected memory").
-func (lp *LZProc) Alloc() (int, error) {
+// Alloc implements the lightzone lz_alloc: allocate a stage-1 page table
+// that maps all unprotected memory (copied from the base table) plus the
+// PAN-protected user pages, propagate the TTBR1-visible TTBRTab entry, and
+// return its identifier (§6.1: "Each page table of a LightZone process can
+// map all unprotected memory").
+func (lightzoneBackend) Alloc(lp *LZProc) (int, error) {
 	if !lp.allowScalable {
 		return -1, fmt.Errorf("lz_alloc: scalable isolation not enabled (lz_enter allow_scalable=false)")
 	}
@@ -553,9 +553,9 @@ func (lp *LZProc) populatePGT(d *DomainPGT) error {
 	return lp.attachUserPagesTo(d)
 }
 
-// Free implements lz_free: destroy a page table. The base table (0) and
-// the currently installed table cannot be freed.
-func (lp *LZProc) Free(pgt int) error {
+// Free implements the lightzone lz_free: destroy a page table. The base
+// table (0) and the currently installed table cannot be freed.
+func (lightzoneBackend) Free(lp *LZProc, pgt int) error {
 	d, ok := lp.pgts[pgt]
 	if !ok || pgt == 0 {
 		return fmt.Errorf("lz_free: bad page table %d", pgt)

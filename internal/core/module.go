@@ -114,26 +114,25 @@ func (lz *LightZone) Syscall(k *kernel.Kernel, t *kernel.Thread, num int, args [
 		}
 		switch num {
 		case SysLZAlloc:
-			id, err := lp.backend.Alloc(lp)
+			id, err := lp.Alloc()
 			if err != nil {
 				return lzErr(), true, nil
 			}
-			_ = err
 			return uint64(id), true, nil
 		case SysLZFree:
-			if err := lp.backend.Free(lp, int(int64(args[0]))); err != nil {
+			if err := lp.Free(int(int64(args[0]))); err != nil {
 				return lzErr(), true, nil
 			}
 			return 0, true, nil
 		case SysLZProt:
 			perm := int(args[3])
 			pgt := int(int64(args[2]))
-			if err := lp.backend.Prot(lp, mem.VA(args[0]), args[1], pgt, perm); err != nil {
+			if err := lp.Prot(mem.VA(args[0]), args[1], pgt, perm); err != nil {
 				return lzErr(), true, nil
 			}
 			return 0, true, nil
 		case SysLZMapGatePgt:
-			if err := lp.backend.MapGatePgt(lp, int(int64(args[0])), int(int64(args[1]))); err != nil {
+			if err := lp.MapGatePgt(int(int64(args[0])), int(int64(args[1]))); err != nil {
 				return lzErr(), true, nil
 			}
 			return 0, true, nil

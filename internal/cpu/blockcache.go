@@ -9,9 +9,10 @@ import (
 	"lightzone/internal/mem"
 )
 
-// maxCachedBlocks bounds the decoded-block cache; on overflow the oldest
-// half (by insertion order) is evicted, so a workload sweeping past the cap
-// re-decodes only cold blocks instead of hitting a full-miss cliff.
+// maxCachedBlocks bounds the decoded-block cache: the insert that would
+// exceed it clears the whole cache first (reset), like the context intern
+// tables below. The largest workload, a 10,000-switch 128-domain Table 5
+// cell, holds 1,289 blocks.
 const maxCachedBlocks = 8192
 
 // dblock is a decoded straight-line block: the Decode results for
@@ -79,13 +80,6 @@ type blockCursor struct {
 type BlockCache struct {
 	enabled bool
 	blocks  map[blockKey]*dblock
-	// order records block keys in insertion order for cohort eviction on
-	// overflow. Keys of blocks deleted for staleness are not scrubbed (that
-	// would be a linear scan per invalidation); evictCohort simply skips
-	// keys that no longer resolve, and a key re-inserted after a stale
-	// delete appears twice — its older position may evict the rebuilt block
-	// early, which costs one re-decode and nothing else.
-	order []blockKey
 	// codePages counts completed blocks per page so the store hook can
 	// skip epoch bumps for pages that hold no cached code.
 	codePages map[uint64]int
@@ -102,12 +96,10 @@ type BlockCache struct {
 	// each domain of a 128-domain cell keeps a slot of its own.
 	ctxMemo [blockCtxMemoSlots]blockCtxMemo
 
-	// Invalidation hooks for dependents (the trace cache): onReset fires
-	// after the whole cache is dropped (interned context ids dangle, so any
-	// key derived from them does too); onEvict fires per cohort-evicted
-	// block with its key and page.
+	// onReset is the invalidation hook for dependents (the trace cache): it
+	// fires after the whole cache is dropped (interned context ids dangle,
+	// so any key derived from them does too).
 	onReset func()
-	onEvict func(key blockKey, page uint64)
 
 	// In-progress block builder. The build is abandoned (never inserted)
 	// if the page's epoch moves between build start and finalize.
@@ -181,14 +173,12 @@ type blockCtxMemo struct {
 	ok  bool
 }
 
-// SetEnabled turns the cache on or off (off: every instruction is fetched
-// and decoded from memory, the seed pipeline). Used by the cycle-identity
-// tests and benchmarks; disabling drops all cached state.
+// SetDecodeCache turns the cache on or off (off: every instruction is
+// fetched and decoded from memory, the seed pipeline). Used by the
+// cycle-identity tests and benchmarks; either way drops all cached state.
 func (c *VCPU) SetDecodeCache(enabled bool) {
-	d := c.Decoded
-	d.enabled = enabled
-	d.reset()
-	c.cur = blockCursor{}
+	c.Decoded.enabled = enabled
+	c.DropDecodedBlocks()
 }
 
 // DecodeCacheEnabled reports whether the decoded-block cache is active.
@@ -258,60 +248,20 @@ func (d *BlockCache) reset() {
 	clear(d.ctxIDs)
 	d.ctxList = d.ctxList[:0]
 	clear(d.ctxMemo[:])
-	d.order = d.order[:0]
 	d.building = false
 	if d.onReset != nil {
 		d.onReset()
 	}
 }
 
-// evictCohort drops the oldest half of the cached blocks by insertion
-// order. Stale order entries (blocks already deleted, or re-inserted later
-// under the same key) are skipped without counting toward the cohort.
-func (d *BlockCache) evictCohort() {
-	target := len(d.blocks) / 2
-	evicted := 0
-	i := 0
-	for ; i < len(d.order) && evicted < target; i++ {
-		k := d.order[i]
-		b, ok := d.blocks[k]
-		if !ok {
-			continue
-		}
-		delete(d.blocks, k)
-		d.dropPageRef(b.page)
-		if d.onEvict != nil {
-			d.onEvict(k, b.page)
-		}
-		evicted++
-	}
-	d.order = append(d.order[:0], d.order[i:]...)
-}
-
-// EvictBlockCohort forces the cap-pressure eviction path: the oldest half
-// of the cached decoded blocks is dropped, exactly as if the cache had hit
-// its capacity bound. Host-side state only — the chaos engine fires it
-// mid-run to prove evicted blocks rebuild bit-identically (cycles, stats on
-// the emulated surface, and architectural state all unchanged).
-func (c *VCPU) EvictBlockCohort() {
-	c.cur.blk = nil // never resume a cursor into a possibly-evicted block
-	c.Decoded.evictCohort()
-	c.Decoded.compactOrder()
-}
-
-// compactOrder rebuilds order keeping the first occurrence of each live
-// key, bounding growth when stale deletions and rebuilds churn the same
-// keys without ever reaching the block cap.
-func (d *BlockCache) compactOrder() {
-	seen := make(map[blockKey]bool, len(d.blocks))
-	kept := d.order[:0]
-	for _, k := range d.order {
-		if _, ok := d.blocks[k]; ok && !seen[k] {
-			seen[k] = true
-			kept = append(kept, k)
-		}
-	}
-	d.order = kept
+// DropDecodedBlocks clears the decoded-block cache — and with it every
+// stitched trace — exactly as reaching maxCachedBlocks does, and kills the
+// block cursor. Host-side state only: the chaos engine fires it mid-run to
+// prove dropped blocks rebuild bit-identically (cycles, stats on the
+// emulated surface, and architectural state all unchanged).
+func (c *VCPU) DropDecodedBlocks() {
+	c.cur = blockCursor{}
+	c.Decoded.reset()
 }
 
 // keyFor derives the packed cache key for a fetch at pc under c's current
@@ -391,11 +341,12 @@ func (d *BlockCache) finalize() {
 	if len(d.binsns) == 0 || d.epochs.Snapshot(d.bpage) != d.bsnap {
 		return
 	}
-	if len(d.order) >= 2*maxCachedBlocks {
-		d.compactOrder()
-	}
 	if len(d.blocks) >= maxCachedBlocks {
-		d.evictCohort()
+		// Clear at the cap. The pending key's interned context dies with
+		// the reset, so the pending block goes too and re-decodes on its
+		// next execution.
+		d.reset()
+		return
 	}
 	if _, exists := d.blocks[d.bkey]; !exists {
 		if d.blocks == nil {
@@ -403,7 +354,6 @@ func (d *BlockCache) finalize() {
 			d.codePages = make(map[uint64]int)
 		}
 		d.codePages[d.bpage]++
-		d.order = append(d.order, d.bkey)
 	}
 	d.blocks[d.bkey] = &dblock{
 		insns:      append([]arm64.Insn(nil), d.binsns...),

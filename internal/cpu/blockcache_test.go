@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"lightzone/internal/arm64"
@@ -175,22 +176,17 @@ func TestDecodeCacheDisabled(t *testing.T) {
 	}
 }
 
-// loadBlockSweep maps `pages` consecutive code pages and fills them with
-// single-instruction blocks: every slot is `B #4` (each a terminator, so
-// each decodes as its own block), and the very last slot is HVC so the
-// sweep exits. pages*1024 distinct blocks execute per sweep.
-func loadBlockSweep(t testing.TB, e *env, pages int) {
+// loadWords writes an instruction stream from codeVA on, mapping each code
+// page past the first (newEnv maps only that one).
+func loadWords(t testing.TB, e *env, words []uint32) {
 	t.Helper()
-	word := func(buf []byte, i int, w uint32) {
-		buf[i] = byte(w)
-		buf[i+1] = byte(w >> 8)
-		buf[i+2] = byte(w >> 16)
-		buf[i+3] = byte(w >> 24)
+	buf := make([]byte, 4*len(words))
+	for i, w := range words {
+		binary.LittleEndian.PutUint32(buf[4*i:], w)
 	}
-	const bPlus4 = 0x14000001 // B #4
-	for p := 0; p < pages; p++ {
-		va := codeVA + mem.VA(uint64(p)*uint64(mem.PageSize))
-		if p > 0 {
+	for off := 0; off < len(buf); off += mem.PageSize {
+		va := codeVA + mem.VA(off)
+		if off > 0 {
 			pa, err := e.pm.AllocFrame()
 			if err != nil {
 				t.Fatal(err)
@@ -201,56 +197,94 @@ func loadBlockSweep(t testing.TB, e *env, pages int) {
 		}
 		res, err := e.s1.Walk(va)
 		if err != nil || !res.Found {
-			t.Fatalf("sweep page %d missing: %v", p, err)
+			t.Fatalf("code page %v missing: %v", va, err)
 		}
-		buf := make([]byte, mem.PageSize)
-		for i := 0; i < len(buf); i += 4 {
-			word(buf, i, bPlus4)
-		}
-		if p == pages-1 {
-			word(buf, len(buf)-4, arm64.HVC(0))
-		}
-		if err := e.pm.Write(res.PA, buf); err != nil {
+		if err := e.pm.Write(res.PA, buf[off:min(off+mem.PageSize, len(buf))]); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestBlockCacheOverflowEvictsCohort sweeps more distinct blocks than
-// maxCachedBlocks and checks overflow evicts only the oldest cohort instead
-// of dropping the whole cache: the cache stays at least half full, the
-// recently-executed half of the sweep replays entirely from cache (a full
-// reset at the cap — the old overflow behaviour — would have dropped it),
-// and emulated cycles remain identical to the cache-off pipeline across the
-// eviction path.
-func TestBlockCacheOverflowEvictsCohort(t *testing.T) {
+// bPlus4 is `B #4`: a terminator, so it always ends its decoded block.
+const bPlus4 = 0x14000001
+
+// loadBlockSweep maps `pages` consecutive code pages and fills them with
+// single-instruction blocks: every slot is `B #4`, and the very last slot is
+// HVC so the sweep exits. pages*1024 distinct blocks execute per sweep.
+func loadBlockSweep(t testing.TB, e *env, pages int) {
+	t.Helper()
+	words := make([]uint32, pages*1024)
+	for i := range words {
+		words[i] = bPlus4
+	}
+	words[len(words)-1] = arm64.HVC(0)
+	loadWords(t, e, words)
+}
+
+// runSliced runs from pc in Run slices of the given size until the program
+// exits, calling after() after every slice, and fails the test if budget
+// instructions pass without an exit.
+func runSliced(t *testing.T, e *env, pc uint64, slice, budget int64, after func()) {
+	t.Helper()
+	e.c.SetEL(arm64.EL1)
+	e.c.PC = pc
+	for done := int64(0); done <= budget; done += slice {
+		_, err := e.c.Run(slice)
+		after()
+		if err == nil {
+			return // the exit
+		}
+		if err != ErrInsnLimit {
+			t.Fatal(err)
+		}
+	}
+	t.Fatalf("no exit within %d instructions", budget)
+}
+
+// TestBlockCacheClearsAtCap sweeps more distinct blocks than
+// maxCachedBlocks, one instruction at a time, with traces stitched over
+// the sweep's first blocks: the cache never holds more than the cap, the
+// insert that would exceed it clears the whole cache and every trace with
+// it (once, in one sweep), and emulated cycles and instructions stay
+// identical to the cache-off pipeline across the clear.
+func TestBlockCacheClearsAtCap(t *testing.T) {
 	const pages = maxCachedBlocks/1024 + 1
 	const total = pages * 1024
-	e := newEnv(t)
-	loadBlockSweep(t, e, pages)
-	e.run(t, total+10)
-	if n := e.c.DecodeCacheLen(); n < maxCachedBlocks/2 || n > maxCachedBlocks {
-		t.Errorf("after overflow sweep: %d cached blocks, want within [%d, %d]",
-			n, maxCachedBlocks/2, maxCachedBlocks)
-	}
-	// Replay only the second half of the sweep: its blocks are younger than
-	// the evicted cohort, so every one must still be cached.
-	const tailStart = pages / 2 * 1024 // first replayed block index
-	const tail = total - tailStart
-	hits := e.c.Stats.CodeHits
-	e.c.SetEL(arm64.EL1)
-	e.c.PC = uint64(codeVA) + uint64(tailStart)*arm64.InsnBytes
-	e.run(t, tail+10)
-	if delta := e.c.Stats.CodeHits - hits; delta < tail {
-		t.Errorf("tail replay hit %d of %d blocks (overflow evicted the young cohort)",
-			delta, tail)
-	}
-
 	run := func(enabled bool) (int64, int64) {
 		e := newEnv(t)
 		e.c.SetDecodeCache(enabled)
+		e.c.SetTraceHotThreshold(1)
 		loadBlockSweep(t, e, pages)
-		e.run(t, total+10)
+		// Two passes over the first blocks: the first decodes them, the
+		// second enters them and stitches traces across them.
+		for i := 0; i < 2; i++ {
+			e.c.SetEL(arm64.EL1)
+			e.c.PC = uint64(codeVA)
+			if _, err := e.c.Run(64); err != ErrInsnLimit {
+				t.Fatalf("prefix pass %d: %v", i, err)
+			}
+		}
+		if enabled && e.c.TraceCacheLen() == 0 {
+			t.Fatal("no trace stitched before the sweep")
+		}
+		clears, prev := 0, e.c.DecodeCacheLen()
+		runSliced(t, e, uint64(codeVA), 1, total, func() {
+			n := e.c.DecodeCacheLen()
+			if n > maxCachedBlocks {
+				t.Fatalf("%d cached blocks, cap %d", n, maxCachedBlocks)
+			}
+			if n < prev {
+				clears++
+				if prev != maxCachedBlocks || n != 0 || e.c.TraceCacheLen() != 0 {
+					t.Errorf("%d blocks fell to %d with %d traces live, want a clear from the cap to 0 and 0",
+						prev, n, e.c.TraceCacheLen())
+				}
+			}
+			prev = n
+		})
+		if enabled && clears != 1 {
+			t.Errorf("sweep cleared the cache %d times, want 1", clears)
+		}
 		return e.c.Cycles, e.c.Insns
 	}
 	onC, onI := run(true)

@@ -38,11 +38,12 @@
 // handlers that skip generic dispatch when no audit oracle is attached.
 //
 // A trace dies eagerly when any member page's code epoch bumps (the
-// CodeEpochs.OnBump hook), when a member block is evicted (BlockCache
-// onEvict/onReset hooks), or lazily at the entry guard when a sibling-page
-// region bump moved a Snapshot without firing the page hook. Every drop goes
-// through dropTrace, which prunes the page index, so the side indexes only
-// ever describe live traces.
+// CodeEpochs.OnBump hook), when the block cache is cleared (its onReset
+// hook), when a stitch finds the trace cache at maxTraces (the whole cache
+// is cleared), or lazily at the entry guard when a sibling-page region bump
+// moved a Snapshot without firing the page hook. Single drops go through
+// dropTrace, which prunes the page index, so the index only ever describes
+// live traces.
 package cpu
 
 import (
@@ -120,7 +121,6 @@ type trace struct {
 	insns  int
 	mmuOff bool
 	ttbr1  bool // MMU on: all member PCs in the TTBR1 half
-	gate   bool // contains a recognized gate-switch MRS TTBR0_EL1 edge
 
 	members []traceMember // at least two, in predicted order
 	pages   []tracePage
@@ -139,19 +139,17 @@ type trace struct {
 	gPriv    bool
 }
 
-// traceCache is the per-vCPU trace state: the stitched traces, insertion
-// order for cap eviction, the page index for eager invalidation, the
-// stitcher's scratch, and host-side counters (flushed to the package
-// aggregates by flushTraceStats).
+// traceCache is the per-vCPU trace state: the stitched traces (at most
+// maxTraces; the stitch that would exceed it clears them all first), the
+// page index for eager invalidation, the stitcher's scratch, and host-side
+// counters (flushed to the package aggregates by flushTraceStats).
 //
-// Both side indexes are bounded by the live traces: pageDeps lists exactly
-// the live traces with a member on each page (dropTrace prunes it), and
-// order is compacted to the live keys once it reaches 2*maxTraces.
+// The page index is bounded by the live traces: pageDeps lists exactly the
+// live traces with a member on each page (dropTrace prunes it).
 type traceCache struct {
 	enabled   bool
 	threshold uint32
 	traces    map[blockKey]*trace
-	order     []blockKey
 	pageDeps  map[uint64][]*trace
 
 	// walk is the stitch walk's scratch, reused by every walk so that a
@@ -167,9 +165,7 @@ type traceCache struct {
 	entered      uint64
 	completed    uint64
 	sideExits    uint64
-	fused        uint64
 	invalidated  uint64
-	gateRuns     uint64
 	insnsRun     uint64
 }
 
@@ -228,9 +224,7 @@ type TraceStats struct {
 	Entered      uint64 // guarded trace entries taken
 	Completed    uint64 // traces that ran to their final instruction
 	SideExits    uint64 // traces abandoned mid-run (misprediction, gen move, exception)
-	Fused        uint64 // gate-switch/PAN edges executed via fused handlers
-	Invalidated  uint64 // traces dropped (epoch bump, eviction, reset, guard)
-	GateRuns     uint64 // entries into traces containing a gate-switch edge
+	Invalidated  uint64 // traces dropped (epoch bump, cache clear, guard)
 	InsnsRun     uint64 // instructions retired inside traces
 }
 
@@ -242,9 +236,7 @@ func (s TraceStats) Sub(o TraceStats) TraceStats {
 		Entered:      s.Entered - o.Entered,
 		Completed:    s.Completed - o.Completed,
 		SideExits:    s.SideExits - o.SideExits,
-		Fused:        s.Fused - o.Fused,
 		Invalidated:  s.Invalidated - o.Invalidated,
-		GateRuns:     s.GateRuns - o.GateRuns,
 		InsnsRun:     s.InsnsRun - o.InsnsRun,
 	}
 }
@@ -255,9 +247,7 @@ var (
 	tEntered      atomic.Uint64
 	tCompleted    atomic.Uint64
 	tSideExits    atomic.Uint64
-	tFused        atomic.Uint64
 	tInvalidated  atomic.Uint64
-	tGateRuns     atomic.Uint64
 	tInsnsRun     atomic.Uint64
 )
 
@@ -269,9 +259,7 @@ func ReadTraceStats() TraceStats {
 		Entered:      tEntered.Load(),
 		Completed:    tCompleted.Load(),
 		SideExits:    tSideExits.Load(),
-		Fused:        tFused.Load(),
 		Invalidated:  tInvalidated.Load(),
-		GateRuns:     tGateRuns.Load(),
 		InsnsRun:     tInsnsRun.Load(),
 	}
 }
@@ -281,7 +269,7 @@ func ReadTraceStats() TraceStats {
 func (c *VCPU) flushTraceStats() {
 	tc := &c.tcache
 	if tc.stitched|tc.stitchFailed|tc.entered|tc.completed|tc.sideExits|
-		tc.fused|tc.invalidated|tc.gateRuns|tc.insnsRun == 0 {
+		tc.invalidated|tc.insnsRun == 0 {
 		return
 	}
 	// Per-counter guards: a Run typically moves only the entry/completion
@@ -301,20 +289,14 @@ func (c *VCPU) flushTraceStats() {
 	if tc.sideExits != 0 {
 		tSideExits.Add(tc.sideExits)
 	}
-	if tc.fused != 0 {
-		tFused.Add(tc.fused)
-	}
 	if tc.invalidated != 0 {
 		tInvalidated.Add(tc.invalidated)
-	}
-	if tc.gateRuns != 0 {
-		tGateRuns.Add(tc.gateRuns)
 	}
 	if tc.insnsRun != 0 {
 		tInsnsRun.Add(tc.insnsRun)
 	}
 	tc.stitched, tc.stitchFailed, tc.entered, tc.completed = 0, 0, 0, 0
-	tc.sideExits, tc.fused, tc.invalidated, tc.gateRuns, tc.insnsRun = 0, 0, 0, 0, 0
+	tc.sideExits, tc.invalidated, tc.insnsRun = 0, 0, 0
 }
 
 // pureOp reports whether the op's handler is a pure register/PSTATE
@@ -382,7 +364,6 @@ func (c *VCPU) maybeStitch(b *dblock, key blockKey, pc uint64) {
 	members := append(w.members[:0], traceMember{blk: b, key: key, start: pc})
 	pages := append(w.pages[:0], tracePage{page: b.page, snap: b.snap})
 	retStack := w.retStack[:0]
-	gate := false
 	insns := len(b.insns)
 
 walk:
@@ -430,9 +411,6 @@ walk:
 			if !known || r.MinEL() > arm64.EL1 {
 				break walk
 			}
-			if r == arm64.TTBR0EL1 {
-				gate = true // the gate check-phase reads TTBR0_EL1
-			}
 			next = termPC + arm64.InsnBytes
 		default:
 			if last.Op.Terminates() {
@@ -475,23 +453,19 @@ walk:
 	}
 
 	t := &trace{
-		key: key, insns: insns, mmuOff: mmuOff, ttbr1: ttbr1, gate: gate,
+		key: key, insns: insns, mmuOff: mmuOff, ttbr1: ttbr1,
 		members: append([]traceMember(nil), members...),
 		pages:   append([]tracePage(nil), pages...),
 	}
 	t.steps = c.flattenSteps(t.members, insns)
 	if len(tc.traces) >= maxTraces {
-		c.evictTraces()
-	}
-	if len(tc.order) >= 2*maxTraces {
-		tc.compactOrder()
+		c.dropAllTraces()
 	}
 	if tc.traces == nil {
 		tc.traces = make(map[blockKey]*trace)
 		tc.pageDeps = make(map[uint64][]*trace)
 	}
 	tc.traces[key] = t
-	tc.order = append(tc.order, key)
 	for _, pg := range t.pages {
 		tc.pageDeps[pg.page] = append(tc.pageDeps[pg.page], t)
 	}
@@ -675,9 +649,6 @@ func (c *VCPU) traceGuard(t *trace) bool {
 func (c *VCPU) runTrace(t *trace) (int64, *Exit, error) {
 	tc := &c.tcache
 	tc.entered++
-	if t.gate {
-		tc.gateRuns++
-	}
 	aud := c.audit
 	if aud != nil {
 		aud.noteTraceEnter(c, t)
@@ -725,7 +696,6 @@ func (c *VCPU) runTrace(t *trace) (int64, *Exit, error) {
 			if aud == nil && c.EL() != arm64.EL0 {
 				c.batch += c.Prof.PanToggleCost
 				c.SetPAN(st.in.Sys.CRm&1 != 0)
-				tc.fused++
 				c.PC = c.nextPC
 				continue
 			}
@@ -734,7 +704,6 @@ func (c *VCPU) runTrace(t *trace) (int64, *Exit, error) {
 				(!st.mrsS1 || c.sys[arm64.HCREL2]&HCRTRVM == 0) {
 				c.batch += st.fusedCost
 				c.SetR(st.in.Rt, c.sys[st.fusedReg])
-				tc.fused++
 				c.PC = c.nextPC
 				continue
 			}
@@ -833,31 +802,9 @@ func (c *VCPU) dropTracesForPage(page uint64) {
 	}
 }
 
-// dropTracesForBlock drops every trace with the evicted block as a member —
-// the BlockCache cohort-eviction hook. A dangling trace would otherwise keep
-// replaying (and re-validating) a block the cache no longer owns. A member
-// block's page is always one of its trace's pages, so the page index holds
-// every candidate. Eviction is rare (cap pressure, chaos injection), which is
-// why this scan replaces a per-member dependency map that every stitch would
-// have to allocate and every drop to prune. The scan runs backwards because
-// dropTrace swap-removes from this very list: entries below the cursor never
-// move.
-func (c *VCPU) dropTracesForBlock(key blockKey, page uint64) {
-	tc := &c.tcache
-	deps := tc.pageDeps[page]
-	for i := len(deps) - 1; i >= 0; i-- {
-		t := deps[i]
-		for j := range t.members {
-			if t.members[j].key == key {
-				c.dropTrace(t)
-				break
-			}
-		}
-	}
-}
-
-// dropAllTraces empties the trace cache (wholesale epoch bump, block-cache
-// reset — interned context ids dangle after a reset, so every key does too).
+// dropAllTraces empties the trace cache (wholesale epoch bump, the trace cap,
+// block-cache reset — interned context ids dangle after a reset, so every
+// key does too).
 func (c *VCPU) dropAllTraces() {
 	tc := &c.tcache
 	if len(tc.traces) == 0 {
@@ -869,39 +816,6 @@ func (c *VCPU) dropAllTraces() {
 	}
 	clear(tc.traces)
 	clear(tc.pageDeps)
-	tc.order = tc.order[:0]
-}
-
-// evictTraces drops the oldest half of the traces (cap pressure). Order
-// entries of traces already dropped through another path are skipped.
-func (c *VCPU) evictTraces() {
-	tc := &c.tcache
-	target := len(tc.traces) / 2
-	evicted := 0
-	i := 0
-	for ; i < len(tc.order) && evicted < target; i++ {
-		if t := tc.traces[tc.order[i]]; t != nil {
-			c.dropTrace(t)
-			evicted++
-		}
-	}
-	tc.order = append(tc.order[:0], tc.order[i:]...)
-}
-
-// compactOrder rebuilds order keeping the first occurrence of each live
-// key, bounding it when invalidation and re-stitching churn traces without
-// ever reaching the trace cap. Keeping first occurrences preserves the
-// eviction order evictTraces would have followed over the uncompacted list.
-func (tc *traceCache) compactOrder() {
-	seen := make(map[blockKey]bool, len(tc.traces))
-	kept := tc.order[:0]
-	for _, k := range tc.order {
-		if tc.traces[k] != nil && !seen[k] {
-			seen[k] = true
-			kept = append(kept, k)
-		}
-	}
-	tc.order = kept
 }
 
 // onCodeEpochBump is the CodeEpochs.OnBump hook: eager trace invalidation
@@ -922,14 +836,13 @@ func (c *VCPU) onCodeEpochBump(va mem.VA, wholesale bool) {
 // its keying context, shape, member identity, and whether its guard state
 // still holds. Observation-only.
 type TraceInfo struct {
-	EntryPC    uint64
-	VMID       uint16
-	ASID       uint16
-	MMUOff     bool
-	Blocks     int
-	Insns      int
-	Pages      int
-	GateSwitch bool
+	EntryPC uint64
+	VMID    uint16
+	ASID    uint16
+	MMUOff  bool
+	Blocks  int
+	Insns   int
+	Pages   int
 	// EpochOK: every member page's code epoch still matches the stitch-time
 	// snapshot. DepsOK: every member block is still the cached block under
 	// its key. A live (replayable) trace has both.
@@ -948,18 +861,17 @@ func (c *VCPU) TraceSnapshot() []TraceInfo {
 	for key, t := range tc.traces {
 		ctx := d.ctxList[key>>blockCtxShift]
 		info := TraceInfo{
-			EntryPC:    t.members[0].start,
-			VMID:       ctx.vmid,
-			ASID:       ctx.asid,
-			MMUOff:     ctx.mmuOff,
-			Blocks:     len(t.members),
-			Insns:      t.insns,
-			Pages:      len(t.pages),
-			GateSwitch: t.gate,
-			EpochOK:    true,
-			DepsOK:     true,
-			PCs:        make([]uint64, 0, len(t.steps)),
-			Raw:        make([]uint32, 0, len(t.steps)),
+			EntryPC: t.members[0].start,
+			VMID:    ctx.vmid,
+			ASID:    ctx.asid,
+			MMUOff:  ctx.mmuOff,
+			Blocks:  len(t.members),
+			Insns:   t.insns,
+			Pages:   len(t.pages),
+			EpochOK: true,
+			DepsOK:  true,
+			PCs:     make([]uint64, 0, len(t.steps)),
+			Raw:     make([]uint32, 0, len(t.steps)),
 		}
 		for i := range t.pages {
 			if c.TLB.Code.Snapshot(t.pages[i].page) != t.pages[i].snap {

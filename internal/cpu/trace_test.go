@@ -3,7 +3,7 @@ package cpu
 // Trace-compiler regression suite: stitching across direct branches and
 // BL/RET pairs, the staleness chokepoints (self-modifying code inside a
 // stitched trace, guest TLBI, ASID switches, cross-page invalidation), and
-// the BlockCache cohort-eviction dependency drop. Every scenario runs the
+// both caches' clear at their caps. Every scenario runs the
 // identical guest sequence with traces on and off and requires bit-identical
 // emulated cycles, instruction counts, results and TLB statistics — the
 // trace compiler may only remove host work, never emulated work.
@@ -400,11 +400,11 @@ func TestTraceCrossPageSecondPageInvalidation(t *testing.T) {
 	}
 }
 
-// TestTraceBlockEvictionDropsDependents overflows the BlockCache so cohort
-// eviction claims the stitched chain's member blocks: the block dependency
-// index must drop the trace (a dangling trace would keep replaying blocks
-// the cache no longer owns), and the tail replay of the original program
-// must re-decode and re-stitch bit-identically.
+// TestTraceBlockEvictionDropsDependents overflows the BlockCache so its
+// clear at the cap claims the stitched chain's member blocks: the reset hook
+// must drop the trace (a dangling trace would keep replaying blocks the
+// cache no longer owns), and the tail replay of the original program must
+// re-decode and re-stitch bit-identically.
 func TestTraceBlockEvictionDropsDependents(t *testing.T) {
 	const sweepPages = maxCachedBlocks/1024 + 1
 	// loadSweepAbove fills pages 1..sweepPages above the program page with
@@ -451,15 +451,15 @@ func TestTraceBlockEvictionDropsDependents(t *testing.T) {
 		if traces && e.c.TraceCacheLen() == 0 {
 			t.Fatal("chain never stitched before the sweep")
 		}
-		// Sweep enough distinct blocks to overflow the cache and evict the
-		// oldest cohort — which contains the chain's member blocks.
+		// Sweep enough distinct blocks to overflow the cache, whose clear
+		// takes the chain's member blocks with it.
 		e.c.SetEL(arm64.EL1)
 		e.c.PC = uint64(codeVA) + uint64(mem.PageSize)
 		e.run(t, sweepInsns+10)
 		if traces {
 			for _, ti := range e.c.TraceSnapshot() {
 				if ti.EntryPC == uint64(codeVA) {
-					t.Errorf("trace dangles after its blocks were cohort-evicted: %+v", ti)
+					t.Errorf("trace dangles after its blocks were cleared: %+v", ti)
 				}
 			}
 		}
@@ -478,10 +478,10 @@ func TestTraceBlockEvictionDropsDependents(t *testing.T) {
 		t.Errorf("tail replay x0 = %d, want 15", on.x0)
 	}
 	if d.Invalidated == 0 {
-		t.Error("cohort eviction did not drop the dependent trace")
+		t.Error("the cache clear did not drop the dependent trace")
 	}
 	if d.Stitched < 2 {
-		t.Errorf("stitched %d times, want a re-stitch after eviction", d.Stitched)
+		t.Errorf("stitched %d times, want a re-stitch after the clear", d.Stitched)
 	}
 }
 
@@ -525,10 +525,9 @@ func TestTraceToggleAndDefaults(t *testing.T) {
 	}
 }
 
-// checkTraceIndexes requires the trace cache's side indexes to describe the
+// checkTraceIndexes requires the trace cache's page index to describe the
 // live traces and nothing else: each live trace listed exactly once under
-// each of its pages, no page entry for a dropped trace, and the insertion
-// order within its compaction bound and covering every live key.
+// each of its pages, and no page entry for a dropped trace.
 func checkTraceIndexes(t *testing.T, c *VCPU) {
 	t.Helper()
 	tc := &c.tcache
@@ -554,24 +553,12 @@ func checkTraceIndexes(t *testing.T, c *VCPU) {
 	if indexed != livePages {
 		t.Errorf("page index holds %d entries, live traces span %d pages", indexed, livePages)
 	}
-	if len(tc.order) > 2*maxTraces {
-		t.Errorf("order holds %d keys, bound %d", len(tc.order), 2*maxTraces)
-	}
-	ordered := map[blockKey]bool{}
-	for _, k := range tc.order {
-		ordered[k] = true
-	}
-	for key := range tc.traces {
-		if !ordered[key] {
-			t.Errorf("live trace %#x missing from order (never evictable)", key)
-		}
-	}
 }
 
 // TestTraceIndexesBoundedUnderChurn drives 2,000 cycles of stitch → code
-// invalidation on the chain program, several times past order's compaction
-// bound: the side indexes must track only the live traces, so after the
-// last invalidation nothing is left behind.
+// invalidation on the chain program, several times past twice the trace
+// cap: the page index must track only the live traces, so after the last
+// invalidation nothing is left behind.
 func TestTraceIndexesBoundedUnderChurn(t *testing.T) {
 	e := newEnv(t)
 	e.c.SetTraceHotThreshold(1)
@@ -590,7 +577,7 @@ func TestTraceIndexesBoundedUnderChurn(t *testing.T) {
 	e.c.flushTraceStats()
 	d := ReadTraceStats().Sub(before)
 	if d.Stitched <= 2*maxTraces {
-		t.Fatalf("stitched %d traces, want the churn past order's bound %d", d.Stitched, 2*maxTraces)
+		t.Fatalf("stitched %d traces, want the churn past twice the trace cap %d", d.Stitched, 2*maxTraces)
 	}
 	if e.c.TraceCacheLen() != 0 {
 		t.Errorf("%d traces live after the final invalidation, want 0", e.c.TraceCacheLen())
@@ -601,6 +588,90 @@ func TestTraceIndexesBoundedUnderChurn(t *testing.T) {
 	}
 	if e.c.R(0) != 15 {
 		t.Errorf("x0 = %d, want 15", e.c.R(0))
+	}
+}
+
+// TestTraceCacheClearsAtCap chains half again as many tiny blocks as
+// maxTraces and, at threshold 1, stitches a trace at every one. The
+// stitching pass steps one instruction at a time, so every stitch is
+// observed: the cache never holds more than the cap, and the stitch that
+// finds it full clears all maxTraces traces (Invalidated counts each)
+// before installing its own. The surviving tail traces then replay, and the
+// entries the clear emptied stitch again. All of it stays bit-identical to
+// the untraced pipeline.
+func TestTraceCacheClearsAtCap(t *testing.T) {
+	const blocks = maxTraces + maxTraces/2
+	const blockBytes = 2 * arm64.InsnBytes
+	words := make([]uint32, 0, 2*blocks+1)
+	for i := 0; i < blocks; i++ {
+		words = append(words, arm64.ADDImm(0, 0, 1, false), bPlus4)
+	}
+	words = append(words, arm64.HVC(0))
+
+	// pass runs the chain from block `from` to its HVC in Run slices of
+	// the given size, checking the cap after every slice, and returns how
+	// often the cache was cleared.
+	pass := func(e *env, from int, slice int64) int {
+		clears, prev := 0, e.c.TraceCacheLen()
+		runSliced(t, e, uint64(codeVA)+uint64(from)*blockBytes, slice, int64(len(words)), func() {
+			n := e.c.TraceCacheLen()
+			if n > maxTraces {
+				t.Fatalf("%d live traces, cap %d", n, maxTraces)
+			}
+			if n < prev {
+				clears++
+			}
+			prev = n
+		})
+		return clears
+	}
+	type result struct {
+		sig traceSig
+		x   [32]uint64
+	}
+	run := func(traces bool) result {
+		e := newEnv(t)
+		e.c.SetTraces(traces)
+		e.c.SetTraceHotThreshold(1)
+		loadWords(t, e, words)
+		pass(e, 0, 1) // decode every block
+		before := ReadTraceStats()
+		clears := pass(e, 0, 1) // enter every block: one stitch each
+		d := ReadTraceStats().Sub(before)
+		if traces {
+			if clears != 1 || d.Invalidated != maxTraces || d.Stitched != blocks {
+				t.Errorf("stitching pass: %d clears, %d invalidated, %d stitched; want 1, %d, %d",
+					clears, d.Invalidated, d.Stitched, maxTraces, blocks)
+			}
+			if n := e.c.TraceCacheLen(); n != blocks-maxTraces {
+				t.Errorf("%d traces live after the clear, want %d", n, blocks-maxTraces)
+			}
+			checkTraceIndexes(t, e.c)
+		}
+		before = ReadTraceStats()
+		pass(e, maxTraces, 1000) // the tail: its traces survived the clear
+		if d := ReadTraceStats().Sub(before); traces && (d.Entered == 0 || d.InsnsRun == 0) {
+			t.Errorf("surviving traces never replayed: %+v", d)
+		}
+		before = ReadTraceStats()
+		pass(e, 0, 1000) // the head: its traces were cleared
+		if d := ReadTraceStats().Sub(before); traces && d.Stitched < maxTraces {
+			t.Errorf("%d stitches after the clear, want the %d cleared entries to stitch again",
+				d.Stitched, maxTraces)
+		}
+		if traces {
+			checkTraceIndexes(t, e.c)
+		}
+		return result{sig: sig(e), x: e.c.X}
+	}
+	on := run(true)
+	off := run(false)
+	compareSigs(t, on.sig, off.sig)
+	if on.x != off.x {
+		t.Errorf("registers diverged:\n  traces on  %v\n  traces off %v", on.x, off.x)
+	}
+	if want := uint64(3*blocks + blocks - maxTraces); on.sig.x0 != want {
+		t.Errorf("x0 = %d, want %d", on.sig.x0, want)
 	}
 }
 

@@ -106,11 +106,10 @@ func wire(prof *arm64.Profile, pm *mem.PhysMem, stats *mem.Stats, epochs *mem.Co
 		tcache:  newTraceCache(),
 	}
 	c.SetProofAudit(proofAuditDefault.Load())
-	// Trace invalidation chokepoints: any code-epoch bump, block-cache
-	// reset, or cohort eviction drops the traces it could dangle.
+	// Trace invalidation chokepoints: any code-epoch bump or block-cache
+	// reset drops the traces it could dangle.
 	epochs.OnBump = c.onCodeEpochBump
 	c.Decoded.onReset = c.dropAllTraces
-	c.Decoded.onEvict = c.dropTracesForBlock
 	return c
 }
 

@@ -75,9 +75,10 @@ func Injections() []Injection {
 			Apply: func(ctx *InjectCtx) error { ctx.Env.M.CPU.FlushMicroTLBs(); return nil },
 		},
 		{
+			// The name predates the clear-at-cap rule; committed journals pin it.
 			Name: "block-cohort-evict", Expect: ExpectIdentical,
-			Desc:  "evict a cohort of decoded blocks and the resident cursor",
-			Apply: func(ctx *InjectCtx) error { ctx.Env.M.CPU.EvictBlockCohort(); return nil },
+			Desc:  "drop every decoded block (as the cache cap does) and the resident cursor",
+			Apply: func(ctx *InjectCtx) error { ctx.Env.M.CPU.DropDecodedBlocks(); return nil },
 		},
 		{
 			Name: "decode-cache-off", Expect: ExpectIdentical,

@@ -6,7 +6,7 @@
 // re-executes the run under the recorded configuration and proves the
 // output byte-identical. The chaos engine perturbs replays at the
 // architecture's chokepoints (TLB eviction and pressure, spurious guest
-// TLBI, ASID/PAN flips, block-cache cohort eviction, gate/GateTab tamper)
+// TLBI, ASID/PAN flips, a decoded-block cache clear, gate/GateTab tamper)
 // and asserts that every injection either converges back to the recorded
 // baseline or is flagged by a named internal/verify checker — never a
 // silent divergence.

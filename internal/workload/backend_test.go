@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -191,6 +192,70 @@ func TestBackendRegistry(t *testing.T) {
 		if !found {
 			t.Fatalf("CheckersFor(%s) = %v, missing %s", backend, names, slot)
 		}
+	}
+}
+
+// TestGoAPIUsesProcessBackend: the exported LZProc Alloc, Prot and Free are
+// the module API under the process's own backend, so a Go caller leaves
+// exactly the delegation state the backend's own methods leave — granule
+// ownership on a granule process, page keys on an overlay process entered
+// the way the backend benchmark enters it.
+func TestGoAPIUsesProcessBackend(t *testing.T) {
+	page := mem.VA(domainRegionBase)
+	const perm = core.PermRead | core.PermWrite
+	enter := func(t *testing.T, backend string) *core.LZProc {
+		t.Helper()
+		env, err := NewEnvBackend(carmelHost(), backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zone := kernel.VMA{Start: page, End: page + mem.PageSize, Prot: kernel.ProtRead | kernel.ProtWrite, Name: "zone"}
+		p, err := env.K.CreateProcess(backend+"-api", kernel.Program{Extra: []kernel.VMA{zone}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalable, pol := backendEnter(backend)
+		lp, err := env.LZ.EnterProcess(env.K, p, scalable == 1, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lp
+	}
+	for backend, state := range map[string]func(*core.LZProc) any{
+		"granule": func(lp *core.LZProc) any { return lp.GranuleOwners() },
+		"overlay": func(lp *core.LZProc) any { return lp.OverlayPageKeys() },
+	} {
+		t.Run(backend, func(t *testing.T) {
+			viaGo, viaBackend := enter(t, backend), enter(t, backend)
+			b := viaBackend.Backend()
+			goID, err := viaGo.Alloc()
+			if err != nil {
+				t.Fatalf("Go Alloc: %v", err)
+			}
+			bID, err := b.Alloc(viaBackend)
+			if err != nil {
+				t.Fatalf("backend Alloc: %v", err)
+			}
+			if err := viaGo.Prot(page, mem.PageSize, goID, perm); err != nil {
+				t.Fatalf("Go Prot: %v", err)
+			}
+			if err := b.Prot(viaBackend, page, mem.PageSize, bID, perm); err != nil {
+				t.Fatalf("backend Prot: %v", err)
+			}
+			got, want := state(viaGo), state(viaBackend)
+			if goID != bID || !reflect.DeepEqual(got, want) || reflect.ValueOf(want).Len() != 1 {
+				t.Errorf("after Alloc+Prot: Go id %d state %v, backend id %d state %v", goID, got, bID, want)
+			}
+			if err := viaGo.Free(goID); err != nil {
+				t.Fatalf("Go Free: %v", err)
+			}
+			if err := b.Free(viaBackend, bID); err != nil {
+				t.Fatalf("backend Free: %v", err)
+			}
+			if got, want := state(viaGo), state(viaBackend); !reflect.DeepEqual(got, want) {
+				t.Errorf("after Free: Go state %v, backend state %v", got, want)
+			}
+		})
 	}
 }
 

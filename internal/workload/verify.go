@@ -84,36 +84,46 @@ func verifyConfigs(plat Platform) []struct {
 	}
 }
 
-// VerifyProbe runs one chokepoint-monitored domain-switch probe with a
-// trace recorder attached — the machine behind lzinspect -invariants. The
-// returned result carries the final whole-machine report; the recorder holds
-// one KindInvariant event per verifier run.
-func VerifyProbe(plat Platform) (VerifyResult, *trace.Recorder, error) {
-	env, err := NewEnv(plat)
+// verifyCell runs one clean configuration to completion with a trace
+// recorder and the invariant monitor attached, then verifies the whole
+// machine once more. The monitor carries the recorder (its env's LZ.Trace)
+// and the last chokepoint report.
+func verifyCell(name string, cfg DomainSwitchConfig) (VerifyResult, *InvariantMonitor, error) {
+	env, err := NewEnv(cfg.Platform)
 	if err != nil {
-		return VerifyResult{}, nil, err
+		return VerifyResult{}, nil, fmt.Errorf("%s: %w", name, err)
 	}
-	rec := env.EnableTrace(4096)
+	env.EnableTrace(4096)
 	mon := env.EnableInvariants()
-	cfg := DomainSwitchConfig{Platform: plat, Variant: VariantLZTTBR, Domains: 8, Iters: 200, Seed: Table5Seed}
 	if _, _, err := runDomainSwitch(cfg, env); err != nil {
-		return VerifyResult{}, nil, err
+		return VerifyResult{}, nil, fmt.Errorf("%s: %w", name, err)
 	}
 	if mon.Err != nil {
-		return VerifyResult{}, nil, mon.Err
+		return VerifyResult{}, nil, fmt.Errorf("%s: %w", name, mon.Err)
 	}
 	final, err := verify.RunMachine(env.M, env.LZ)
 	if err != nil {
-		return VerifyResult{}, nil, err
+		return VerifyResult{}, nil, fmt.Errorf("%s: final verification: %w", name, err)
 	}
-	res := VerifyResult{
-		Name:          "ttbr-8",
+	return VerifyResult{
+		Name:          name,
 		Machine:       final.Machine,
 		InvariantRuns: mon.Runs,
 		Findings:      mon.Findings + len(final.Findings),
 		Final:         final,
+	}, mon, nil
+}
+
+// VerifyProbe runs the sweep's ttbr-8 cell — the machine behind lzinspect
+// -invariants. The returned result carries the final whole-machine report;
+// the recorder holds one KindInvariant event per verifier run.
+func VerifyProbe(plat Platform) (VerifyResult, *trace.Recorder, error) {
+	c := verifyConfigs(plat)[0]
+	res, mon, err := verifyCell(c.name, c.cfg)
+	if err != nil {
+		return VerifyResult{}, nil, err
 	}
-	return res, rec, nil
+	return res, mon.env.LZ.Trace, nil
 }
 
 // VerifySweep runs every clean configuration with chokepoint verification
@@ -125,34 +135,15 @@ func (f *Fleet) VerifySweep(plat Platform) ([]VerifyResult, error) {
 	out := make([]VerifyResult, len(cfgs))
 	err := f.Run(len(cfgs), func(i int) error {
 		c := cfgs[i]
-		env, err := NewEnv(c.cfg.Platform)
+		res, mon, err := verifyCell(c.name, c.cfg)
 		if err != nil {
-			return fmt.Errorf("%s: %w", c.name, err)
-		}
-		env.EnableTrace(256)
-		mon := env.EnableInvariants()
-		if _, _, err := runDomainSwitch(c.cfg, env); err != nil {
-			return fmt.Errorf("%s: %w", c.name, err)
-		}
-		if mon.Err != nil {
-			return fmt.Errorf("%s: %w", c.name, mon.Err)
-		}
-		final, err := verify.RunMachine(env.M, env.LZ)
-		if err != nil {
-			return fmt.Errorf("%s: final verification: %w", c.name, err)
-		}
-		res := VerifyResult{
-			Name:          c.name,
-			Machine:       final.Machine,
-			InvariantRuns: mon.Runs,
-			Findings:      mon.Findings + len(final.Findings),
-			Final:         final,
+			return err
 		}
 		if mon.Runs == 0 {
 			return fmt.Errorf("%s: invariant monitor never fired", c.name)
 		}
 		if res.Findings > 0 {
-			for _, fd := range append(mon.Last.Findings, final.Findings...) {
+			for _, fd := range append(mon.Last.Findings, res.Final.Findings...) {
 				return findingsf("%s: clean machine reported finding: %s", c.name, fd)
 			}
 		}
