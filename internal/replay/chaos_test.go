@@ -75,7 +75,8 @@ func TestChaosGateCodeTamperFlagged(t *testing.T) {
 
 // TestChaosSweepDeterministicAcrossWidths requires a sweep's results to be
 // byte-identical at any fleet width — chaos rows are fleet cells like any
-// other measurement.
+// other measurement — and equal to each case run alone, so sharing one
+// verifier memo across the sweep changes no verdict.
 func TestChaosSweepDeterministicAcrossWidths(t *testing.T) {
 	const n, seed = 6, 11
 	seq, err := ChaosSweep(workload.NewFleet(1), n, seed)
@@ -93,5 +94,37 @@ func TestChaosSweepDeterministicAcrossWidths(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("sweep diverged across fleet widths\nseq: %+v\npar: %+v", seq, par)
+	}
+	for i, plan := range DerivePlans(n, seed) {
+		if alone := RunChaosCase(plan); !reflect.DeepEqual(seq[i], alone) || !reflect.DeepEqual(par[i], alone) {
+			t.Errorf("case %d differs from the case run alone\nseq:   %+v\npar:   %+v\nalone: %+v", i, seq[i], par[i], alone)
+		}
+	}
+}
+
+// TestChaosRunnerSharesVerifierMemo runs bench seed 1's 64 plans on one
+// runner at width 1. The runner's memo must serve every repeated
+// executable state of the sweep: a memo per case misses 172 times on these
+// plans, the shared memo 16 times (8 distinct states, two memoized
+// checkers each). A case run again on the same runner misses nothing.
+func TestChaosRunnerSharesVerifierMemo(t *testing.T) {
+	plans := DerivePlans(64, 1+64<<10)
+	var r chaosRunner
+	for _, plan := range plans {
+		if res := r.RunCase(plan); !res.Pass {
+			t.Fatalf("case %d failed: %+v", plan.Case, res)
+		}
+	}
+	const wantHits, wantMisses = 290, 16
+	hits, misses, clears := r.memo.Stats()
+	if hits != wantHits || misses != wantMisses || clears != 0 {
+		t.Errorf("memo Stats() = %d hits, %d misses, %d clears; want %d, %d, 0",
+			hits, misses, clears, wantHits, wantMisses)
+	}
+	if res := r.RunCase(plans[0]); !res.Pass {
+		t.Fatalf("case 0 rerun failed: %+v", res)
+	}
+	if _, again, _ := r.memo.Stats(); again != misses {
+		t.Errorf("rerunning case 0 added %d misses, want 0", again-misses)
 	}
 }

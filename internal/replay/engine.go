@@ -27,11 +27,15 @@ type ChaosResult struct {
 	Failure string `json:"failure,omitempty"`
 }
 
-// chaosRunner caches per-(scenario, slice) baselines across a sweep. The
-// baseline is deterministic, so concurrent cells computing it redundantly
-// agree; the cache only saves work.
+// chaosRunner owns what a sweep's cases share: the per-(scenario, slice)
+// baselines and one verifier memo. Both are deterministic, so concurrent
+// cells computing an entry redundantly agree; sharing only saves work. The
+// memo serves every injection site and final verification of the sweep,
+// so each executable state is verified once. The zero chaosRunner is ready
+// to use.
 type chaosRunner struct {
 	baselines sync.Map // "scenario/sliceTraps" -> *chaosBaseline
+	memo      verify.Memo
 	// prepare builds the scenario machine. Nil means the default: fork a
 	// copy-on-write child of the scenario's zygote, so every injection
 	// case costs O(dirty pages) instead of a full boot. The fork-identity
@@ -119,6 +123,7 @@ func (r *chaosRunner) baseline(scn Scenario, slice int64) (Digest, int, error) {
 
 // RunCase executes one chaos plan: baseline, perturbed run with the verify
 // registry at every injection site, and the expectation-class comparison.
+// Every verification goes through the runner's memo.
 func (r *chaosRunner) RunCase(plan Plan) ChaosResult {
 	res := ChaosResult{Case: plan.Case, Scenario: plan.Scenario, Injection: plan.Injection}
 	fail := func(format string, args ...any) ChaosResult {
@@ -149,7 +154,6 @@ func (r *chaosRunner) RunCase(plan Plan) ChaosResult {
 		return fail("prepare: %v", err)
 	}
 	ctx := &InjectCtx{Env: env, Proc: p, Plan: plan}
-	memo := verify.NewMemo()
 	flagDetail := ""
 	hook := func(boundary int) error {
 		if boundary < injAt || res.Applied >= plan.Repeat {
@@ -162,7 +166,7 @@ func (r *chaosRunner) RunCase(plan Plan) ChaosResult {
 			return fmt.Errorf("apply %s: %w", inj.Name, err)
 		}
 		res.Applied++
-		rep, err := verify.RunMachineMemo(env.M, env.LZ, memo)
+		rep, err := verify.RunMachineMemo(env.M, env.LZ, &r.memo)
 		if err != nil {
 			return fmt.Errorf("verify at injection site: %w", err)
 		}
@@ -212,7 +216,7 @@ func (r *chaosRunner) RunCase(plan Plan) ChaosResult {
 	res.Delta = base.Delta(pert)
 
 	// A completed non-tamper run must still verify clean end-to-end.
-	rep, err := verify.RunMachineMemo(env.M, env.LZ, memo)
+	rep, err := verify.RunMachineMemo(env.M, env.LZ, &r.memo)
 	if err != nil {
 		return fail("final verify: %v", err)
 	}
@@ -253,14 +257,16 @@ func (r *chaosRunner) RunCase(plan Plan) ChaosResult {
 	return fail("unhandled expectation %q", inj.Expect)
 }
 
-// RunChaosCase executes one chaos plan standalone.
+// RunChaosCase executes one chaos plan standalone, on a fresh runner and
+// memo.
 func RunChaosCase(plan Plan) ChaosResult {
 	var r chaosRunner
 	return r.RunCase(plan)
 }
 
-// ChaosSweep derives n plans from seed and runs them as fleet cells.
-// Results are index-ordered regardless of fleet width. The returned error
+// ChaosSweep derives n plans from seed and runs them as fleet cells on one
+// runner, so the cases share baselines and one verifier memo. Results are
+// index-ordered regardless of fleet width. The returned error
 // covers only engine breakage; expectation misses are reported per-result
 // so a sweep surfaces every silent divergence, not just the first.
 func ChaosSweep(f *workload.Fleet, n int, seed int64) ([]ChaosResult, error) {

@@ -145,8 +145,8 @@ func RunMachine(m *hyp.Machine, lz *core.LightZone) (Report, error) {
 	return RunMachineMemo(m, lz, nil)
 }
 
-// RunMachineMemo is RunMachine with a checker memo for repeated
-// verifications of the same machine (the chokepoint observer).
+// RunMachineMemo is RunMachine with a checker memo shared by repeated
+// verifications (a chaos sweep, the chokepoint observer).
 func RunMachineMemo(m *hyp.Machine, lz *core.LightZone, mo *Memo) (Report, error) {
 	s, err := Capture(m, lz)
 	if err != nil {

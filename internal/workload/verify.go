@@ -25,9 +25,9 @@ type InvariantMonitor struct {
 	// security finding).
 	Err error
 
-	// memo caches the content-keyed checkers (sanitizer sweep, CFG) across
-	// chokepoints whose executable content did not change; memoised reports
-	// are byte-identical to fresh ones.
+	// memo caches the content-keyed checkers (sanitizer sweep, CFG) for
+	// every executable state the machine has been verified in; memoised
+	// reports are byte-identical to fresh ones.
 	memo *verify.Memo
 }
 
@@ -38,7 +38,7 @@ type InvariantMonitor struct {
 // are byte-identical with the monitor attached — and each run is recorded
 // on the module's trace as a KindInvariant event.
 func (e *Env) EnableInvariants() *InvariantMonitor {
-	mon := &InvariantMonitor{env: e, memo: verify.NewMemo()}
+	mon := &InvariantMonitor{env: e, memo: new(verify.Memo)}
 	e.LZ.Observer = func(event string, lp *core.LZProc) {
 		rep, err := verify.RunMachineMemo(e.M, e.LZ, mon.memo)
 		if err != nil {
