@@ -104,3 +104,51 @@ func TestMunmapRemapExecutesNewCode(t *testing.T) {
 		t.Error("no code invalidations recorded across munmap/remap")
 	}
 }
+
+// TestGetrandomIntoSanitizedTextFaults is the LightZone side of the
+// kernel's user-copy rule: a SanTTBR process calls a sanitized function
+// twice, asks getrandom to overwrite its first word, and calls it again.
+// The kernel must refuse with EFAULT rather than write a word the
+// sanitizer never saw behind W⊕X and the code caches, so the process runs
+// identically, with no violation, with the decode cache on and off.
+func TestGetrandomIntoSanitizedTextFaults(t *testing.T) {
+	a := arm64.NewAsm()
+	a.B("main")
+	a.Label("fn") // TextBase + 4
+	a.Emit(arm64.ADDImm(20, 20, 1, false))
+	a.Emit(arm64.RET(30))
+	a.Label("main")
+	svcCall(a, SysLZEnter, 1, uint64(SanTTBR))
+	a.BL("fn")
+	a.BL("fn")
+	hvcCall(a, kernel.SysGetrandom, uint64(kernel.TextBase)+4, 4)
+	a.Emit(arm64.MOVReg(19, 0))
+	a.BL("fn")
+	hvcCall(a, kernel.SysExit, 0)
+	type result struct {
+		x      [32]uint64
+		cycles int64
+	}
+	run := func(cache bool) result {
+		r := newRig(t)
+		r.m.CPU.SetDecodeCache(cache)
+		p := r.run(t, a, nil)
+		if p.Killed {
+			t.Fatalf("decode cache %v: killed: %s", cache, p.KillMsg)
+		}
+		if lp, ok := r.lz.ProcState(p); !ok || lp.Violations != 0 {
+			t.Errorf("decode cache %v: LightZone state %v, violations %d", cache, ok, lp.Violations)
+		}
+		return result{x: r.m.CPU.X, cycles: r.m.CPU.Cycles}
+	}
+	on, off := run(true), run(false)
+	if efault := uint64(1<<64 - kernel.EFAULT); on.x[19] != efault {
+		t.Errorf("getrandom into sanitized text returned %#x, want -EFAULT", on.x[19])
+	}
+	if on.x[20] != 3 {
+		t.Errorf("x20 = %d after three calls, want 3", on.x[20])
+	}
+	if on != off {
+		t.Errorf("decode cache on and off diverged:\n  on  %+v\n  off %+v", on, off)
+	}
+}

@@ -162,8 +162,8 @@ func TestForkEpochBumpOnlyCodePages(t *testing.T) {
 
 // TestForkChildTraceInvalidation mirrors the PR 9 trace-staleness tests
 // across the fork boundary: parent and child both stitch traces over the
-// same hot loop; the child's code rewrite drops the CHILD's traces while
-// the parent's stay live.
+// same hot loop; the child's code rewrite makes the CHILD's traces stale
+// while the parent's stay live.
 func TestForkChildTraceInvalidation(t *testing.T) {
 	// One program, two paths picked by x10 so no code reload is needed:
 	// x10=0 runs the stitchable chain (loops never stitch), x10=1 stores
@@ -214,15 +214,28 @@ func TestForkChildTraceInvalidation(t *testing.T) {
 	}
 
 	// Child takes the patch path: the store lands on the traced page, so
-	// the CHILD's traces drop eagerly via the epoch hook; the parent's
-	// stay live and keep replaying.
+	// every CHILD trace goes stale (its guard would refuse it); the
+	// parent's epochs are its own, so its traces stay live and keep
+	// replaying.
 	f.c.X[10] = 1
 	f.rerun(t, 1000)
-	if got := f.c.TraceCacheLen(); got != 0 {
-		t.Errorf("child keeps %d traces after rewriting its code page", got)
+	child := f.c.TraceSnapshot()
+	if len(child) == 0 {
+		t.Error("child's stale traces left the cache before any entry guard refused them")
 	}
-	if e.c.TraceCacheLen() == 0 {
+	for _, ti := range child {
+		if ti.EpochOK {
+			t.Errorf("child trace at %#x still live after rewriting its code page", ti.EntryPC)
+		}
+	}
+	parent := e.c.TraceSnapshot()
+	if len(parent) == 0 {
 		t.Error("parent's traces were dropped by a child-side rewrite")
+	}
+	for _, ti := range parent {
+		if !ti.EpochOK {
+			t.Errorf("parent trace at %#x went stale after a child-side rewrite", ti.EntryPC)
+		}
 	}
 	e.rerun(t, 1000)
 	if e.c.R(0) != 15 {

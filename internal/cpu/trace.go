@@ -37,13 +37,13 @@
 // MRS reads and MSR PAN toggles of the lz_switch_* sequences — run fused
 // handlers that skip generic dispatch when no audit oracle is attached.
 //
-// A trace dies eagerly when any member page's code epoch bumps (the
-// CodeEpochs.OnBump hook), when the block cache is cleared (its onReset
-// hook), when a stitch finds the trace cache at maxTraces (the whole cache
-// is cleared), or lazily at the entry guard when a sibling-page region bump
-// moved a Snapshot without firing the page hook. Single drops go through
-// dropTrace, which prunes the page index, so the index only ever describes
-// live traces.
+// A stale trace dies in one place: the entry guard, whose per-page Snapshot
+// comparison refuses it and drops it, just as BlockCache.enter refuses and
+// drops a stale block. Until execution next reaches its key, a stale trace
+// stays cached; the guard refuses it whatever bump moved its pages (a page
+// store, a sibling page's region bump, a wholesale TLBI). Two wholesale
+// clears remain: a block-cache reset (interned context ids die with it, so
+// every trace key does too) and the stitch that finds maxTraces cached.
 package cpu
 
 import (
@@ -141,16 +141,13 @@ type trace struct {
 
 // traceCache is the per-vCPU trace state: the stitched traces (at most
 // maxTraces; the stitch that would exceed it clears them all first), the
-// page index for eager invalidation, the stitcher's scratch, and host-side
-// counters (flushed to the package aggregates by flushTraceStats).
-//
-// The page index is bounded by the live traces: pageDeps lists exactly the
-// live traces with a member on each page (dropTrace prunes it).
+// stitcher's scratch, and host-side counters (flushed to the package
+// aggregates by flushTraceStats). It keeps no side index: a trace is found
+// only by its key, and a stale one is dropped only when its guard runs.
 type traceCache struct {
 	enabled   bool
 	threshold uint32
 	traces    map[blockKey]*trace
-	pageDeps  map[uint64][]*trace
 
 	// walk is the stitch walk's scratch, reused by every walk so that a
 	// failed walk allocates nothing; a successful one copies it out.
@@ -212,7 +209,9 @@ func (c *VCPU) SetTraceHotThreshold(n int) {
 	c.tcache.threshold = uint32(n)
 }
 
-// TraceCacheLen returns the number of live stitched traces.
+// TraceCacheLen returns the number of cached stitched traces, counting stale
+// ones the entry guard has not refused yet (TraceSnapshot's EpochOK tells
+// them apart).
 func (c *VCPU) TraceCacheLen() int { return len(c.tcache.traces) }
 
 // TraceStats aggregates host-side trace-compiler counters across all vCPUs
@@ -224,7 +223,7 @@ type TraceStats struct {
 	Entered      uint64 // guarded trace entries taken
 	Completed    uint64 // traces that ran to their final instruction
 	SideExits    uint64 // traces abandoned mid-run (misprediction, gen move, exception)
-	Invalidated  uint64 // traces dropped (epoch bump, cache clear, guard)
+	Invalidated  uint64 // traces dropped: refused stale by the entry guard, or cleared wholesale
 	InsnsRun     uint64 // instructions retired inside traces
 }
 
@@ -339,7 +338,8 @@ func (c *VCPU) noteBlockHot(b *dblock, key blockKey, pc uint64) {
 // superblock. The walk never touches emulated state or stats: successors
 // are probed directly in the block map (not via enter, which mutates
 // CodeStale), and context interning cannot reset mid-walk because the
-// same-half constraint keeps every keyFor on the one-entry context cache.
+// same-half constraint keeps every keyFor on the context the entry block's
+// own lookup just placed in the interning memo.
 //
 // A stitch costs this one walk over the per-cache scratch (at most
 // maxTraceBlocks members and maxTracePages pages, so membership tests are
@@ -463,12 +463,8 @@ walk:
 	}
 	if tc.traces == nil {
 		tc.traces = make(map[blockKey]*trace)
-		tc.pageDeps = make(map[uint64][]*trace)
 	}
 	tc.traces[key] = t
-	for _, pg := range t.pages {
-		tc.pageDeps[pg.page] = append(tc.pageDeps[pg.page], t)
-	}
 	tc.stitched++
 }
 
@@ -563,12 +559,13 @@ func (c *VCPU) pickTrace(remaining int64) *trace {
 	// keyFor proves the executing context (VMID, ASID, SCTLR.M, TTBR half)
 	// equals the stitch-time context; it may intern a new context and reset
 	// the block cache — which drops all traces — so the lookup runs after.
+	// The guard runs before the budget test, so every arrival at a stale
+	// trace's key retires it; otherwise a short Run slice could leave it
+	// cached while its rebuilt entry block turns hot, and the stitch of
+	// that block would find the key taken.
 	key := c.Decoded.keyFor(c, c.PC)
 	t := tc.traces[key]
-	if t == nil || int64(t.insns) > remaining {
-		return nil
-	}
-	if !c.traceGuard(t) {
+	if t == nil || !c.traceGuard(t) || int64(t.insns) > remaining {
 		return nil
 	}
 	return t
@@ -762,49 +759,19 @@ func (c *VCPU) runTrace(t *trace) (int64, *Exit, error) {
 	return done, nil, nil
 }
 
-// dropTrace removes one trace, prunes it from the page index, and unpins
-// its entry block's hot counter so the block can re-trigger stitching after
-// the world settles.
+// dropTrace removes a trace the entry guard found stale and unpins its entry
+// block's hot counter so the block can re-trigger stitching after the world
+// settles.
 func (c *VCPU) dropTrace(t *trace) {
 	tc := &c.tcache
-	if tc.traces[t.key] != t {
-		return
-	}
 	delete(tc.traces, t.key)
-	for _, pg := range t.pages {
-		deps := tc.pageDeps[pg.page]
-		for i := range deps {
-			if deps[i] == t {
-				last := len(deps) - 1
-				deps[i], deps[last] = deps[last], nil
-				deps = deps[:last]
-				break
-			}
-		}
-		if len(deps) == 0 {
-			delete(tc.pageDeps, pg.page)
-		} else {
-			tc.pageDeps[pg.page] = deps
-		}
-	}
 	t.members[0].blk.hot = 0
-	t.gValid = false
 	tc.invalidated++
 }
 
-// dropTracesForPage drops every trace with a member block on the page.
-func (c *VCPU) dropTracesForPage(page uint64) {
-	tc := &c.tcache
-	deps := tc.pageDeps[page]
-	delete(tc.pageDeps, page)
-	for _, t := range deps {
-		c.dropTrace(t)
-	}
-}
-
-// dropAllTraces empties the trace cache (wholesale epoch bump, the trace cap,
-// block-cache reset — interned context ids dangle after a reset, so every
-// key does too).
+// dropAllTraces empties the trace cache (SetTraces, SetTraceHotThreshold,
+// the trace cap, block-cache reset — interned context ids dangle after a
+// reset, so every key does too).
 func (c *VCPU) dropAllTraces() {
 	tc := &c.tcache
 	if len(tc.traces) == 0 {
@@ -815,26 +782,11 @@ func (c *VCPU) dropAllTraces() {
 		tc.invalidated++
 	}
 	clear(tc.traces)
-	clear(tc.pageDeps)
-}
-
-// onCodeEpochBump is the CodeEpochs.OnBump hook: eager trace invalidation
-// on the page (or wholesale) granularity. Region-granular side effects on
-// sibling pages are caught lazily by the guard's Snapshot check.
-func (c *VCPU) onCodeEpochBump(va mem.VA, wholesale bool) {
-	if len(c.tcache.traces) == 0 {
-		return
-	}
-	if wholesale {
-		c.dropAllTraces()
-		return
-	}
-	c.dropTracesForPage(uint64(va) >> mem.PageShift)
 }
 
 // TraceInfo describes one stitched trace for verifiers and tests:
-// its keying context, shape, member identity, and whether its guard state
-// still holds. Observation-only.
+// its keying context, shape, and whether the entry guard would still admit
+// it. Observation-only.
 type TraceInfo struct {
 	EntryPC uint64
 	VMID    uint16
@@ -844,10 +796,9 @@ type TraceInfo struct {
 	Insns   int
 	Pages   int
 	// EpochOK: every member page's code epoch still matches the stitch-time
-	// snapshot. DepsOK: every member block is still the cached block under
-	// its key. A live (replayable) trace has both.
+	// snapshot. A trace is live (replayable) exactly when EpochOK holds; a
+	// stale one stays cached until its guard refuses it.
 	EpochOK bool
-	DepsOK  bool
 	PCs     []uint64 // predicted PC of every instruction, trace order
 	Raw     []uint32 // raw words, trace order
 }
@@ -869,18 +820,12 @@ func (c *VCPU) TraceSnapshot() []TraceInfo {
 			Insns:   t.insns,
 			Pages:   len(t.pages),
 			EpochOK: true,
-			DepsOK:  true,
 			PCs:     make([]uint64, 0, len(t.steps)),
 			Raw:     make([]uint32, 0, len(t.steps)),
 		}
 		for i := range t.pages {
 			if c.TLB.Code.Snapshot(t.pages[i].page) != t.pages[i].snap {
 				info.EpochOK = false
-			}
-		}
-		for _, m := range t.members {
-			if d.blocks[m.key] != m.blk {
-				info.DepsOK = false
 			}
 		}
 		for i := range t.steps {

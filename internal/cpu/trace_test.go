@@ -96,7 +96,7 @@ func TestTraceStitchReplayIdentity(t *testing.T) {
 }
 
 // TestTraceSnapshotShape checks the observation surface on a live trace:
-// member shape, epoch/dependency validity, and the per-step PC/raw lists.
+// member shape, epoch validity, and the per-step PC/raw lists.
 func TestTraceSnapshotShape(t *testing.T) {
 	e := newEnv(t)
 	e.c.SetTraceHotThreshold(2)
@@ -122,7 +122,7 @@ func TestTraceSnapshotShape(t *testing.T) {
 	if entry.Blocks != 5 || entry.Insns != 10 || entry.Pages != 1 {
 		t.Errorf("trace shape = %d blocks / %d insns / %d pages, want 5/10/1", entry.Blocks, entry.Insns, entry.Pages)
 	}
-	if !entry.EpochOK || !entry.DepsOK {
+	if !entry.EpochOK {
 		t.Errorf("fresh trace not live: %+v", entry)
 	}
 	if len(entry.PCs) != entry.Insns || len(entry.Raw) != entry.Insns {
@@ -171,9 +171,9 @@ func smcProgram() *arm64.Asm {
 
 // TestTraceSMCInsideStitchedTrace executes a store that rewrites an earlier
 // instruction of the *currently running* trace: the post-dispatch generation
-// check must side-exit, the epoch hook must drop the trace, the rewritten
-// code must run on the next pass, and a warm re-stitch must follow — all
-// bit-identical to the untraced pipeline.
+// check must side-exit, the entry guard must refuse and drop the stale trace
+// on the next pass, the rewritten code must run on that pass, and a warm
+// re-stitch must follow — all bit-identical to the untraced pipeline.
 func TestTraceSMCInsideStitchedTrace(t *testing.T) {
 	const runs = 9
 	run := func(traces bool) traceSig {
@@ -213,10 +213,11 @@ func TestTraceSMCInsideStitchedTrace(t *testing.T) {
 // TestTraceGuestTLBIMidTraceLifetime stitches the chain, then has the guest
 // execute a TLBI from a separate entry point while the trace is live: the
 // wholesale invalidation bumps every code-page generation the entry guard
-// froze, dropping the trace cache mid-lifetime. (A TLBI cannot live *inside*
-// a trace — it is in the never-stitch-across terminator class, and a block
-// that invalidates everything each pass never gets hot in the first place.)
-// The chain must re-decode, re-stitch and replay bit-identically afterwards.
+// froze, so the next pass's guard refuses and drops the stale trace. (A TLBI
+// cannot live *inside* a trace — it is in the never-stitch-across terminator
+// class, and a block that invalidates everything each pass never gets hot in
+// the first place.) The chain must re-decode, re-stitch and replay
+// bit-identically afterwards.
 func TestTraceGuestTLBIMidTraceLifetime(t *testing.T) {
 	prog := chainProgram()
 	prog.Label("tlbi")
@@ -321,9 +322,9 @@ func TestTraceASIDSwitchKeysSeparately(t *testing.T) {
 }
 
 // TestTraceCrossPageSecondPageInvalidation stitches a trace spanning two
-// code pages and invalidates only the second: the page dependency index must
-// drop the trace even though its entry page is untouched, and the rerun must
-// re-stitch bit-identically.
+// code pages and invalidates only the second: the trace must report stale
+// even though its entry page is untouched, its guard must drop it, and the
+// rerun must re-stitch bit-identically.
 func TestTraceCrossPageSecondPageInvalidation(t *testing.T) {
 	load2 := func(e *env) {
 		// Page 0: add 1, branch to the start of page 1 (B covers the gap).
@@ -358,23 +359,22 @@ func TestTraceCrossPageSecondPageInvalidation(t *testing.T) {
 		e.run(t, 1000)
 		e.rerun(t, 1000)
 		e.rerun(t, 1000) // stitch pass
-		if traces {
-			found := false
+		// twoPage reports whether the two-page entry trace is cached and
+		// whether the entry guard would still admit it.
+		twoPage := func() (cached, live bool) {
 			for _, ti := range e.c.TraceSnapshot() {
 				if ti.EntryPC == uint64(codeVA) && ti.Pages == 2 {
-					found = true
+					return true, ti.EpochOK
 				}
 			}
-			if !found {
-				t.Fatalf("no two-page trace stitched: %+v", e.c.TraceSnapshot())
-			}
-			live := e.c.TraceCacheLen()
-			e.c.InvalidateCode(codeVA + mem.VA(mem.PageSize))
-			if got := e.c.TraceCacheLen(); got >= live {
-				t.Errorf("second-page invalidation left %d of %d traces live", got, live)
-			}
-		} else {
-			e.c.InvalidateCode(codeVA + mem.VA(mem.PageSize))
+			return false, false
+		}
+		if cached, live := twoPage(); traces && (!cached || !live) {
+			t.Fatalf("no live two-page trace stitched: %+v", e.c.TraceSnapshot())
+		}
+		e.c.InvalidateCode(codeVA + mem.VA(mem.PageSize))
+		if cached, live := twoPage(); traces && (!cached || live) {
+			t.Errorf("second-page invalidation: two-page trace cached=%v live=%v, want a cached stale trace", cached, live)
 		}
 		// Re-decode the bumped page, re-stitch, and replay the fresh trace.
 		for i := 0; i < 3; i++ {
@@ -525,41 +525,11 @@ func TestTraceToggleAndDefaults(t *testing.T) {
 	}
 }
 
-// checkTraceIndexes requires the trace cache's page index to describe the
-// live traces and nothing else: each live trace listed exactly once under
-// each of its pages, and no page entry for a dropped trace.
-func checkTraceIndexes(t *testing.T, c *VCPU) {
-	t.Helper()
-	tc := &c.tcache
-	livePages := 0
-	for key, tr := range tc.traces {
-		for _, pg := range tr.pages {
-			n := 0
-			for _, dep := range tc.pageDeps[pg.page] {
-				if dep == tr {
-					n++
-				}
-			}
-			if n != 1 {
-				t.Errorf("trace %#x listed %d times under page %#x, want 1", key, n, pg.page)
-			}
-		}
-		livePages += len(tr.pages)
-	}
-	indexed := 0
-	for _, deps := range tc.pageDeps {
-		indexed += len(deps)
-	}
-	if indexed != livePages {
-		t.Errorf("page index holds %d entries, live traces span %d pages", indexed, livePages)
-	}
-}
-
-// TestTraceIndexesBoundedUnderChurn drives 2,000 cycles of stitch → code
+// TestTraceCacheBoundedUnderChurn drives 2,000 cycles of stitch → code
 // invalidation on the chain program, several times past twice the trace
-// cap: the page index must track only the live traces, so after the last
-// invalidation nothing is left behind.
-func TestTraceIndexesBoundedUnderChurn(t *testing.T) {
+// cap: each rerun after an invalidation reaches every stale trace's key, so
+// its guard drops every trace exactly once and nothing is left behind.
+func TestTraceCacheBoundedUnderChurn(t *testing.T) {
 	e := newEnv(t)
 	e.c.SetTraceHotThreshold(1)
 	e.load(t, chainProgram())
@@ -580,11 +550,10 @@ func TestTraceIndexesBoundedUnderChurn(t *testing.T) {
 		t.Fatalf("stitched %d traces, want the churn past twice the trace cap %d", d.Stitched, 2*maxTraces)
 	}
 	if e.c.TraceCacheLen() != 0 {
-		t.Errorf("%d traces live after the final invalidation, want 0", e.c.TraceCacheLen())
+		t.Errorf("%d traces cached after the final invalidation and rerun, want 0", e.c.TraceCacheLen())
 	}
-	checkTraceIndexes(t, e.c)
-	if n := len(e.c.tcache.pageDeps); n != 0 {
-		t.Errorf("page index keeps %d pages with no live trace", n)
+	if d.Invalidated != d.Stitched {
+		t.Errorf("%d traces dropped of %d stitched, want each dropped exactly once", d.Invalidated, d.Stitched)
 	}
 	if e.c.R(0) != 15 {
 		t.Errorf("x0 = %d, want 15", e.c.R(0))
@@ -646,7 +615,6 @@ func TestTraceCacheClearsAtCap(t *testing.T) {
 			if n := e.c.TraceCacheLen(); n != blocks-maxTraces {
 				t.Errorf("%d traces live after the clear, want %d", n, blocks-maxTraces)
 			}
-			checkTraceIndexes(t, e.c)
 		}
 		before = ReadTraceStats()
 		pass(e, maxTraces, 1000) // the tail: its traces survived the clear
@@ -658,9 +626,6 @@ func TestTraceCacheClearsAtCap(t *testing.T) {
 		if d := ReadTraceStats().Sub(before); traces && d.Stitched < maxTraces {
 			t.Errorf("%d stitches after the clear, want the %d cleared entries to stitch again",
 				d.Stitched, maxTraces)
-		}
-		if traces {
-			checkTraceIndexes(t, e.c)
 		}
 		return result{sig: sig(e), x: e.c.X}
 	}
@@ -675,34 +640,100 @@ func TestTraceCacheClearsAtCap(t *testing.T) {
 	}
 }
 
-// TestTraceGuardDropPrunesIndexes invalidates a sibling page in the chain's
-// 2MB region: the region epoch moves the chain page's snapshot without
-// firing its page hook, so the trace dies lazily at its entry guard — and
-// that drop must prune the page index like the eager paths do.
-func TestTraceGuardDropPrunesIndexes(t *testing.T) {
-	e := newEnv(t)
-	e.c.SetTraceHotThreshold(2)
-	e.load(t, chainProgram())
-	e.run(t, 1000)
-	e.rerun(t, 1000)
-	e.rerun(t, 1000) // stitch pass
-	if e.c.TraceCacheLen() == 0 {
-		t.Fatal("no trace stitched")
+// TestTraceGuardDropsStaleTrace bumps the chain's code epochs three ways —
+// its own page, a sibling page in its 2MB region, and a wholesale TLB
+// invalidation — and checks the one staleness rule for each: the bump only
+// makes the cached traces stale, the next rerun's entry guards drop each of
+// them exactly once, and the emulated result matches the untraced run.
+func TestTraceGuardDropsStaleTrace(t *testing.T) {
+	for _, bump := range []struct {
+		name string
+		fn   func(e *env)
+	}{
+		{"same-page", func(e *env) { e.c.InvalidateCode(codeVA) }},
+		{"sibling-page", func(e *env) { e.c.InvalidateCode(codeVA + mem.VA(mem.PageSize)) }},
+		{"wholesale", func(e *env) { e.c.TLB.InvalidateAll() }},
+	} {
+		run := func(traces bool) traceSig {
+			e := newEnv(t)
+			e.c.SetTraces(traces)
+			e.c.SetTraceHotThreshold(2)
+			e.load(t, chainProgram())
+			e.run(t, 1000)
+			e.rerun(t, 1000)
+			e.rerun(t, 1000) // stitch pass
+			cached := e.c.TraceCacheLen()
+			if traces && cached == 0 {
+				t.Fatalf("%s: no trace stitched", bump.name)
+			}
+			bump.fn(e)
+			if traces {
+				snap := e.c.TraceSnapshot()
+				if len(snap) != cached {
+					t.Errorf("%s: %d of %d traces cached right after the bump, want all", bump.name, len(snap), cached)
+				}
+				for _, ti := range snap {
+					if ti.EpochOK {
+						t.Errorf("%s: trace at %#x still reports live after the bump", bump.name, ti.EntryPC)
+					}
+				}
+			}
+			for i := 0; i < 2; i++ {
+				before := ReadTraceStats()
+				e.rerun(t, 1000)
+				d := ReadTraceStats().Sub(before)
+				want := uint64(0)
+				if i == 0 {
+					want = uint64(cached) // the first rerun retires every stale trace once
+				}
+				if traces && d.Invalidated != want {
+					t.Errorf("%s: rerun %d dropped %d traces, want %d", bump.name, i+1, d.Invalidated, want)
+				}
+			}
+			return sig(e)
+		}
+		on, off := run(true), run(false)
+		compareSigs(t, on, off)
+		if on.x0 != 15 {
+			t.Errorf("%s: x0 = %d, want 15", bump.name, on.x0)
+		}
 	}
-	e.c.flushTraceStats()
-	before := ReadTraceStats()
-	e.c.InvalidateCode(codeVA + mem.VA(mem.PageSize))
-	if e.c.TraceCacheLen() == 0 {
-		t.Fatal("sibling-page bump dropped the trace eagerly; the guard path went untested")
+}
+
+// TestTraceGuardRunsBeforeBudget makes the chain's traces stale and then
+// reaches their keys only in one-instruction Run slices, too short for any
+// trace to run. The guard must still retire each stale trace on arrival,
+// so the rebuilt entry block stitches a fresh live trace when it turns hot
+// instead of finding its key taken, and the run stays bit-identical to the
+// untraced pipeline.
+func TestTraceGuardRunsBeforeBudget(t *testing.T) {
+	run := func(traces bool) traceSig {
+		e := newEnv(t)
+		e.c.SetTraces(traces)
+		e.c.SetTraceHotThreshold(2)
+		e.load(t, chainProgram())
+		e.run(t, 1000)
+		e.rerun(t, 1000)
+		e.rerun(t, 1000) // stitch pass
+		e.c.InvalidateCode(codeVA)
+		for i := 0; i < 3; i++ { // re-decode, hot, stitch
+			runSliced(t, e, uint64(codeVA), 1, 100, func() {})
+		}
+		if traces {
+			live := false
+			for _, ti := range e.c.TraceSnapshot() {
+				live = live || ti.EntryPC == uint64(codeVA) && ti.EpochOK
+			}
+			if !live {
+				t.Errorf("no live entry trace after the sliced passes: %+v", e.c.TraceSnapshot())
+			}
+		}
+		return sig(e)
 	}
-	e.rerun(t, 1000)
-	e.c.flushTraceStats()
-	if d := ReadTraceStats().Sub(before); d.Invalidated == 0 {
-		t.Fatal("entry guard did not drop the stale trace")
-	}
-	checkTraceIndexes(t, e.c)
-	if e.c.R(0) != 15 {
-		t.Errorf("x0 = %d, want 15", e.c.R(0))
+	on, off := run(true), run(false)
+	compareSigs(t, on, off)
+	if on.x0 != 15 {
+		t.Errorf("x0 = %d, want 15", on.x0)
 	}
 }
 
@@ -764,9 +795,9 @@ func uncacheSuccessor(e *env, b *dblock, pc uint64) {
 	delete(e.c.Decoded.blocks, e.c.Decoded.keyFor(e.c, next))
 }
 
-// maxStitchAllocs bounds a successful stitch: the trace, its member, page
-// and step slices, and at most one new page-index list.
-const maxStitchAllocs = 5
+// maxStitchAllocs bounds a successful stitch: the trace and its member,
+// page and step slices.
+const maxStitchAllocs = 4
 
 // TestStitchAllocations pins the stitcher's allocation profile: a walk that
 // fails transiently allocates nothing, and a successful stitch allocates a

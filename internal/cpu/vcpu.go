@@ -106,9 +106,9 @@ func wire(prof *arm64.Profile, pm *mem.PhysMem, stats *mem.Stats, epochs *mem.Co
 		tcache:  newTraceCache(),
 	}
 	c.SetProofAudit(proofAuditDefault.Load())
-	// Trace invalidation chokepoints: any code-epoch bump or block-cache
-	// reset drops the traces it could dangle.
-	epochs.OnBump = c.onCodeEpochBump
+	// A block-cache reset kills the interned context ids every trace key
+	// embeds, so it drops every trace. Code-epoch bumps need no hook: the
+	// trace entry guard refuses a stale trace.
 	c.Decoded.onReset = c.dropAllTraces
 	return c
 }

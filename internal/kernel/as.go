@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lightzone/internal/mem"
@@ -105,6 +106,19 @@ func (as *AddressSpace) VMAs() []VMA {
 	return out
 }
 
+// splitAt cuts the VMA that straddles va in two at va, so that munmap and
+// mprotect act on whole VMAs.
+func (as *AddressSpace) splitAt(va mem.VA) {
+	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > va })
+	if i == len(as.vmas) || as.vmas[i].Start >= va {
+		return
+	}
+	tail := as.vmas[i]
+	tail.Start = va
+	as.vmas[i].End = va
+	as.vmas = slices.Insert(as.vmas, i+1, tail)
+}
+
 // RemoveVMA unmaps [start, end) and drops covering VMAs (munmap). Pages
 // already faulted in are unmapped and their frames freed; LightZone is
 // notified per page so duplicated tables stay synchronized.
@@ -112,25 +126,9 @@ func (as *AddressSpace) RemoveVMA(start, end mem.VA) error {
 	if uint64(start)&mem.PageMask != 0 {
 		return fmt.Errorf("unaligned munmap start %v", start)
 	}
-	kept := as.vmas[:0]
-	for _, v := range as.vmas {
-		switch {
-		case v.End <= start || v.Start >= end:
-			kept = append(kept, v)
-		case v.Start >= start && v.End <= end:
-			// fully covered: dropped
-		case v.Start < start && v.End > end:
-			kept = append(kept, VMA{Start: v.Start, End: start, Prot: v.Prot, Name: v.Name, Huge: v.Huge},
-				VMA{Start: end, End: v.End, Prot: v.Prot, Name: v.Name, Huge: v.Huge})
-		case v.Start < start:
-			v.End = start
-			kept = append(kept, v)
-		default:
-			v.Start = end
-			kept = append(kept, v)
-		}
-	}
-	as.vmas = kept
+	as.splitAt(start)
+	as.splitAt(end)
+	as.vmas = slices.DeleteFunc(as.vmas, func(v VMA) bool { return v.Start >= start && v.End <= end })
 	for va := start; va < end; va += mem.PageSize {
 		res, err := as.S1.Walk(va)
 		if err != nil {
@@ -153,10 +151,12 @@ func (as *AddressSpace) RemoveVMA(start, end mem.VA) error {
 	return nil
 }
 
-// SetProt rewrites the protection of every VMA fully inside [start, end)
-// (mprotect's bookkeeping; partial overlaps are left unchanged, matching
-// the simplified mprotect that operates on whole regions).
+// SetProt sets the protection of [start, end) (mprotect's bookkeeping),
+// splitting a VMA that straddles either end, so that later demand faults
+// and the kernel's user copies see the protection the page tables hold.
 func (as *AddressSpace) SetProt(start, end mem.VA, prot Prot) {
+	as.splitAt(start)
+	as.splitAt(end)
 	for i := range as.vmas {
 		if as.vmas[i].Start >= start && as.vmas[i].End <= end {
 			as.vmas[i].Prot = prot
@@ -234,37 +234,58 @@ func (as *AddressSpace) EnsureMapped(start mem.VA, length uint64) error {
 	return nil
 }
 
-// WriteVA copies buf into the address space at va, faulting pages in.
+// WriteVA copies buf into the address space at va, faulting pages in. It
+// checks no VMA protection: the program loader fills r-x text with it.
 func (as *AddressSpace) WriteVA(va mem.VA, buf []byte) error {
 	if err := as.EnsureMapped(va, uint64(len(buf))); err != nil {
 		return err
 	}
-	for len(buf) > 0 {
-		res, err := as.S1.Walk(va)
-		if err != nil {
-			return err
-		}
-		if !res.Found {
-			return fmt.Errorf("unmapped %v", va)
-		}
-		n := int(mem.PageSize - uint64(va)&mem.PageMask)
-		if res.BlockShift == mem.HugePageShift {
-			n = int(mem.HugePageSize - uint64(va)&mem.HugePageMask)
-		}
-		if n > len(buf) {
-			n = len(buf)
-		}
-		if err := as.pm.Write(res.PA, buf[:n]); err != nil {
-			return err
-		}
-		buf = buf[n:]
-		va += mem.VA(n)
-	}
-	return nil
+	return as.copyVA(va, buf, true)
 }
 
-// ReadVA copies len(buf) bytes out of the address space at va.
+// ReadVA copies len(buf) bytes out of the address space at va, without
+// faulting pages in or checking VMA protection.
 func (as *AddressSpace) ReadVA(va mem.VA, buf []byte) error {
+	return as.copyVA(va, buf, false)
+}
+
+// userCopy is the kernel's access to user memory on a process's behalf:
+// it copies len(buf) bytes into user memory at va when write is set
+// (getrandom(2)), out of it otherwise (write(2)). Every page of the range
+// must lie in a VMA that allows the access: ProtRead to read; ProtWrite
+// and not ProtExec to write, so the kernel never writes bytes that may
+// execute and never needs a code-epoch bump (DESIGN §2, §5). Untouched
+// pages are faulted in, as Linux's uaccess faults do. A refused range is
+// an error, which the syscall returns as EFAULT.
+func (as *AddressSpace) userCopy(va mem.VA, buf []byte, write bool) error {
+	if len(buf) == 0 {
+		return nil
+	}
+	end := va + mem.VA(len(buf))
+	if end < va {
+		return fmt.Errorf("user range at %v wraps", va)
+	}
+	need, deny := ProtRead, Prot(0)
+	if write {
+		need, deny = ProtWrite, ProtExec
+	}
+	for at := va; at < end; {
+		v := as.FindVMA(at)
+		if v == nil || v.Prot&need == 0 || v.Prot&deny != 0 {
+			return fmt.Errorf("user access to %v refused", at)
+		}
+		at = v.End
+	}
+	if err := as.EnsureMapped(va, uint64(len(buf))); err != nil {
+		return err
+	}
+	return as.copyVA(va, buf, write)
+}
+
+// copyVA moves len(buf) bytes between buf and the mapped address space at
+// va, one page or 2MB block at a time: into memory when write is set, out
+// of it otherwise.
+func (as *AddressSpace) copyVA(va mem.VA, buf []byte, write bool) error {
 	for len(buf) > 0 {
 		res, err := as.S1.Walk(va)
 		if err != nil {
@@ -277,10 +298,13 @@ func (as *AddressSpace) ReadVA(va mem.VA, buf []byte) error {
 		if res.BlockShift == mem.HugePageShift {
 			n = int(mem.HugePageSize - uint64(va)&mem.HugePageMask)
 		}
-		if n > len(buf) {
-			n = len(buf)
+		n = min(n, len(buf))
+		if write {
+			err = as.pm.Write(res.PA, buf[:n])
+		} else {
+			err = as.pm.Read(res.PA, buf[:n])
 		}
-		if err := as.pm.Read(res.PA, buf[:n]); err != nil {
+		if err != nil {
 			return err
 		}
 		buf = buf[n:]

@@ -321,3 +321,99 @@ func TestClockGettimeMonotonic(t *testing.T) {
 		t.Errorf("clock not monotonic: %d then %d", k.CPU.R(19), k.CPU.R(20))
 	}
 }
+
+// TestUserCopyChecksVMAProtection pins the kernel's user-copy rules: every
+// page of the range must lie in a VMA, reads need ProtRead, writes need
+// ProtWrite and no ProtExec, a refused copy touches nothing, and an
+// allowed copy faults untouched pages in.
+func TestUserCopyChecksVMAProtection(t *testing.T) {
+	as := newTestAS(t)
+	for _, v := range []VMA{
+		{Start: 0x10000, Prot: ProtRead | ProtWrite},
+		{Start: 0x11000, Prot: ProtRead | ProtExec},
+		{Start: 0x12000, Prot: ProtRead | ProtWrite | ProtExec},
+		{Start: 0x13000, Prot: ProtRead},
+		{Start: 0x14000, Prot: 0},
+		// 0x15000 lies in no VMA.
+		{Start: 0x16000, Prot: ProtRead | ProtWrite},
+	} {
+		v.End = v.Start + mem.VA(mem.PageSize)
+		if err := as.AddVMA(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		va          mem.VA
+		read, write bool
+	}{
+		{0x10000, true, true},
+		{0x11000, true, false},
+		{0x12000, true, false},
+		{0x13000, true, false},
+		{0x14000, false, false},
+		{0x15000, false, false},
+		{0x10ff8, true, false},  // rw page into the r-x page
+		{0x14ff8, false, false}, // PROT_NONE page into the hole
+		{0x16ff8, false, false}, // rw page into the end of the VMAs
+	} {
+		buf := make([]byte, 16)
+		if err := as.userCopy(c.va, buf, false); (err == nil) != c.read {
+			t.Errorf("read at %v: err %v, want allowed=%v", c.va, err, c.read)
+		}
+		for i := range buf {
+			buf[i] = 0xee
+		}
+		if err := as.userCopy(c.va, buf, true); (err == nil) != c.write {
+			t.Errorf("write at %v: err %v, want allowed=%v", c.va, err, c.write)
+		}
+	}
+	// The refused write that straddled into r-x text changed neither page.
+	got := make([]byte, 16)
+	if err := as.ReadVA(0x10ff8, got); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range got {
+		if b != 0 {
+			t.Fatalf("byte %d of a refused write landed: %#x", i, b)
+		}
+	}
+	// Allowed reads faulted their pages in; the first write landed.
+	if err := as.ReadVA(0x13000, got); err != nil {
+		t.Errorf("read-only page not faulted in by the copy: %v", err)
+	}
+	if err := as.ReadVA(0x10000, got); err != nil || got[0] != 0xee {
+		t.Errorf("allowed write: %v, first byte %#x", err, got[0])
+	}
+	// An empty copy checks nothing, as write(fd, p, 0) does on Linux.
+	if err := as.userCopy(0x15000, nil, true); err != nil {
+		t.Errorf("empty copy into the hole: %v", err)
+	}
+}
+
+// TestSetProtSplitsStraddledVMA checks that mprotect of one page inside a
+// larger VMA changes that page's VMA protection alone, so demand faults and
+// the kernel's user copies see what the page tables hold.
+func TestSetProtSplitsStraddledVMA(t *testing.T) {
+	as := newTestAS(t)
+	if err := as.AddVMA(VMA{Start: 0x10000, End: 0x13000, Prot: ProtRead | ProtWrite, Name: "rw"}); err != nil {
+		t.Fatal(err)
+	}
+	as.SetProt(0x11000, 0x12000, ProtRead|ProtExec)
+	for _, c := range []struct {
+		va   mem.VA
+		prot Prot
+	}{{0x10000, ProtRead | ProtWrite}, {0x11000, ProtRead | ProtExec}, {0x12000, ProtRead | ProtWrite}} {
+		if v := as.FindVMA(c.va); v == nil || v.Prot != c.prot || v.Name != "rw" {
+			t.Errorf("VMA at %v = %+v, want prot %v", c.va, v, c.prot)
+		}
+	}
+	if n := len(as.VMAs()); n != 3 {
+		t.Errorf("%d VMAs after the split, want 3", n)
+	}
+	if err := as.userCopy(0x11000, make([]byte, 4), true); err == nil {
+		t.Error("kernel write into the page made executable was allowed")
+	}
+	if err := as.userCopy(0x12000, make([]byte, 4), true); err != nil {
+		t.Errorf("kernel write into the rw tail: %v", err)
+	}
+}

@@ -381,3 +381,87 @@ func measureSecondSyscall(t *testing.T, k *Kernel, p *Process) int64 {
 	}
 	return cost
 }
+
+// TestGetrandomIntoTextFaults calls a function twice, asks getrandom to
+// overwrite its first word, and calls it again. The text VMA is r-x, so
+// the kernel must refuse the copy with EFAULT and leave the word alone: a
+// kernel write there would bump no code epoch, so the decode cache would
+// replay the old word while the interpreter ran the new one. Registers and
+// cycles must match with the decode cache on and off.
+func TestGetrandomIntoTextFaults(t *testing.T) {
+	a := arm64.NewAsm()
+	a.B("main")
+	a.Label("fn") // TextBase + 4
+	a.Emit(arm64.ADDImm(20, 20, 1, false))
+	a.Emit(arm64.RET(30))
+	a.Label("main")
+	a.BL("fn")
+	a.BL("fn")
+	svc(a, SysGetrandom, uint64(TextBase)+4, 4)
+	a.Emit(arm64.MOVReg(19, 0))
+	a.BL("fn")
+	svc(a, SysExit, 0)
+	type result struct {
+		x      [32]uint64
+		cycles int64
+	}
+	run := func(cache bool) result {
+		k := newTestKernel(t)
+		k.CPU.SetDecodeCache(cache)
+		p := buildAndRun(t, k, a)
+		if p.Killed {
+			t.Fatalf("decode cache %v: killed: %s", cache, p.KillMsg)
+		}
+		var w [4]byte
+		if err := p.AS.ReadVA(TextBase+4, w[:]); err != nil {
+			t.Fatal(err)
+		}
+		if got := uint32(w[0]) | uint32(w[1])<<8 | uint32(w[2])<<16 | uint32(w[3])<<24; got != arm64.ADDImm(20, 20, 1, false) {
+			t.Errorf("decode cache %v: text word is %#08x after getrandom", cache, got)
+		}
+		return result{x: k.CPU.X, cycles: k.CPU.Cycles}
+	}
+	on, off := run(true), run(false)
+	if on.x[19] != errno(EFAULT) {
+		t.Errorf("getrandom into r-x text returned %#x, want -EFAULT", on.x[19])
+	}
+	if on.x[20] != 3 {
+		t.Errorf("x20 = %d after three calls, want 3", on.x[20])
+	}
+	if on != off {
+		t.Errorf("decode cache on and off diverged:\n  on  %+v\n  off %+v", on, off)
+	}
+}
+
+// TestWriteCopiesFromUserMemory checks write(2)'s copy from user memory: a
+// freshly mapped rw page faults in and yields 16 zero bytes, while a
+// PROT_NONE page and an unmapped range fail with EFAULT.
+func TestWriteCopiesFromUserMemory(t *testing.T) {
+	k := newTestKernel(t)
+	a := arm64.NewAsm()
+	svc(a, SysMmap, 0x4200_0000, mem.PageSize, uint64(ProtRead|ProtWrite))
+	svc(a, SysWrite, 1, 0x4200_0000, 16)
+	a.Emit(arm64.MOVReg(19, 0))
+	svc(a, SysMmap, 0x4300_0000, mem.PageSize, 0)
+	svc(a, SysWrite, 1, 0x4300_0000, 16)
+	a.Emit(arm64.MOVReg(20, 0))
+	svc(a, SysWrite, 1, 0x4400_0000, 16)
+	a.Emit(arm64.MOVReg(21, 0))
+	svc(a, SysExit, 0)
+	p := buildAndRun(t, k, a)
+	if p.Killed {
+		t.Fatalf("killed: %s", p.KillMsg)
+	}
+	if got := k.CPU.R(19); got != 16 {
+		t.Errorf("write from an untouched rw page returned %#x, want 16", got)
+	}
+	if got := p.Stdout.String(); got != string(make([]byte, 16)) {
+		t.Errorf("stdout = %q, want 16 zero bytes", got)
+	}
+	if got := k.CPU.R(20); got != errno(EFAULT) {
+		t.Errorf("write from a PROT_NONE page returned %#x, want -EFAULT", got)
+	}
+	if got := k.CPU.R(21); got != errno(EFAULT) {
+		t.Errorf("write from an unmapped range returned %#x, want -EFAULT", got)
+	}
+}

@@ -130,7 +130,7 @@ func (k *Kernel) sysWrite(p *Process, args [6]uint64) (uint64, error) {
 		return errno(EINVAL), nil
 	}
 	data := make([]byte, n)
-	if err := p.AS.ReadVA(buf, data); err != nil {
+	if err := p.AS.userCopy(buf, data, false); err != nil {
 		return errno(EFAULT), nil
 	}
 	// The kernel accesses user memory through its own page tables, where
@@ -180,6 +180,9 @@ func (k *Kernel) findMmapGap(p *Process, length uint64) mem.VA {
 
 func (k *Kernel) sysMprotect(p *Process, args [6]uint64) (uint64, error) {
 	start, length, prot := mem.VA(args[0]), mem.PageAlignUp(args[1]), Prot(args[2])
+	if uint64(start)&mem.PageMask != 0 {
+		return errno(EINVAL), nil
+	}
 	end := start + mem.VA(length)
 	found := false
 	vmas := p.AS.VMAs()
@@ -266,7 +269,7 @@ func (k *Kernel) sysGetrandom(p *Process, args [6]uint64) (uint64, error) {
 		k.rngState = k.rngState*6364136223846793005 + 1442695040888963407
 		out[i] = byte(k.rngState >> 33)
 	}
-	if err := p.AS.WriteVA(buf, out); err != nil {
+	if err := p.AS.userCopy(buf, out, true); err != nil {
 		return errno(EFAULT), nil
 	}
 	k.CPU.Charge(int64(n/16+1) * k.Prof.MemAccessCost)

@@ -29,10 +29,11 @@ func (s *Stats) Reset() { *s = Stats{} }
 // CodeEpochs tracks per-page code-generation epochs. Any event that can
 // change the bytes reachable at a virtual page — an emulated store, a PTE
 // write during break-before-make, an lz_prot permission flip, a stage-2
-// remap — bumps the page's epoch. The decoded-block cache snapshots the
-// epoch when it builds a block and refuses to replay a block whose page has
-// since moved on, so stale (pre-rewrite, unsanitized) words can never
-// execute from the cache.
+// remap — bumps the page's epoch. Every code cache checks at use: the
+// decoded-block cache and the trace entry guard compare the Snapshot taken
+// at build time with the current one and refuse (and drop) what has moved
+// on, and the micro-TLBs compare Gen, so stale (pre-rewrite, unsanitized)
+// words can never execute from a cache. A bump calls back into no cache.
 //
 // Epochs are keyed by virtual page alone, not (VMID, ASID): a bump
 // over-invalidates across address spaces that share the page number, which
@@ -55,13 +56,6 @@ type CodeEpochs struct {
 	// conservative (a bump anywhere drops all fastpath entries) but exact in
 	// the only direction that matters for soundness.
 	gen uint64
-
-	// OnBump, when set, observes every epoch bump: the 4KB page's VA for a
-	// page-granular bump, or wholesale==true for a global one. The trace
-	// cache hooks here to eagerly drop stitched traces whose member pages
-	// were invalidated; the hook must be host-side only (no stats, no
-	// cycles).
-	OnBump func(va VA, wholesale bool)
 
 	stats *Stats
 }
@@ -99,9 +93,6 @@ func (e *CodeEpochs) BumpVA(va VA) {
 	if e.stats != nil {
 		e.stats.CodeInvalidations++
 	}
-	if e.OnBump != nil {
-		e.OnBump(va, false)
-	}
 }
 
 // BumpAll invalidates every cached block (wholesale TLB invalidations,
@@ -117,8 +108,5 @@ func (e *CodeEpochs) BumpAll() {
 	clear(e.regions)
 	if e.stats != nil {
 		e.stats.CodeInvalidations++
-	}
-	if e.OnBump != nil {
-		e.OnBump(0, true)
 	}
 }

@@ -613,11 +613,10 @@ func codeFramePA(p *ProcSnap, mmuOff bool, asid uint16, va uint64) (mem.PA, stri
 }
 
 // traceCacheCheck extends the audit to stitched traces: a live trace — one
-// whose entry guard would still pass (member page epochs fresh, member
-// blocks still the cached blocks under their keys) — must predict exactly
-// the words currently readable through its keyed address space at every
-// step PC. A dead trace carries no invariant: the guard refuses it and the
-// stitcher rebuilds from memory.
+// whose entry guard would still admit it (every member page's epoch fresh)
+// — must predict exactly the words currently readable through its keyed
+// address space at every step PC. A stale trace carries no invariant: the
+// guard refuses and drops it, and the stitcher rebuilds from memory.
 func traceCacheCheck(s *Snapshot, byVMID map[uint16]*ProcSnap) []Finding {
 	var out []Finding
 	for _, tr := range s.M.CPU.TraceSnapshot() {
@@ -643,7 +642,7 @@ func traceCacheCheck(s *Snapshot, byVMID map[uint16]*ProcSnap) []Finding {
 // machine snapshot. It returns the offending VA and a finding detail, or
 // ("", 0) when the trace is coherent or dormant.
 func traceWordsCheck(tr cpu.TraceInfo, resolve func(uint64) (mem.PA, string), readU32 func(mem.PA) (uint32, error)) (uint64, string) {
-	if !tr.EpochOK || !tr.DepsOK {
+	if !tr.EpochOK {
 		return 0, "" // dormant: refused by the entry guard, no invariant
 	}
 	for i, va := range tr.PCs {

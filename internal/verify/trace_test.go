@@ -14,9 +14,9 @@ import (
 // memory word for word, dead traces carry no invariant.
 func TestTraceWordsCheck(t *testing.T) {
 	// Two-step trace: PCs 0x10000/0x10004 resolving to PAs 0x5000/0x5004.
-	trace := func(epochOK, depsOK bool) cpu.TraceInfo {
+	trace := func(epochOK bool) cpu.TraceInfo {
 		return cpu.TraceInfo{
-			EntryPC: 0x10000, EpochOK: epochOK, DepsOK: depsOK,
+			EntryPC: 0x10000, EpochOK: epochOK,
 			PCs: []uint64{0x10000, 0x10004}, Raw: []uint32{0x1111_1111, 0x2222_2222},
 		}
 	}
@@ -35,14 +35,14 @@ func TestTraceWordsCheck(t *testing.T) {
 		return w, nil
 	}
 
-	if va, detail := traceWordsCheck(trace(true, true), resolve, readU32); detail != "" {
+	if va, detail := traceWordsCheck(trace(true), resolve, readU32); detail != "" {
 		t.Errorf("coherent live trace flagged at %#x: %s", va, detail)
 	}
 
 	// A word changes behind the trace without an epoch bump: the live trace
 	// must be flagged at the exact step PC.
 	memory[0x5004] = 0x3333_3333
-	va, detail := traceWordsCheck(trace(true, true), resolve, readU32)
+	va, detail := traceWordsCheck(trace(true), resolve, readU32)
 	if !strings.Contains(detail, "differs from memory") {
 		t.Errorf("tampered live trace not flagged: %q", detail)
 	}
@@ -50,22 +50,20 @@ func TestTraceWordsCheck(t *testing.T) {
 		t.Errorf("finding at %#x, want the mismatching step PC 0x10004", va)
 	}
 
-	// The same tampering on a dead trace is no finding: the guard refuses
+	// The same tampering on a stale trace is no finding: the guard refuses
 	// it, so it can never replay the stale words.
-	for _, tr := range []cpu.TraceInfo{trace(false, true), trace(true, false)} {
-		if va, detail := traceWordsCheck(tr, resolve, readU32); detail != "" {
-			t.Errorf("dormant trace flagged at %#x: %s", va, detail)
-		}
+	if va, detail := traceWordsCheck(trace(false), resolve, readU32); detail != "" {
+		t.Errorf("dormant trace flagged at %#x: %s", va, detail)
 	}
 	memory[0x5004] = 0x2222_2222
 
 	// A live trace whose mapping disappeared is a finding even when no word
 	// comparison is possible.
 	gone := func(uint64) (mem.PA, string) { return 0, "covers a VA the page table no longer maps" }
-	if _, detail := traceWordsCheck(trace(true, true), gone, readU32); !strings.Contains(detail, "no longer maps") {
+	if _, detail := traceWordsCheck(trace(true), gone, readU32); !strings.Contains(detail, "no longer maps") {
 		t.Errorf("unmapped live trace not flagged: %q", detail)
 	}
-	if _, detail := traceWordsCheck(trace(false, false), gone, readU32); detail != "" {
+	if _, detail := traceWordsCheck(trace(false), gone, readU32); detail != "" {
 		t.Errorf("unmapped dead trace flagged: %s", detail)
 	}
 }
