@@ -5,25 +5,30 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 
 	"lightzone/internal/arm64"
 	"lightzone/internal/cpu"
 	"lightzone/internal/mem"
 )
 
-// Digest summarizes the architecturally observable outcome of a run: final
-// register file, PSTATE, every byte of touched physical memory, the
-// emulated cycle/instruction counters, the guest-visible TLB statistics,
-// and how the process ended. Host-side cache counters (decode hits,
-// micro-TLB hits) are deliberately excluded — they are observability, not
-// architecture, and legitimately move under host-invisible perturbations.
-// PSTATE is kept out of the register hash so a comparator can attribute a
-// single-bit PSTATE difference (a forced PAN flip's direct footprint) to
-// the injection that wrote it.
+// Digest summarizes the architecturally observable outcome of a run: the
+// general registers, PC and stack pointers, PSTATE, every byte of touched
+// physical memory, the emulated cycle/instruction counters, the
+// guest-visible TLB statistics, and how the process ended. Host-side cache
+// counters (decode hits, micro-TLB hits) are deliberately excluded — they
+// are observability, not architecture, and legitimately move under
+// host-invisible perturbations. PSTATE is kept out of the register hash so
+// a comparator can attribute a single-bit PSTATE difference (a forced PAN
+// flip's direct footprint) to the injection that wrote it. For the same
+// reason the system registers other than the three SPs are left out: a
+// trap after a forced PAN set saves the injected bit into SPSR_EL2, and
+// hashing that would turn the attributable footprint into a register
+// divergence (DESIGN §9).
 type Digest struct {
-	Regs       string `json:"regs"` // sha256 over X0..X30 and PC
+	Regs       string `json:"regs"` // sha256 over X0..X30, PC, SP_EL0, SP_EL1, SP_EL2
 	PState     uint64 `json:"pstate"`
-	Mem        string `json:"mem"` // sha256 over all touched physical frames
+	Mem        string `json:"mem"` // sha256 over each materialized frame's PA, line mask and non-zero lines
 	CycleTotal int64  `json:"cycles"`
 	Insns      int64  `json:"insns"`
 	Measured   int64  `json:"measured"` // marker-delimited cycles (0 if unused)
@@ -33,36 +38,81 @@ type Digest struct {
 	KillMsg    string `json:"kill_msg,omitempty"`
 }
 
-// CaptureDigest reads the digest off a vCPU and its physical memory.
-// Observation only: frames are visited, never materialized, and nothing is
-// charged, so digesting between run slices cannot perturb the run. The
-// caller fills Measured and Killed/KillMsg, which live outside the CPU.
+// CaptureDigest reads the digest off a vCPU and its physical memory: Regs
+// hashes X0..X30, PC, SP_EL0, SP_EL1 and SP_EL2 in that order, and Mem is
+// memDigest's line-mask encoding of every materialized frame. Observation
+// only: frames are visited, never materialized, and nothing is charged, so
+// digesting between run slices cannot perturb the run. The caller fills
+// Measured and Killed/KillMsg, which live outside the CPU.
 func CaptureDigest(c *cpu.VCPU, pm *mem.PhysMem) Digest {
 	var d Digest
 	h := sha256.New()
 	var b [8]byte
-	for i := 0; i < 31; i++ {
-		binary.LittleEndian.PutUint64(b[:], c.R(uint8(i)))
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	binary.LittleEndian.PutUint64(b[:], c.PC)
-	h.Write(b[:])
+	for i := 0; i < 31; i++ {
+		put(c.R(uint8(i)))
+	}
+	put(c.PC)
+	for _, r := range [...]arm64.SysReg{arm64.SPEL0, arm64.SPEL1, arm64.SPEL2} {
+		put(c.Sys(r))
+	}
 	d.Regs = hex.EncodeToString(h.Sum(nil))
 	d.PState = c.PState
-
-	mh := sha256.New()
-	pm.VisitFrames(func(pa mem.PA, frame *[mem.PageSize]byte) {
-		binary.LittleEndian.PutUint64(b[:], uint64(pa))
-		mh.Write(b[:])
-		mh.Write(frame[:])
-	})
-	d.Mem = hex.EncodeToString(mh.Sum(nil))
-
+	d.Mem = memDigest(pm)
 	d.CycleTotal = c.Cycles
 	d.Insns = c.Insns
 	d.TLBHits = c.Stats.TLBHits
 	d.TLBMiss = c.Stats.TLBMisses
 	return d
+}
+
+// lineSize is the granule of the memory encoding; a frame has exactly 64
+// lines, so one uint64 masks them all.
+const lineSize = mem.PageSize / 64
+
+// memDigest hashes every materialized frame, in VisitFrames order, as its
+// PA, a mask whose bit i is set when line i (bytes [64i, 64i+64)) holds a
+// non-zero byte, and then the set lines in ascending order. Each record is
+// self-delimiting (the mask's popcount gives its length) and the unset
+// lines are zero, so every frame's PA and bytes can be read back from the
+// stream, and an all-zero frame (mask 0) still differs from an absent one.
+// Most frames are page tables that are almost all zero lines, so this
+// hashes a few percent of the bytes a full-frame hash would.
+func memDigest(pm *mem.PhysMem) string {
+	h := sha256.New()
+	var hdr [16]byte
+	pm.VisitFrames(func(pa mem.PA, frame *[mem.PageSize]byte) {
+		mask := lineMask(frame)
+		binary.LittleEndian.PutUint64(hdr[:8], uint64(pa))
+		binary.LittleEndian.PutUint64(hdr[8:], mask)
+		h.Write(hdr[:])
+		for mask != 0 {
+			// One Write per run of consecutive set lines.
+			lo := bits.TrailingZeros64(mask)
+			n := bits.TrailingZeros64(^(mask >> lo))
+			h.Write(frame[lo*lineSize : (lo+n)*lineSize])
+			mask &^= (1<<n - 1) << lo
+		}
+	})
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// lineMask returns the frame's non-zero-line mask.
+func lineMask(frame *[mem.PageSize]byte) uint64 {
+	var mask uint64
+	for i := 0; i < mem.PageSize/lineSize; i++ {
+		l := (*[lineSize]byte)(frame[i*lineSize:])
+		if binary.LittleEndian.Uint64(l[0:])|binary.LittleEndian.Uint64(l[8:])|
+			binary.LittleEndian.Uint64(l[16:])|binary.LittleEndian.Uint64(l[24:])|
+			binary.LittleEndian.Uint64(l[32:])|binary.LittleEndian.Uint64(l[40:])|
+			binary.LittleEndian.Uint64(l[48:])|binary.LittleEndian.Uint64(l[56:]) != 0 {
+			mask |= 1 << i
+		}
+	}
+	return mask
 }
 
 // StateEqual reports whether two digests agree on architectural state:

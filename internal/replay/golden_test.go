@@ -11,18 +11,24 @@ import (
 // materialized frame, cycles, TLB counts — of two Table 5 cells that build
 // many stage-1 domain tables and, in the guest cell, walk stage 2 on every
 // TLB miss. The memory hash moves if any page-table frame lands at a
-// different physical address or holds different bytes. The constants were
-// computed before stage 1 and stage 2 shared one radix-table
-// implementation; if a change is meant to move frames, regenerate with
+// different physical address or holds different bytes.
+//
+// Each cell carries two pins. want is CaptureDigest's value. legacyRegs and
+// legacyMem hash the same state under the full-frame encoding that
+// referenceRegs and referenceMem keep; they were computed before stage 1
+// and stage 2 shared one radix-table implementation, and a change to the
+// digest's own encoding leaves them alone. If a change is meant to move
+// frames, regenerate both with
 //
 //	go test ./internal/replay -run TestTable5DigestGolden -v
 //
 // and copy the logged digests.
 func TestTable5DigestGolden(t *testing.T) {
 	cells := []struct {
-		name string
-		cfg  workload.DomainSwitchConfig
-		want Digest
+		name                  string
+		cfg                   workload.DomainSwitchConfig
+		want                  Digest
+		legacyRegs, legacyMem string
 	}{
 		{
 			name: "cortex-ttbr128",
@@ -31,12 +37,14 @@ func TestTable5DigestGolden(t *testing.T) {
 				Variant:  workload.VariantLZTTBR, Domains: 128, Iters: 1000, Seed: workload.Table5Seed,
 			},
 			want: Digest{
-				Regs:       "ec12451fa5c005354ead9d4cccf517b79c260e1c14e5129f5e409888d2701ae4",
+				Regs:       "6e5ef64ca9d4abac902f771e32e079dce7bdb9f4761485bd7c9dda15e194febc",
 				PState:     0x600000c9,
-				Mem:        "e6e9e83c23172403386b3eae1a6086f5e388b15412c880a7c21b8b5813c23470",
+				Mem:        "0dedb5de33e2ce9425bd3ec3f2a8ec765ba9a999f5655f5b467d78b5f5633f9f",
 				CycleTotal: 321901, Insns: 29696, Measured: 94407,
 				TLBHits: 0x8ece, TLBMiss: 0x8d,
 			},
+			legacyRegs: "ec12451fa5c005354ead9d4cccf517b79c260e1c14e5129f5e409888d2701ae4",
+			legacyMem:  "e6e9e83c23172403386b3eae1a6086f5e388b15412c880a7c21b8b5813c23470",
 		},
 		{
 			name: "carmel-guest-ttbr32",
@@ -45,12 +53,14 @@ func TestTable5DigestGolden(t *testing.T) {
 				Variant:  workload.VariantLZTTBR, Domains: 32, Iters: 1000, Seed: workload.Table5Seed,
 			},
 			want: Digest{
-				Regs:       "a5714f94a7c9a64eeea9a02304a6024e63a4b8ec230ea1ef66e1ed7db4db3052",
+				Regs:       "5099a5f0b3de6894bde5550ac75b57467d4428e04e2c3c714b82ea89d85d7147",
 				PState:     0x600000c9,
-				Mem:        "72e69073942d27336455c50352ac421964a6e76015ac4f663353ff87c2bced7b",
+				Mem:        "5e667de9c3f32c209eb101a016e0b60b07b94f6c99886a97bfa07c40a481a418",
 				CycleTotal: 3542452, Insns: 28446, Measured: 492962,
 				TLBHits: 0x8a50, TLBMiss: 0x2d,
 			},
+			legacyRegs: "a5714f94a7c9a64eeea9a02304a6024e63a4b8ec230ea1ef66e1ed7db4db3052",
+			legacyMem:  "72e69073942d27336455c50352ac421964a6e76015ac4f663353ff87c2bced7b",
 		},
 	}
 	for _, c := range cells {
@@ -60,9 +70,14 @@ func TestTable5DigestGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := finishDigest(t, env, p, workload.DomainSwitchBudget(c.cfg))
-			t.Logf("digest %#v", got)
+			refRegs, refMem := referenceRegs(env.M.CPU), referenceMem(env.M.PM)
+			t.Logf("digest %#v\nreference regs %s mem %s", got, refRegs, refMem)
 			if got != c.want {
 				t.Errorf("digest moved: %s\n got %#v\nwant %#v", c.want.Delta(got), got, c.want)
+			}
+			if refRegs != c.legacyRegs || refMem != c.legacyMem {
+				t.Errorf("reference digest moved: got regs %s mem %s, want regs %s mem %s",
+					refRegs, refMem, c.legacyRegs, c.legacyMem)
 			}
 		})
 	}

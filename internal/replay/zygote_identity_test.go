@@ -21,7 +21,7 @@ import (
 
 // finishDigest runs the prepared process to completion and captures the
 // full digest, exactly as the chaos baseline does.
-func finishDigest(t *testing.T, env *workload.Env, p *kernel.Process, budget int64) Digest {
+func finishDigest(t testing.TB, env *workload.Env, p *kernel.Process, budget int64) Digest {
 	t.Helper()
 	if err := env.Run(p, budget); err != nil {
 		t.Fatalf("run: %v", err)
