@@ -9,7 +9,7 @@
 // itself or from read-only memory resolved through a MemOracle.
 //
 // On top of the value domain, State (state.go) tracks a small PSTATE lattice
-// (PAN, SP selection, the exception level the analysis was entered at) and
+// (PAN, the exception level the analysis was entered at) and
 // per-value identities that let equality tests (CMP + B.cond, CBZ/CBNZ)
 // refine every alias of a compared value at once. interp.go explores all
 // paths through a small code region (trace partitioning: each path keeps its

@@ -10,9 +10,9 @@ type cell struct {
 	id uint32
 }
 
-// Bit is the three-point-plus-top lattice for one tracked PSTATE bit
-// (PAN, SP selection): still exactly as it was at analysis entry, proven 0,
-// proven 1, or unknown.
+// Bit is the three-point-plus-top lattice for the tracked PSTATE bit, PAN:
+// still exactly as it was at analysis entry, proven 0, proven 1, or
+// unknown.
 type Bit uint8
 
 const (
@@ -58,10 +58,8 @@ type State struct {
 	ttbr0Written bool
 	ttbr0VA      uint64
 
-	pan     Bit
-	panVA   uint64
-	spsel   Bit
-	spselVA uint64
+	pan   Bit
+	panVA uint64
 
 	cmp cmpFact
 	nid *uint32
@@ -69,8 +67,8 @@ type State struct {
 
 // NewEntryState returns the state at an untrusted entry: every register
 // (and the banked SP, and the current TTBR0) holds a distinct tainted ⊤ —
-// the caller chose them — while PAN and SP selection are at their entry
-// values. nid is the shared value-identity counter for one exploration.
+// the caller chose them — while PAN is at its entry value. nid is the
+// shared value-identity counter for one exploration.
 func NewEntryState(nid *uint32) *State {
 	s := &State{nid: nid}
 	for i := range s.regs {
@@ -185,9 +183,6 @@ func (s *State) TTBR0() (v AbsVal, written bool, va uint64) {
 // PAN exposes the PAN lattice point and the VA of the write that moved it
 // off BitEntry.
 func (s *State) PAN() (Bit, uint64) { return s.pan, s.panVA }
-
-// SPSel exposes the SP-selection lattice point and the VA of its write.
-func (s *State) SPSel() (Bit, uint64) { return s.spsel, s.spselVA }
 
 // Reg exposes a register's abstract value (Const 0 for XZR).
 func (s *State) Reg(r uint8) AbsVal { return s.getCell(r).v }

@@ -20,8 +20,8 @@ const (
 	EffMemWrite
 	// EffSysRegWrite is MSR <sysreg>, Xt (Sys identifies the register).
 	EffSysRegWrite
-	// EffPStateWrite is MSR <pstatefield>, #imm for a field the PSTATE
-	// lattice tracks (PAN, SPSel); the lattice carries the value.
+	// EffPStateWrite is MSR <pstatefield>, #imm for PAN or SPSel; the PAN
+	// lattice carries PAN's value.
 	EffPStateWrite
 	// EffSys is the SYS/SYSL space: TLBI, AT, cache maintenance.
 	EffSys
@@ -228,11 +228,6 @@ func stepInsn(s *State, pc uint64, index int, in arm64.Insn, orc MemOracle, emit
 			s.panVA = pc
 			eff(Effect{Kind: EffPStateWrite, Sys: in.Sys})
 		case in.Sys.Op1 == arm64.PStateFieldSPSel1 && in.Sys.Op2 == arm64.PStateFieldSPSel2:
-			s.spsel = Bit0
-			if in.Sys.CRm&1 != 0 {
-				s.spsel = Bit1
-			}
-			s.spselVA = pc
 			eff(Effect{Kind: EffPStateWrite, Sys: in.Sys})
 		default:
 			// The concrete machine delivers an undefined-instruction

@@ -22,9 +22,6 @@ func (e EL) String() string {
 	}
 }
 
-// Valid reports whether e is a modelled exception level.
-func (e EL) Valid() bool { return e <= EL2 }
-
 // PSTATE condition/status bits. Only the fields the reproduction needs are
 // modelled; they use the architectural bit positions of SPSR so that a
 // PSTATE snapshot round-trips through SPSR_ELx unchanged.

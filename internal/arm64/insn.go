@@ -107,15 +107,6 @@ func (o Op) String() string {
 	return "op?"
 }
 
-// IsBranch reports whether the op redirects control flow.
-func (o Op) IsBranch() bool {
-	switch o {
-	case OpB, OpBL, OpBCond, OpCBZ, OpCBNZ, OpBR, OpBLR, OpRET:
-		return true
-	}
-	return false
-}
-
 // Terminates reports whether the op ends a straight-line decoded block:
 // control flow may leave the fall-through path (branches, exception
 // generation and return) or architectural state affecting fetch may change

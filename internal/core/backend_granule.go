@@ -230,17 +230,3 @@ func (lp *LZProc) GranuleOwners() map[mem.PA]int {
 	}
 	return out
 }
-
-// cloneGranuleState deep-copies the granule backend's delegation tracking
-// into a forked process clone (no-op for processes on other backends).
-// Confined to this file by tools/lint.
-func (lp *LZProc) cloneGranuleState(lp2 *LZProc) {
-	if lp.gran == nil {
-		return
-	}
-	st2 := &granuleState{owner: make(map[mem.PA]int, len(lp.gran.owner))}
-	for pa, zone := range lp.gran.owner {
-		st2.owner[pa] = zone
-	}
-	lp2.gran = st2
-}

@@ -220,26 +220,3 @@ func (lp *LZProc) OverlayPageKeys() map[mem.VA]int {
 	}
 	return out
 }
-
-// cloneOverlayState deep-copies the overlay backend's per-process state into
-// a forked process clone (no-op for processes on other backends). Confined
-// to this file by tools/lint.
-func (lp *LZProc) cloneOverlayState(lp2 *LZProc) {
-	if lp.okeys == nil {
-		return
-	}
-	st := lp.okeys
-	st2 := &overlayState{
-		granted:  make(map[int]bool, len(st.granted)),
-		nextKey:  st.nextKey,
-		freeKeys: append([]int(nil), st.freeKeys...),
-		pageKey:  make(map[mem.VA]int, len(st.pageKey)),
-	}
-	for key := range st.granted {
-		st2.granted[key] = st.granted[key]
-	}
-	for va, key := range st.pageKey {
-		st2.pageKey[va] = key
-	}
-	lp2.okeys = st2
-}

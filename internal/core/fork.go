@@ -1,104 +1,24 @@
 package core
 
-import (
-	"lightzone/internal/hyp"
-	"lightzone/internal/kernel"
-	"lightzone/internal/mem"
-)
+import "lightzone/internal/hyp"
 
-// Fork clones the module for a forked machine: hyp2 and k2 are the forked
-// hypervisor and process-owning kernel (the host kernel, or a guest VM's
-// kernel). Every per-process LZProc is deep-cloned and re-attached to its
-// forked process and VM by id, with the kernel's unmap/prot notifications
-// re-wired onto the clone. The Trace recorder and Observer hook are left
-// unset — both are observation-only attachments the caller re-arms if it
-// wants them; neither affects digest-visible state.
-func (lz *LightZone) Fork(hyp2 *hyp.Hypervisor, k2 *kernel.Kernel) *LightZone {
-	lz2 := &LightZone{
-		Hyp:            hyp2,
-		Opts:           lz.Opts,
-		GuestMode:      lz.GuestMode,
-		backend:        lz.backend,
-		procs:          make(map[int]*LZProc, len(lz.procs)),
-		pendingEntries: make(map[int][]GateEntry, len(lz.pendingEntries)),
+// Fork clones the module for a forked machine whose hypervisor is hyp2. A
+// module forks only at a fork point (workload.Env.Fork): gate entries
+// registered, no process in LightZone yet. lz_enter builds every piece of
+// per-process state — the VM, the domain tables, the gate pages, the
+// fake-physical layer — so the clone carries the options, the backend
+// and the pending gate entries, and a child's lz_enter builds the rest
+// exactly as a cold boot's would. The Trace recorder and Observer hook
+// are left unset: both are observation-only attachments the caller
+// re-arms if it wants them.
+func (lz *LightZone) Fork(hyp2 *hyp.Hypervisor) *LightZone {
+	if len(lz.procs) != 0 {
+		panic("core: fork of a module with a process in LightZone")
 	}
+	lz2 := New(hyp2)
+	lz2.Opts, lz2.GuestMode, lz2.backend = lz.Opts, lz.GuestMode, lz.backend
 	for pid, entries := range lz.pendingEntries {
 		lz2.pendingEntries[pid] = append([]GateEntry(nil), entries...)
 	}
-	for pid, lp := range lz.procs {
-		lz2.procs[pid] = lp.cloneFor(lz2, k2)
-	}
 	return lz2
-}
-
-// cloneFor deep-copies one process's LightZone state for a forked machine.
-// The stage-1 domain tables, TTBR1 table, gate pages, and stage-2 fake layer
-// all live in copy-on-write shared frames; what moves here is the Go-side
-// bookkeeping, with every table's alloc hook and the process's kernel
-// notifications re-wired onto the clone so future faults mutate only the
-// child.
-func (lp *LZProc) cloneFor(lz2 *LightZone, k2 *kernel.Kernel) *LZProc {
-	p2, ok := k2.Process(lp.proc.PID)
-	if !ok {
-		panic("core: forked kernel lost a LightZone process")
-	}
-	vm2, ok := lz2.Hyp.VMByID(lp.vm.VMID)
-	if !ok {
-		panic("core: forked hypervisor lost a LightZone VM")
-	}
-	lp2 := &LZProc{
-		lz:                  lz2,
-		kern:                k2,
-		proc:                p2,
-		vm:                  vm2,
-		backend:             lp.backend,
-		allowScalable:       lp.allowScalable,
-		policy:              lp.policy,
-		fake:                lp.fake.Clone(),
-		pgts:                make(map[int]*DomainPGT, len(lp.pgts)),
-		byRoot:              make(map[mem.PA]*DomainPGT, len(lp.byRoot)),
-		nextPGT:             lp.nextPGT,
-		freePGT:             append([]int(nil), lp.freePGT...),
-		maxDomains:          lp.maxDomains,
-		ttbr1Val:            lp.ttbr1Val,
-		gateEntries:         make(map[int]uint64, len(lp.gateEntries)),
-		protected:           make(map[mem.VA]*protInfo, len(lp.protected)),
-		exec:                make(map[mem.VA]execState, len(lp.exec)),
-		world:               lp.world,
-		lastSchedSeen:       lp.lastSchedSeen,
-		outerVTTBR:          lp.outerVTTBR,
-		pendingWorldRestore: lp.pendingWorldRestore,
-		Traps:               lp.Traps,
-		Violations:          lp.Violations,
-	}
-	pm2 := k2.PM
-	lp2.ttbr1 = lp.ttbr1.CloneFor(pm2)
-	lp2.ttbr1.OnAllocTable = lp2.s2MapTable
-	for id, d := range lp.pgts {
-		d2 := &DomainPGT{ID: d.ID, S1: d.S1.CloneFor(pm2)}
-		d2.S1.OnAllocTable = lp2.s2MapTable
-		lp2.pgts[id] = d2
-		lp2.byRoot[d2.S1.Root()] = d2
-	}
-	for gate, entry := range lp.gateEntries {
-		lp2.gateEntries[gate] = entry
-	}
-	for va, info := range lp.protected {
-		pi := &protInfo{pgts: make(map[int]int, len(info.pgts)), user: info.user, perm: info.perm}
-		for pgt, perm := range info.pgts {
-			pi.pgts[pgt] = perm
-		}
-		lp2.protected[va] = pi
-	}
-	for va, st := range lp.exec {
-		lp2.exec[va] = st
-	}
-	lp.cloneGateState(lp2)
-	lp.cloneOverlayState(lp2)
-	lp.cloneGranuleState(lp2)
-
-	p2.LZ = lp2
-	p2.AS.UnmapNotify = func(va mem.VA) { lp2.syncUnmap(va) }
-	p2.AS.ProtNotify = func(va mem.VA) { lp2.syncProt(va) }
-	return lp2
 }

@@ -155,7 +155,6 @@ func (lp *LZProc) installGates() error {
 			lp.gateCode = pa
 			first = false
 		}
-		lp.gatePages++
 		if err := lp.mapTTBR1Page(gateCodeVA+mem.VA(pg*mem.PageSize), pa, mem.AttrAPRO|mem.AttrUXN); err != nil {
 			return err
 		}
@@ -268,9 +267,6 @@ func (lp *LZProc) Gates() []GateInfo {
 // GateTabPA returns the physical base of the first GateTab page.
 func (lp *LZProc) GateTabPA() mem.PA { return lp.gateTabPA }
 
-// GateCodePA returns the physical base of the first gate code page.
-func (lp *LZProc) GateCodePA() mem.PA { return lp.gateCode }
-
 // TTBRTabPages returns the physical frames backing TTBRTab, in page order.
 func (lp *LZProc) TTBRTabPages() []mem.PA {
 	out := make([]mem.PA, len(lp.ttbrTabPA))
@@ -286,19 +282,4 @@ func GateListing(gateID int) (string, error) {
 		return "", err
 	}
 	return arm64.DisassembleAll(words), nil
-}
-
-// cloneGateState copies the call-gate machinery's state into a forked
-// process clone. The gate code, GateTab, and TTBRTab frames live in (COW
-// shared) physical memory; only the Go-side bookkeeping moves. Confined to
-// this file by tools/lint.
-func (lp *LZProc) cloneGateState(lp2 *LZProc) {
-	lp2.gateTabPA = lp.gateTabPA
-	lp2.gateCode = lp.gateCode
-	lp2.gatePages = lp.gatePages
-	lp2.ttbrTabPA = append([]mem.PA(nil), lp.ttbrTabPA...)
-	lp2.gatePgt = make(map[int]int, len(lp.gatePgt))
-	for gate, pgt := range lp.gatePgt {
-		lp2.gatePgt[gate] = pgt
-	}
 }

@@ -11,19 +11,11 @@ import (
 // no TLB probes, no demand mapping — reading a machine through this API
 // leaves its measured state bit-identical.
 
-// StubBase returns the TTBR1 VA of the trap-forwarding vector page.
-func StubBase() uint64 { return uint64(stubVA) }
-
 // GateTabBase returns the TTBR1 VA of GateTab[0].
 func GateTabBase() uint64 { return uint64(gateTabVA) }
 
 // TTBRTabBase returns the TTBR1 VA of TTBRTab[0].
 func TTBRTabBase() uint64 { return uint64(ttbrTabVA) }
-
-// GateCodeWords returns the canonical instruction words of the call gate
-// for a gate id — the sequence installGates writes. Verifiers compare the
-// installed slot bytes against this ground truth.
-func GateCodeWords(gateID int) ([]uint32, error) { return buildGateCode(gateID) }
 
 // Procs returns every live LightZone process, sorted by PID so audits are
 // deterministic.

@@ -111,7 +111,6 @@ type LZProc struct {
 	gateTabPA mem.PA
 	ttbrTabPA []mem.PA // demand-allocated pages of the TTBR table
 	gateCode  mem.PA   // gate code page(s)
-	gatePages int
 
 	gateEntries map[int]uint64 // gate id -> ENTRY VA
 	gatePgt     map[int]int    // gate id -> PGTID

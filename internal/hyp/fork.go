@@ -36,8 +36,11 @@ func (h *Hypervisor) Fork(pm2 *mem.PhysMem, cpu2 *cpu.VCPU) *Hypervisor {
 // Fork clones the whole platform in O(dirty pages): physical memory forks
 // copy-on-write, the vCPU transfers its architectural state exactly, and
 // the hypervisor, host kernel, and every guest kernel are re-assembled
-// around the child's memory. Module wiring (the LightZone module chain and
-// the Lowvisor) is the caller's job — those layers clone their own state.
+// around the child's memory. The vCPU, memory and hypervisor forks are
+// general; the kernel forks are not: a machine forks only at a fork point
+// (workload.Env.Fork), with processes created and no thread ever
+// scheduled, and kernel.Kernel.Fork panics on anything else. Module wiring
+// (the LightZone module chain and the Lowvisor) is the caller's job.
 func (m *Machine) Fork() *Machine {
 	pm2 := m.PM.Fork()
 	cpu2 := m.CPU.Fork(pm2)

@@ -9,8 +9,7 @@ import (
 // whose physical memory pm2 copy-on-write shares the original's frames. The
 // page table itself lives in (shared) physical memory; only the Go-side
 // metadata moves. UnmapNotify/ProtNotify are deliberately dropped — they
-// close over the original machine's module state, and the module re-wires
-// them when it clones its own per-process state.
+// close over the original machine's module state.
 func (as *AddressSpace) cloneFor(pm2 *mem.PhysMem) *AddressSpace {
 	return &AddressSpace{
 		S1:        as.S1.CloneFor(pm2),
@@ -20,55 +19,33 @@ func (as *AddressSpace) cloneFor(pm2 *mem.PhysMem) *AddressSpace {
 	}
 }
 
-// clone duplicates a thread for the forked process p2.
-func (t *Thread) clone(p2 *Process) *Thread {
-	return &Thread{
-		TID:        t.TID,
-		Proc:       p2,
-		State:      t.State,
-		Ctx:        t.Ctx,
-		sigPending: append([]int(nil), t.sigPending...),
-		sigFrames:  append([]Context(nil), t.sigFrames...),
-		inHandler:  t.inHandler,
-	}
-}
-
-// cloneFor duplicates a process for a forked kernel. The module-owned LZ
-// state is left nil: the module clones it itself (it holds unexported
-// backend state) and re-attaches it by PID.
+// cloneFor duplicates a created, never-scheduled process for a forked
+// kernel: its identity, address space and program break, and each thread's
+// id, state and initial context. Everything a run creates — exit and kill
+// state, output, signal handlers and queues, module-owned LZ state — is
+// still at its initial value.
 func (p *Process) cloneFor(pm2 *mem.PhysMem) *Process {
-	p2 := &Process{
-		PID:      p.PID,
-		Name:     p.Name,
-		AS:       p.AS.cloneFor(pm2),
-		Exited:   p.Exited,
-		ExitCode: p.ExitCode,
-		Killed:   p.Killed,
-		KillMsg:  p.KillMsg,
-		Brk:      p.Brk,
-	}
-	p2.Stdout.Write(p.Stdout.Bytes())
-	if len(p.SigHandlers) > 0 {
-		p2.SigHandlers = make(map[int]uint64, len(p.SigHandlers))
-		for sig, h := range p.SigHandlers {
-			p2.SigHandlers[sig] = h
-		}
-	}
+	p2 := &Process{PID: p.PID, Name: p.Name, AS: p.AS.cloneFor(pm2), Brk: p.Brk}
 	for _, t := range p.Threads {
-		p2.Threads = append(p2.Threads, t.clone(p2))
+		p2.Threads = append(p2.Threads, &Thread{TID: t.TID, Proc: p2, State: t.State, Ctx: t.Ctx})
 	}
 	return p2
 }
 
-// Fork clones the kernel for a forked machine running on pm2/cpu2. Every
-// piece of id-allocator state — PID/TID/ASID counters, the ASID free list
-// and double-free guard, recycle/roll counters — transfers exactly, so the
-// child allocates the same ids in the same order a cold-booted kernel
-// would. Processes and threads are deep-cloned with the scheduled thread
-// re-pointed into the clone set. The Module and per-process LZ state are
-// left unset: the caller (the environment fork) re-attaches the forked
-// module chain, and hyp is the forked hypervisor backend.
+// Fork clones the kernel for a forked machine running on pm2/cpu2, with hyp
+// the forked hypervisor backend. A kernel forks only at a fork point
+// (workload.Env.Fork): processes created, no thread ever scheduled. The
+// clone carries the PID, TID and ASID counters, so the child hands out
+// the ids a cold-booted kernel would, and the process table. Everything a
+// run creates — the current thread, the ASID free list and its
+// double-free guard, the scheduling quantum, the getrandom stream, the
+// syscall, fault, scheduling and ASID-recycle counters — is still at its
+// initial value. The Module is left unset: the caller re-attaches the
+// forked module chain.
 func (k *Kernel) Fork(pm2 *mem.PhysMem, cpu2 *cpu.VCPU, hyp HypBackend) *Kernel {
+	if k.Cur != nil {
+		panic("kernel: fork of a kernel that has scheduled a thread")
+	}
 	k2 := &Kernel{
 		Name:             k.Name,
 		Prof:             k.Prof,
@@ -80,35 +57,11 @@ func (k *Kernel) Fork(pm2 *mem.PhysMem, cpu2 *cpu.VCPU, hyp HypBackend) *Kernel 
 		nextPID:          k.nextPID,
 		nextTID:          k.nextTID,
 		nextASID:         k.nextASID,
-		asidFree:         append([]uint16(nil), k.asidFree...),
-		ASIDRecycles:     k.ASIDRecycles,
-		ASIDRolls:        k.ASIDRolls,
 		QuantumTraps:     k.QuantumTraps,
-		quantumLeft:      k.quantumLeft,
-		SchedEvents:      k.SchedEvents,
-		Syscalls:         k.Syscalls,
-		PageFaults:       k.PageFaults,
-		rngState:         k.rngState,
 		DisableRetainOpt: k.DisableRetainOpt,
-	}
-	if len(k.asidFreed) > 0 {
-		k2.asidFreed = make(map[uint16]bool, len(k.asidFreed))
-		for id := range k.asidFreed {
-			k2.asidFreed[id] = k.asidFreed[id]
-		}
 	}
 	for pid, p := range k.procs {
 		k2.procs[pid] = p.cloneFor(pm2)
-	}
-	if k.Cur != nil {
-		if p2, ok := k2.procs[k.Cur.Proc.PID]; ok {
-			for _, t2 := range p2.Threads {
-				if t2.TID == k.Cur.TID {
-					k2.Cur = t2
-					break
-				}
-			}
-		}
 	}
 	return k2
 }

@@ -23,9 +23,6 @@ type Stats struct {
 	CodeInvalidations uint64
 }
 
-// Reset zeroes every counter.
-func (s *Stats) Reset() { *s = Stats{} }
-
 // CodeEpochs tracks per-page code-generation epochs. Any event that can
 // change the bytes reachable at a virtual page — an emulated store, a PTE
 // write during break-before-make, an lz_prot permission flip, a stage-2

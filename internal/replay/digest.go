@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/bits"
+	"strings"
 
 	"lightzone/internal/arm64"
 	"lightzone/internal/cpu"
@@ -13,20 +14,20 @@ import (
 )
 
 // Digest summarizes the architecturally observable outcome of a run: the
-// general registers, PC and stack pointers, PSTATE, every byte of touched
-// physical memory, the emulated cycle/instruction counters, the
+// general registers, PC and every system register, PSTATE, every byte of
+// touched physical memory, the emulated cycle/instruction counters, the
 // guest-visible TLB statistics, and how the process ended. Host-side cache
 // counters (decode hits, micro-TLB hits) are deliberately excluded — they
 // are observability, not architecture, and legitimately move under
 // host-invisible perturbations. PSTATE is kept out of the register hash so
 // a comparator can attribute a single-bit PSTATE difference (a forced PAN
 // flip's direct footprint) to the injection that wrote it. For the same
-// reason the system registers other than the three SPs are left out: a
-// trap after a forced PAN set saves the injected bit into SPSR_EL2, and
-// hashing that would turn the attributable footprint into a register
-// divergence (DESIGN §9).
+// reason the PAN bit of the saved-PSTATE copies, SPSR_EL1 and SPSR_EL2, is
+// masked out of the hash: a trap after a forced PAN set saves the injected
+// bit there, and hashing it would turn the attributable footprint into a
+// register divergence (DESIGN §9).
 type Digest struct {
-	Regs       string `json:"regs"` // sha256 over X0..X30, PC, SP_EL0, SP_EL1, SP_EL2
+	Regs       string `json:"regs"` // sha256 over X0..X30, PC and digestSysRegs, SPSR PAN bits masked
 	PState     uint64 `json:"pstate"`
 	Mem        string `json:"mem"` // sha256 over each materialized frame's PA, line mask and non-zero lines
 	CycleTotal int64  `json:"cycles"`
@@ -38,28 +39,42 @@ type Digest struct {
 	KillMsg    string `json:"kill_msg,omitempty"`
 }
 
+// digestSysRegs is the order Regs hashes the system registers in: SP_EL0,
+// SP_EL1 and SP_EL2, then every other register in SysReg order.
+var digestSysRegs = func() []arm64.SysReg {
+	rs := []arm64.SysReg{arm64.SPEL0, arm64.SPEL1, arm64.SPEL2}
+	for r := arm64.SysReg(1); int(r) < arm64.NumSysRegs; r++ {
+		if r != arm64.SPEL0 && r != arm64.SPEL1 && r != arm64.SPEL2 {
+			rs = append(rs, r)
+		}
+	}
+	return rs
+}()
+
 // CaptureDigest reads the digest off a vCPU and its physical memory: Regs
-// hashes X0..X30, PC, SP_EL0, SP_EL1 and SP_EL2 in that order, and Mem is
-// memDigest's line-mask encoding of every materialized frame. Observation
-// only: frames are visited, never materialized, and nothing is charged, so
-// digesting between run slices cannot perturb the run. The caller fills
-// Measured and Killed/KillMsg, which live outside the CPU.
+// hashes X0..X30, PC and the digestSysRegs in that order, with
+// arm64.PStatePAN cleared in SPSR_EL1 and SPSR_EL2, and Mem is memDigest's
+// line-mask encoding of every materialized frame. Observation only: frames
+// are visited, never materialized, and nothing is charged, so digesting
+// between run slices cannot perturb the run. The caller fills Measured and
+// Killed/KillMsg, which live outside the CPU.
 func CaptureDigest(c *cpu.VCPU, pm *mem.PhysMem) Digest {
 	var d Digest
-	h := sha256.New()
-	var b [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
+	var buf [8 * (32 + arm64.NumSysRegs - 1)]byte // X0..X30, PC, the system registers
+	b := buf[:0]
 	for i := 0; i < 31; i++ {
-		put(c.R(uint8(i)))
+		b = binary.LittleEndian.AppendUint64(b, c.R(uint8(i)))
 	}
-	put(c.PC)
-	for _, r := range [...]arm64.SysReg{arm64.SPEL0, arm64.SPEL1, arm64.SPEL2} {
-		put(c.Sys(r))
+	b = binary.LittleEndian.AppendUint64(b, c.PC)
+	for _, r := range digestSysRegs {
+		v := c.Sys(r)
+		if r == arm64.SPSREL1 || r == arm64.SPSREL2 {
+			v &^= arm64.PStatePAN
+		}
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-	d.Regs = hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	d.Regs = hex.EncodeToString(sum[:])
 	d.PState = c.PState
 	d.Mem = memDigest(pm)
 	d.CycleTotal = c.Cycles
@@ -167,17 +182,6 @@ func (d Digest) Delta(o Digest) string {
 		if d.Killed != o.Killed || d.KillMsg != o.KillMsg {
 			why = append(why, fmt.Sprintf("exit (killed=%v %q vs killed=%v %q)", d.Killed, d.KillMsg, o.Killed, o.KillMsg))
 		}
-		return "DIVERGED: " + join(why)
+		return "DIVERGED: " + strings.Join(why, ", ")
 	}
-}
-
-func join(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ", "
-		}
-		out += p
-	}
-	return out
 }

@@ -13,9 +13,11 @@ import (
 	"lightzone/internal/workload"
 )
 
-// referenceRegs is the register hash before the stack pointers joined it:
-// SHA-256 over X0..X30 and PC.
-func referenceRegs(c *cpu.VCPU) string {
+// referenceRegs is SHA-256 over X0..X30, PC and then the given system
+// registers: with none, the register hash before the stack pointers joined
+// it; with SP_EL0, SP_EL1 and SP_EL2, the one before the other system
+// registers did.
+func referenceRegs(c *cpu.VCPU, sys ...arm64.SysReg) string {
 	h := sha256.New()
 	var b [8]byte
 	for i := 0; i < 31; i++ {
@@ -24,6 +26,10 @@ func referenceRegs(c *cpu.VCPU) string {
 	}
 	binary.LittleEndian.PutUint64(b[:], c.PC)
 	h.Write(b[:])
+	for _, r := range sys {
+		binary.LittleEndian.PutUint64(b[:], c.Sys(r))
+		h.Write(b[:])
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -40,9 +46,12 @@ func referenceMem(pm *mem.PhysMem) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestDigestCoversStackPointers: a wrong SP at exit (a bad SP write-back in
-// a fast tier) must fail every digest-based identity check, so each of
-// SP_EL0, SP_EL1 and SP_EL2 moves Regs.
+// TestDigestCoversStackPointers: a wrong stack pointer or any other wrong
+// system register at exit (a bad write-back in a fast tier, a fork that
+// loses a register) must fail every digest-based identity check, so
+// changing any one of the 55 moves Regs. The PAN bit of SPSR_EL1 and
+// SPSR_EL2 is the exception: a trap after a forced PAN set saves the
+// injected bit there, and that case must stay a PAN footprint.
 func TestDigestCoversStackPointers(t *testing.T) {
 	cfg := workload.DomainSwitchConfig{
 		Platform: workload.Platform{Prof: arm64.ProfileCortexA55()},
@@ -54,16 +63,24 @@ func TestDigestCoversStackPointers(t *testing.T) {
 	}
 	before := finishDigest(t, env, p, workload.DomainSwitchBudget(cfg))
 	c := env.M.CPU
-	for _, r := range []arm64.SysReg{arm64.SPEL0, arm64.SPEL1, arm64.SPEL2} {
-		sp := c.Sys(r)
-		c.SetSys(r, sp+16)
-		if after := CaptureDigest(c, env.M.PM); after.Regs == before.Regs || before.StateEqual(after) {
-			t.Errorf("%v moved by 16 but the digest did not: %s", r, before.Delta(after))
+	flipped := func(r arm64.SysReg, bits uint64) Digest {
+		v := c.Sys(r)
+		c.SetSys(r, v^bits)
+		defer c.SetSys(r, v)
+		return CaptureDigest(c, env.M.PM)
+	}
+	for r := arm64.SysReg(1); int(r) < arm64.NumSysRegs; r++ {
+		if after := flipped(r, 0x10); after.Regs == before.Regs || before.StateEqual(after) {
+			t.Errorf("%v changed but the digest did not: %s", r, before.Delta(after))
 		}
-		c.SetSys(r, sp)
+	}
+	for _, r := range []arm64.SysReg{arm64.SPSREL1, arm64.SPSREL2} {
+		if after := flipped(r, arm64.PStatePAN); !after.StateEqual(before) {
+			t.Errorf("flipping only the PAN bit of %v moved the digest: %s", r, before.Delta(after))
+		}
 	}
 	if again := CaptureDigest(c, env.M.PM); !again.StateEqual(before) {
-		t.Errorf("restored stack pointers digest differently: %s", before.Delta(again))
+		t.Errorf("restored system registers digest differently: %s", before.Delta(again))
 	}
 }
 

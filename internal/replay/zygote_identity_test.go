@@ -13,7 +13,6 @@ import (
 	"reflect"
 	"testing"
 
-	"lightzone/internal/arm64"
 	"lightzone/internal/core"
 	"lightzone/internal/kernel"
 	"lightzone/internal/workload"
@@ -99,38 +98,53 @@ func TestForkIdentityAcrossWorkloads(t *testing.T) {
 	}
 }
 
-// TestForkIdentityAcrossBackends proves the same bit-identity under every
-// isolation backend: the forked child of a prepared backend machine runs
-// to the same digest as the machine itself would have.
+// TestForkIdentityAcrossBackends proves the same bit-identity for every
+// prepared configuration: on each of the four platforms, each switch
+// variant — grouped by the backend its machine boots with: the TTBR and
+// PAN switches and both baselines on lightzone, and the overlay and
+// granule switches — forks into a child that runs to the digest the
+// machine itself reaches.
 func TestForkIdentityAcrossBackends(t *testing.T) {
+	variants := map[string][]workload.Variant{
+		"lightzone": {workload.VariantLZTTBR, workload.VariantLZPAN, workload.VariantWatchpoint, workload.VariantLwC},
+		"overlay":   {workload.VariantOverlay},
+		"granule":   {workload.VariantGranule},
+	}
 	for _, backend := range core.Backends() {
 		t.Run(backend, func(t *testing.T) {
-			// The lightzone cell is the Table 5 scalable-TTBR cell; the
-			// other substrates have dedicated switch variants.
-			cfg := workload.DomainSwitchConfig{
-				Platform: workload.Platform{Prof: arm64.ProfileCortexA55()},
-				Variant:  workload.BackendVariant(backend),
-				Domains:  8, Iters: 100, Seed: workload.Table5Seed,
+			if len(variants[backend]) == 0 {
+				t.Fatalf("no switch variant for backend %s", backend)
 			}
-			budget := workload.DomainSwitchBudget(cfg)
+			for _, plat := range workload.AllPlatforms() {
+				for _, v := range variants[backend] {
+					name := plat.String() + "/" + string(v)
+					t.Run(name, func(t *testing.T) {
+						cfg := workload.DomainSwitchConfig{
+							Platform: plat, Variant: v,
+							Domains: 4, Iters: 50, Seed: workload.Table5Seed,
+						}
+						budget := workload.DomainSwitchBudget(cfg)
 
-			envCold, pCold, err := workload.PrepareDomainSwitch(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			envFork := envCold.Fork()
-			pFork, ok := envFork.K.Process(pCold.PID)
-			if !ok {
-				t.Fatal("fork lost the benchmark process")
-			}
+						envCold, pCold, err := workload.PrepareDomainSwitch(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						envFork := envCold.Fork()
+						pFork, ok := envFork.K.Process(pCold.PID)
+						if !ok {
+							t.Fatal("fork lost the benchmark process")
+						}
 
-			cold := finishDigest(t, envCold, pCold, budget)
-			forked := finishDigest(t, envFork, pFork, budget)
-			requireAllGrades(t, backend, cold, forked)
-			if issues := envFork.M.PM.AuditCOW(); len(issues) != 0 {
-				t.Errorf("COW audit after forked run: %v", issues)
+						cold := finishDigest(t, envCold, pCold, budget)
+						forked := finishDigest(t, envFork, pFork, budget)
+						requireAllGrades(t, name, cold, forked)
+						if issues := envFork.M.PM.AuditCOW(); len(issues) != 0 {
+							t.Errorf("COW audit after forked run: %v", issues)
+						}
+						t.Logf("%s: forked run dirtied %d pages", name, envFork.M.PM.COWCopies())
+					})
+				}
 			}
-			t.Logf("backend %s: forked run dirtied %d pages", backend, envFork.M.PM.COWCopies())
 		})
 	}
 }

@@ -35,12 +35,6 @@ func (h *Hist) Record(v int64) {
 	}
 }
 
-// N returns the sample count.
-func (h *Hist) N() int64 { return h.n }
-
-// Max returns the largest recorded sample (0 when empty).
-func (h *Hist) Max() int64 { return h.max }
-
 // Quantile returns an upper bound for the q-quantile: the bucket ceiling of
 // the sample at rank ceil(q*n). Empty histograms read 0.
 func (h *Hist) Quantile(q float64) int64 {

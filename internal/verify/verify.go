@@ -137,9 +137,6 @@ type Report struct {
 // Clean reports whether no checker produced findings.
 func (r Report) Clean() bool { return len(r.Findings) == 0 }
 
-// Run executes every registered checker against the snapshot.
-func Run(s *Snapshot) Report { return RunMemo(s, nil) }
-
 // RunMachine captures a snapshot of (m, lz) and runs the registry.
 func RunMachine(m *hyp.Machine, lz *core.LightZone) (Report, error) {
 	return RunMachineMemo(m, lz, nil)

@@ -5,19 +5,27 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lightzone/internal/baseline"
 	"lightzone/internal/core"
 	"lightzone/internal/kernel"
 )
 
-// Fork clones a booted environment in O(dirty pages): physical memory forks
-// copy-on-write, the machine layers (vCPU, hypervisor, kernels) transfer
-// their architectural state exactly, and the module chain — LightZone, both
-// baselines, the measurement marker — is re-cloned and re-attached so the
-// child's kernel dispatches into the child's modules. The parent must be
-// quiescent (between Run invocations); the child is a full environment,
-// indistinguishable by replay.Digest from a cold boot driven to the same
-// point.
+// Fork clones a prepared environment in O(dirty pages). It forks only at a
+// fork point: the machine booted, the modules installed, the process
+// created and its gate entries registered, and nothing run. No instruction
+// retired, no process in LightZone and no thread scheduled; Fork, the
+// module fork and the kernel fork each panic on a machine past that point.
+// Physical memory forks copy-on-write, the vCPU and hypervisor transfer
+// their state exactly, the kernels their id counters and process tables,
+// and the child's module chain is rebuilt from what preparation set: the LightZone module's options, backend and
+// gate entries, fresh baselines (only their syscalls create per-process
+// records) and an unset marker. The child is a full environment,
+// indistinguishable by replay.Digest from a cold boot of the same
+// preparation.
 func (e *Env) Fork() *Env {
+	if e.M.CPU.Insns != 0 {
+		panic("workload: fork of a machine that has run")
+	}
 	m2 := e.M.Fork()
 	e2 := &Env{Platform: e.Platform, M: m2}
 	if e.Platform.Guest {
@@ -30,10 +38,10 @@ func (e *Env) Fork() *Env {
 	} else {
 		e2.K = m2.Host
 	}
-	e2.LZ = e.LZ.Fork(m2.Hyp, e2.K)
-	e2.WP = e.WP.Fork()
-	e2.LWC = e.LWC.Fork()
-	e2.Marks = &Marker{c: m2.CPU, Begin: e.Marks.Begin, End: e.Marks.End}
+	e2.LZ = e.LZ.Fork(m2.Hyp)
+	e2.WP = baseline.NewWatchpoint()
+	e2.LWC = baseline.NewLwC()
+	e2.Marks = &Marker{c: m2.CPU, Begin: markerUnset, End: markerUnset}
 	e2.K.Module = kernel.ModuleMux{e2.LZ, e2.WP, e2.LWC, e2.Marks}
 	if e.Platform.Guest {
 		core.InstallLowvisor(m2.Hyp, e2.LZ)

@@ -1,12 +1,16 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lightzone/internal/arm64"
+	"lightzone/internal/core"
 	"lightzone/internal/cpu"
+	"lightzone/internal/kernel"
 )
 
 // freshZygotes empties the zygote pool for the test body and again after it.
@@ -222,6 +226,64 @@ func TestZygoteChildrenIsolated(t *testing.T) {
 	}
 	if mC != mA {
 		t.Errorf("fork after sibling runs measured %d, want %d (zygote dirtied)", mC, mA)
+	}
+}
+
+// forkPointConfigs are a host and a guest cell for the fork-point guards.
+func forkPointConfigs() []DomainSwitchConfig {
+	cfgs := fleetTestConfigs()
+	return []DomainSwitchConfig{cfgs[1], cfgs[3]}
+}
+
+// requireForkPanic forks env and requires a panic whose message contains
+// want.
+func requireForkPanic(t *testing.T, env *Env, want string) {
+	t.Helper()
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, want) {
+			t.Errorf("%s: Env.Fork recovered %q, want a panic containing %q", env.Platform, r, want)
+		}
+	}()
+	env.Fork()
+}
+
+// TestForkRefusesMachineThatRan: a machine forks only at its fork point.
+// Once its process has retired an instruction — here 20 traps into the run
+// — Env.Fork panics instead of cloning what the run created. (A guest
+// cell's first traps are fetch faults that retire nothing; the kernel's
+// guard refuses those forks.)
+func TestForkRefusesMachineThatRan(t *testing.T) {
+	for _, cfg := range forkPointConfigs() {
+		env, p, err := PrepareDomainSwitch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.Run(p, 20); !errors.Is(err, kernel.ErrTrapBudget) {
+			t.Fatalf("%s: run 20 traps: %v", cfg.Platform, err)
+		}
+		if env.M.CPU.Insns == 0 {
+			t.Fatalf("%s: 20 traps retired no instruction", cfg.Platform)
+		}
+		requireForkPanic(t, env, "has run")
+	}
+}
+
+// TestForkRefusesEnteredProcess: entering LightZone from Go builds
+// per-process module state without retiring an instruction, so the
+// module's own guard refuses the fork.
+func TestForkRefusesEnteredProcess(t *testing.T) {
+	for _, cfg := range forkPointConfigs() {
+		env, p, err := PrepareDomainSwitch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := env.LZ.EnterProcess(env.K, p, true, core.SanTTBR); err != nil {
+			t.Fatal(err)
+		}
+		if n := env.M.CPU.Insns; n != 0 {
+			t.Fatalf("%s: EnterProcess retired %d instructions", cfg.Platform, n)
+		}
+		requireForkPanic(t, env, "process in LightZone")
 	}
 }
 

@@ -19,8 +19,8 @@
 //  4. backend-state confinement: each isolation backend's private state in
 //     package core is touched only by its backend's files — the secure
 //     call-gate machinery (`.gateTabPA`, `.ttbrTabPA`, `.gateCode`,
-//     `.gatePages`, `.gatePgt`) by gate.go, overlay key records (`.okeys`)
-//     by backend_overlay.go, granule delegation state (`.gran`) by
+//     `.gatePgt`) by gate.go, overlay key records (`.okeys`) by
+//     backend_overlay.go, granule delegation state (`.gran`) by
 //     backend_granule.go. The Backend interface is the only cross-backend
 //     surface; state reaching across it would let one backend's semantics
 //     leak into another's.
@@ -129,7 +129,6 @@ var confined = map[string]map[string]string{
 		"gateTabPA": "gate.go",
 		"ttbrTabPA": "gate.go",
 		"gateCode":  "gate.go",
-		"gatePages": "gate.go",
 		"gatePgt":   "gate.go",
 		"okeys":     "backend_overlay.go",
 		"gran":      "backend_granule.go",
