@@ -208,21 +208,15 @@ func (c *VCPU) MemRead(va mem.VA, size int, unpriv bool) (uint64, *Abort) {
 	if ab != nil {
 		return 0, ab
 	}
-	c.Charge(c.Prof.MemAccessCost)
 	var v uint64
 	if uint64(pa)&mem.PageMask+uint64(size) <= mem.PageSize {
+		c.Charge(c.Prof.MemAccessCost)
 		var err error
 		if v, err = c.Mem.ReadUint(pa, size); err != nil {
 			return 0, c.abort(va, 0, mem.AccessRead, mem.FaultAddressSize, 1)
 		}
-	} else {
-		var buf [8]byte
-		if err := c.Mem.Read(pa, buf[:size]); err != nil {
-			return 0, c.abort(va, 0, mem.AccessRead, mem.FaultAddressSize, 1)
-		}
-		for i := size - 1; i >= 0; i-- {
-			v = v<<8 | uint64(buf[i])
-		}
+	} else if v, ab = c.readCrossing(va, pa, size, unpriv); ab != nil {
+		return 0, ab
 	}
 	if c.audit != nil {
 		c.audit.noteAccess(false, va, size)
@@ -236,24 +230,65 @@ func (c *VCPU) MemWrite(va mem.VA, size int, v uint64, unpriv bool) *Abort {
 	if ab != nil {
 		return ab
 	}
-	c.Charge(c.Prof.MemAccessCost)
 	if uint64(pa)&mem.PageMask+uint64(size) <= mem.PageSize {
+		c.Charge(c.Prof.MemAccessCost)
 		if err := c.Mem.WriteUint(pa, size, v); err != nil {
 			return c.abort(va, 0, mem.AccessWrite, mem.FaultAddressSize, 1)
 		}
-	} else {
-		var buf [8]byte
-		for i := 0; i < size; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		if err := c.Mem.Write(pa, buf[:size]); err != nil {
-			return c.abort(va, 0, mem.AccessWrite, mem.FaultAddressSize, 1)
-		}
+	} else if ab := c.writeCrossing(va, pa, size, v, unpriv); ab != nil {
+		return ab
 	}
 	if c.audit != nil {
 		c.audit.noteAccess(true, va, size)
 	}
 	c.noteCodeWrite(va, size)
+	return nil
+}
+
+// readCrossing loads size bytes at va, which translated to pa and run past
+// the end of pa's page. The pages are contiguous only in VA, so the next
+// one translates on its own, with the same access kind and unpriv flag,
+// before a byte is read; a fault there reports that page's first byte.
+func (c *VCPU) readCrossing(va mem.VA, pa mem.PA, size int, unpriv bool) (uint64, *Abort) {
+	n := int(mem.PageSize - uint64(pa)&mem.PageMask)
+	pa2, ab := c.Translate(va+mem.VA(n), mem.AccessRead, unpriv)
+	if ab != nil {
+		return 0, ab
+	}
+	c.Charge(c.Prof.MemAccessCost)
+	var buf [8]byte
+	if err := c.Mem.Read(pa, buf[:n]); err != nil {
+		return 0, c.abort(va, 0, mem.AccessRead, mem.FaultAddressSize, 1)
+	}
+	if err := c.Mem.Read(pa2, buf[n:size]); err != nil {
+		return 0, c.abort(va+mem.VA(n), 0, mem.AccessRead, mem.FaultAddressSize, 1)
+	}
+	var v uint64
+	for i := size - 1; i >= 0; i-- {
+		v = v<<8 | uint64(buf[i])
+	}
+	return v, nil
+}
+
+// writeCrossing is readCrossing's store: both pages translate before a
+// byte is written, so a store that faults on either page writes nothing.
+func (c *VCPU) writeCrossing(va mem.VA, pa mem.PA, size int, v uint64, unpriv bool) *Abort {
+	n := int(mem.PageSize - uint64(pa)&mem.PageMask)
+	pa2, ab := c.Translate(va+mem.VA(n), mem.AccessWrite, unpriv)
+	if ab != nil {
+		return ab
+	}
+	c.Charge(c.Prof.MemAccessCost)
+	var buf [8]byte
+	for i := 0; i < size; i++ {
+		buf[i] = byte(v >> (8 * i))
+	}
+	if err := c.Mem.Write(pa, buf[:n]); err != nil {
+		return c.abort(va, 0, mem.AccessWrite, mem.FaultAddressSize, 1)
+	}
+	if err := c.Mem.Write(pa2, buf[n:size]); err != nil {
+		return c.abort(va+mem.VA(n), 0, mem.AccessWrite, mem.FaultAddressSize, 1)
+	}
 	return nil
 }
 

@@ -177,6 +177,102 @@ func TestMemReadWriteSizes(t *testing.T) {
 	}
 }
 
+// TestMemAccessCrossingUnmappedPageFaults: in newEnv, dataVA's frame is
+// physically followed by the PAN-protected userVA frame while the next VA
+// page is unmapped. An 8-byte load or store at dataVA+0xFFC crosses into
+// that unmapped page, so it must take a stage-1 translation abort at the
+// page's first byte, and no byte may move: the register keeps its value,
+// and neither the data frame nor the user frame behind it changes.
+func TestMemAccessCrossingUnmappedPageFaults(t *testing.T) {
+	const secret = 0x5ec2e7
+	for _, store := range []bool{false, true} {
+		e := newEnv(t)
+		dataPA := walkPA(t, e, dataVA)
+		userPA := walkPA(t, e, userVA)
+		if err := e.pm.WriteUint(userPA, 8, secret); err != nil {
+			t.Fatal(err)
+		}
+		a := arm64.NewAsm()
+		a.MovImm(1, uint64(dataVA)+0xFFC)
+		a.MovImm(2, 0x1122334455667788)
+		a.MovImm(3, 0xdead)
+		a.Emit(arm64.MSRPan(1))
+		if store {
+			a.Emit(arm64.STRImm(2, 1, 0, 3))
+		} else {
+			a.Emit(arm64.LDRImm(3, 1, 0, 3))
+		}
+		a.Emit(arm64.HVC(0))
+		e.load(t, a)
+		exit := e.run(t, 100)
+		s := exit.Syndrome
+		if s.Class != ECDataAbortSame || s.Kind != mem.FaultTranslation || s.Stage != 1 {
+			t.Fatalf("store=%v: expected a stage-1 translation abort, got %+v", store, s)
+		}
+		if s.VA != dataVA+mem.PageSize {
+			t.Errorf("store=%v: fault VA = %v, want %v", store, s.VA, dataVA+mem.PageSize)
+		}
+		if got := e.c.R(3); got != 0xdead {
+			t.Errorf("store=%v: X3 = %#x after the abort, want it unchanged", store, got)
+		}
+		if v, _ := e.pm.ReadU64(userPA); v != secret {
+			t.Errorf("store=%v: user frame holds %#x, want %#x", store, v, secret)
+		}
+		if v, _ := e.pm.ReadUint(dataPA+0xFF8, 8); v != 0 {
+			t.Errorf("store=%v: the faulting store partly wrote the data frame: %#x", store, v)
+		}
+	}
+}
+
+// TestMemAccessCrossingTranslatesSecondPage: when the next VA page is
+// mapped to a frame that is physically elsewhere, a crossing access must
+// use that frame for its second part, not the physically next one.
+func TestMemAccessCrossingTranslatesSecondPage(t *testing.T) {
+	e := newEnv(t)
+	dataPA := walkPA(t, e, dataVA)
+	userPA := walkPA(t, e, userVA)
+	nextPA, err := e.pm.AllocFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.s1.Map(dataVA+mem.PageSize, nextPA, mem.AttrPXN|mem.AttrUXN|mem.AttrNG); err != nil {
+		t.Fatal(err)
+	}
+	if nextPA == dataPA+mem.PageSize {
+		t.Fatalf("next page landed physically adjacent at %v; the test needs it elsewhere", nextPA)
+	}
+	for pa, v := range map[mem.PA]uint64{dataPA + 0xFFC: 0xa1a2a3a4, nextPA: 0xb1b2b3b4, userPA: 0xc1c2c3c4} {
+		if err := e.pm.WriteUint(pa, 4, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, ab := e.c.MemRead(dataVA+0xFFC, 8, false); ab != nil || v != 0xb1b2b3b4_a1a2a3a4 {
+		t.Errorf("crossing load = %#x (%v), want 0xb1b2b3b4a1a2a3a4", v, ab)
+	}
+	if ab := e.c.MemWrite(dataVA+0xFFE, 4, 0x11223344, false); ab != nil {
+		t.Fatal(ab)
+	}
+	if v, _ := e.pm.ReadUint(dataPA+0xFFC, 4); v != 0x3344a3a4 {
+		t.Errorf("first page after crossing store = %#x, want 0x3344a3a4", v)
+	}
+	if v, _ := e.pm.ReadUint(nextPA, 4); v != 0xb1b21122 {
+		t.Errorf("second page after crossing store = %#x, want 0xb1b21122", v)
+	}
+	if v, _ := e.pm.ReadUint(userPA, 4); v != 0xc1c2c3c4 {
+		t.Errorf("physically next frame changed to %#x", v)
+	}
+}
+
+// walkPA returns the frame that va maps to in e's stage-1 table.
+func walkPA(t *testing.T, e *env, va mem.VA) mem.PA {
+	t.Helper()
+	res, err := e.s1.Walk(va)
+	if err != nil || !res.Found {
+		t.Fatalf("%v is not mapped: %v", va, err)
+	}
+	return res.PA
+}
+
 func TestWalkCostIncludesStage2Levels(t *testing.T) {
 	// With stage-2 enabled, a data TLB miss charges stage-1 plus stage-2
 	// walk levels.

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -17,205 +18,271 @@ func pattern(seed byte) []byte {
 	return b
 }
 
+// frameKind writes a frame's content one of the two ways a frame comes to
+// be stored: through the byte path, which stores it dense, or through the
+// table-word path, which stores it compact. A later write of the same kind
+// replaces the whole content, and want returns it.
+type frameKind struct {
+	name  string
+	write func(pm *PhysMem, pa PA, seed byte) error
+	want  func(seed byte) []byte
+}
+
+// sparseWords are the words the compact kind stores: three, as most table
+// frames hold.
+var sparseWords = [...]uint64{0, 1, 511}
+
+func sparseWord(seed byte, i uint64) uint64 { return uint64(seed)<<32 | i<<12 | 3 }
+
+var frameKinds = []frameKind{
+	{"dense", func(pm *PhysMem, pa PA, seed byte) error { return pm.Write(pa, pattern(seed)) }, pattern},
+	{"compact", func(pm *PhysMem, pa PA, seed byte) error {
+		for _, i := range sparseWords {
+			if err := pm.storeTableWord(pa, i, sparseWord(seed, i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, func(seed byte) []byte {
+		b := make([]byte, PageSize)
+		for _, i := range sparseWords {
+			binary.LittleEndian.PutUint64(b[i*8:], sparseWord(seed, i))
+		}
+		return b
+	}},
+}
+
+// forEachKind runs fn as a subtest per frame kind.
+func forEachKind(t *testing.T, fn func(t *testing.T, k frameKind)) {
+	for _, k := range frameKinds {
+		t.Run(k.name, func(t *testing.T) { fn(t, k) })
+	}
+}
+
 // TestForkSharesThenCopiesOnWrite is the core COW contract: a fork shares
-// every materialized frame, reads stay identical on both sides, and the
-// child's first write to a shared page privatizes exactly that one frame.
+// every materialized frame, reads stay identical on both sides and copy
+// nothing, and the child's first write to a shared page privatizes exactly
+// that one frame, however it is stored.
 func TestForkSharesThenCopiesOnWrite(t *testing.T) {
-	pm := newTestPhys(t)
-	pa1, pa2 := PA(0x1000), PA(0x4000)
-	if err := pm.Write(pa1, pattern(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := pm.Write(pa2, pattern(2)); err != nil {
-		t.Fatal(err)
-	}
+	forEachKind(t, func(t *testing.T, k frameKind) {
+		pm := newTestPhys(t)
+		pa1, pa2 := PA(0x1000), PA(0x4000)
+		if err := k.write(pm, pa1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.write(pm, pa2, 2); err != nil {
+			t.Fatal(err)
+		}
+		if compactAt(pm, pa1) != (k.name == "compact") {
+			t.Fatalf("a %s write did not store the frame %s", k.name, k.name)
+		}
 
-	child := pm.Fork()
-	if pm.Forks() != 1 {
-		t.Errorf("parent Forks() = %d, want 1", pm.Forks())
-	}
-	if got := child.SharedFrames(); got != 2 {
-		t.Errorf("child shares %d frames after fork, want 2", got)
-	}
-	buf := make([]byte, PageSize)
-	if err := child.Read(pa1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, pattern(1)) {
-		t.Error("child read of shared frame differs from parent contents")
-	}
+		child := pm.Fork()
+		if pm.Forks() != 1 {
+			t.Errorf("parent Forks() = %d, want 1", pm.Forks())
+		}
+		if got := child.SharedFrames(); got != 2 {
+			t.Errorf("child shares %d frames after fork, want 2", got)
+		}
+		buf := make([]byte, PageSize)
+		if err := child.Read(pa1, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, k.want(1)) {
+			t.Error("child read of shared frame differs from parent contents")
+		}
+		if got := child.COWCopies(); got != 0 {
+			t.Errorf("reading a shared frame copied it: COWCopies = %d", got)
+		}
 
-	// First child write: exactly one copy; the parent's bytes are untouched.
-	if err := child.Write(pa1, pattern(9)); err != nil {
-		t.Fatal(err)
-	}
-	if got := child.COWCopies(); got != 1 {
-		t.Errorf("child privatized %d frames after one write, want exactly 1", got)
-	}
-	if got := pm.COWCopies(); got != 0 {
-		t.Errorf("parent privatized %d frames without writing, want 0", got)
-	}
-	if err := pm.Read(pa1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, pattern(1)) {
-		t.Error("child write leaked into the parent's frame")
-	}
+		// First child write: exactly one copy; the parent's bytes are
+		// untouched, and the copy is stored the way the original was.
+		if err := k.write(child, pa1, 9); err != nil {
+			t.Fatal(err)
+		}
+		if got := child.COWCopies(); got != 1 {
+			t.Errorf("child privatized %d frames after one write, want exactly 1", got)
+		}
+		if got := pm.COWCopies(); got != 0 {
+			t.Errorf("parent privatized %d frames without writing, want 0", got)
+		}
+		if err := pm.Read(pa1, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, k.want(1)) {
+			t.Error("child write leaked into the parent's frame")
+		}
+		if err := child.Read(pa1, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, k.want(9)) {
+			t.Error("child's write is missing from its copy")
+		}
+		if compactAt(child, pa1) != compactAt(pm, pa1) {
+			t.Error("the copy is stored differently from the original")
+		}
 
-	// A second write to the same page must not copy again.
-	if err := child.WriteUint(pa1+8, 8, 0xfeed); err != nil {
-		t.Fatal(err)
-	}
-	if got := child.COWCopies(); got != 1 {
-		t.Errorf("second write to a privatized page copied again: COWCopies = %d", got)
-	}
+		// A second write to the same page must not copy again, even when
+		// the byte write turns a compact copy dense.
+		if err := child.WriteUint(pa1+8, 8, 0xfeed); err != nil {
+			t.Fatal(err)
+		}
+		if got := child.COWCopies(); got != 1 {
+			t.Errorf("second write to a privatized page copied again: COWCopies = %d", got)
+		}
 
-	// Writing the other shared page is a second, independent copy.
-	if err := child.Write(pa2, pattern(8)); err != nil {
-		t.Fatal(err)
-	}
-	if got := child.COWCopies(); got != 2 {
-		t.Errorf("child COWCopies = %d after writing two shared pages, want 2", got)
-	}
+		// Writing the other shared page is a second, independent copy.
+		if err := k.write(child, pa2, 8); err != nil {
+			t.Fatal(err)
+		}
+		if got := child.COWCopies(); got != 2 {
+			t.Errorf("child COWCopies = %d after writing two shared pages, want 2", got)
+		}
+		if issues := child.AuditCOW(); len(issues) != 0 {
+			t.Errorf("audit: %v", issues)
+		}
+	})
 }
 
 // TestForkParentWriteDoesNotDisturbChild checks the symmetric direction:
 // the parent privatizes on write too, and the child keeps the snapshot view.
 func TestForkParentWriteDoesNotDisturbChild(t *testing.T) {
-	pm := newTestPhys(t)
-	pa := PA(0x2000)
-	if err := pm.Write(pa, pattern(3)); err != nil {
-		t.Fatal(err)
-	}
-	child := pm.Fork()
-	if err := pm.Write(pa, pattern(7)); err != nil {
-		t.Fatal(err)
-	}
-	if got := pm.COWCopies(); got != 1 {
-		t.Errorf("parent COWCopies = %d after one write, want 1", got)
-	}
-	buf := make([]byte, PageSize)
-	if err := child.Read(pa, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, pattern(3)) {
-		t.Error("parent write after fork leaked into the child's snapshot")
-	}
+	forEachKind(t, func(t *testing.T, k frameKind) {
+		pm := newTestPhys(t)
+		pa := PA(0x2000)
+		if err := k.write(pm, pa, 3); err != nil {
+			t.Fatal(err)
+		}
+		child := pm.Fork()
+		if err := k.write(pm, pa, 7); err != nil {
+			t.Fatal(err)
+		}
+		if got := pm.COWCopies(); got != 1 {
+			t.Errorf("parent COWCopies = %d after one write, want 1", got)
+		}
+		buf := make([]byte, PageSize)
+		if err := child.Read(pa, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, k.want(3)) {
+			t.Error("parent write after fork leaked into the child's snapshot")
+		}
+	})
 }
 
 // TestForkSoleHolderWritesInPlace: once the child privatizes a page, the
 // parent is the sole remaining holder of the original storage and may
 // reclaim it without another copy — the dirty-page count stays exact.
 func TestForkSoleHolderWritesInPlace(t *testing.T) {
-	pm := newTestPhys(t)
-	pa := PA(0x3000)
-	if err := pm.Write(pa, pattern(4)); err != nil {
-		t.Fatal(err)
-	}
-	child := pm.Fork()
-	if err := child.Write(pa, pattern(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := pm.Write(pa, pattern(6)); err != nil {
-		t.Fatal(err)
-	}
-	if got := pm.COWCopies(); got != 0 {
-		t.Errorf("sole holder copied instead of reclaiming in place: parent COWCopies = %d", got)
-	}
-	buf := make([]byte, PageSize)
-	if err := child.Read(pa, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, pattern(5)) {
-		t.Error("parent in-place write corrupted the child's privatized frame")
-	}
+	forEachKind(t, func(t *testing.T, k frameKind) {
+		pm := newTestPhys(t)
+		pa := PA(0x3000)
+		if err := k.write(pm, pa, 4); err != nil {
+			t.Fatal(err)
+		}
+		child := pm.Fork()
+		if err := k.write(child, pa, 5); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.write(pm, pa, 6); err != nil {
+			t.Fatal(err)
+		}
+		if got := pm.COWCopies(); got != 0 {
+			t.Errorf("sole holder copied instead of reclaiming in place: parent COWCopies = %d", got)
+		}
+		buf := make([]byte, PageSize)
+		if err := child.Read(pa, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, k.want(5)) {
+			t.Error("parent in-place write corrupted the child's privatized frame")
+		}
+	})
 }
 
 // TestForkFreeListReuseDetaches: reallocating a freed frame whose storage is
-// still shared must detach to a fresh zero frame (zeroing in place would
-// wipe the relative's view), and the slot must stay materialized so the
-// digest's frame set matches a cold boot's.
+// still shared must detach to a fresh zero frame stored the same way
+// (zeroing in place would wipe the relative's view), and the slot must stay
+// materialized so the digest's frame set matches a cold boot's.
 func TestForkFreeListReuseDetaches(t *testing.T) {
-	pm := newTestPhys(t)
-	pa, err := pm.AllocFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pm.Write(pa, pattern(11)); err != nil {
-		t.Fatal(err)
-	}
-	child := pm.Fork()
-	pm.FreeFrame(pa)
-	pa2, err := pm.AllocFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pa2 != pa {
-		t.Fatalf("free list did not reuse the frame: got %v, want %v", pa2, pa)
-	}
-	buf := make([]byte, PageSize)
-	if err := child.Read(pa, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, pattern(11)) {
-		t.Error("reallocating a shared frame wiped the fork relative's view")
-	}
-	if err := pm.Read(pa, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, make([]byte, PageSize)) {
-		t.Error("reallocated frame is not zeroed")
-	}
-	materialized := false
-	pm.VisitFrames(func(vpa PA, _ *[PageSize]byte) {
-		if vpa == pa {
-			materialized = true
+	forEachKind(t, func(t *testing.T, k frameKind) {
+		pm := newTestPhys(t)
+		pa, err := pm.AllocFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.write(pm, pa, 11); err != nil {
+			t.Fatal(err)
+		}
+		compact := compactAt(pm, pa)
+		child := pm.Fork()
+		pm.FreeFrame(pa)
+		pa2, err := pm.AllocFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pa2 != pa {
+			t.Fatalf("free list did not reuse the frame: got %v, want %v", pa2, pa)
+		}
+		if got := pm.COWCopies(); got != 1 {
+			t.Errorf("detaching counted %d copies, want 1", got)
+		}
+		buf := make([]byte, PageSize)
+		if err := child.Read(pa, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, k.want(11)) {
+			t.Error("reallocating a shared frame wiped the fork relative's view")
+		}
+		if compactAt(pm, pa) != compact {
+			t.Error("detaching changed how the frame is stored")
+		}
+		if got := visited(pm, pa); got == nil {
+			t.Error("reallocated frame slot de-materialized; digest frame set now differs from a cold boot")
+		} else if !bytes.Equal(got, make([]byte, PageSize)) {
+			t.Error("reallocated frame is not zeroed")
+		}
+		if issues := child.AuditCOW(); len(issues) != 0 {
+			t.Errorf("audit after free-list reuse: %v", issues)
 		}
 	})
-	if !materialized {
-		t.Error("reallocated frame slot de-materialized; digest frame set now differs from a cold boot")
-	}
-	if issues := child.AuditCOW(); len(issues) != 0 {
-		t.Errorf("audit after free-list reuse: %v", issues)
-	}
 }
 
-// TestForkBatchPoolNotShared is the PR 4 batch-allocation regression: frames
-// are carved from 16-page batch allocations, and remaining pool slots index
-// one shared backing array. Across a fork boundary parent and child must
-// never carve the same slot — first touches of the same fresh PA on both
-// sides must land in distinct storage.
-func TestForkBatchPoolNotShared(t *testing.T) {
-	pm := newTestPhys(t)
-	// Materialize one frame so the parent's batch pool has remnants.
-	if err := pm.Write(0x1000, pattern(1)); err != nil {
-		t.Fatal(err)
-	}
-	child := pm.Fork()
+// TestForkFirstTouchNotShared: a frame that neither side had touched at the
+// fork is materialized separately on each side, so first touches of the
+// same fresh PA on both sides land in distinct storage.
+func TestForkFirstTouchNotShared(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k frameKind) {
+		pm := newTestPhys(t)
+		if err := k.write(pm, 0x1000, 1); err != nil {
+			t.Fatal(err)
+		}
+		child := pm.Fork()
 
-	fresh := PA(0x10000) // untouched on both sides
-	if err := pm.Write(fresh, pattern(20)); err != nil {
-		t.Fatal(err)
-	}
-	if err := child.Write(fresh, pattern(30)); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, PageSize)
-	if err := pm.Read(fresh, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, pattern(20)) {
-		t.Error("child's first-touch write aliased into the parent's batch-mate frame")
-	}
-	if err := child.Read(fresh, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, pattern(30)) {
-		t.Error("parent's first-touch write aliased into the child's batch-mate frame")
-	}
-	if issues := child.AuditCOW(); len(issues) != 0 {
-		t.Errorf("audit found batch-pool aliasing: %v", issues)
-	}
+		fresh := PA(0x10000) // untouched on both sides
+		if err := k.write(pm, fresh, 20); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.write(child, fresh, 30); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, PageSize)
+		if err := pm.Read(fresh, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, k.want(20)) {
+			t.Error("child's first-touch write aliased into the parent's frame")
+		}
+		if err := child.Read(fresh, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, k.want(30)) {
+			t.Error("parent's first-touch write aliased into the child's frame")
+		}
+		if issues := child.AuditCOW(); len(issues) != 0 {
+			t.Errorf("audit found first-touch aliasing: %v", issues)
+		}
+	})
 }
 
 // TestForkChainAuditClean forks a grandchild chain, dirties pages at every
@@ -310,52 +377,54 @@ func TestAuditCOWCatchesMissingShareCell(t *testing.T) {
 // parent must keep the snapshot, and the audit must stay clean — under
 // -race this also proves the copy-before-decrement ordering.
 func TestForkConcurrentChildrenIsolated(t *testing.T) {
-	pm := newTestPhys(t)
-	const pages = 16
-	for i := 0; i < pages; i++ {
-		if err := pm.Write(PA(0x1000*uint64(i+1)), pattern(0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const kids = 4
-	children := make([]*PhysMem, kids)
-	for k := range children {
-		children[k] = pm.Fork()
-	}
-	var wg sync.WaitGroup
-	for k, c := range children {
-		wg.Add(1)
-		go func(k int, c *PhysMem) {
-			defer wg.Done()
-			for i := 0; i < pages; i++ {
-				if err := c.Write(PA(0x1000*uint64(i+1)), pattern(byte(100+k))); err != nil {
-					t.Errorf("child %d write: %v", k, err)
-				}
+	forEachKind(t, func(t *testing.T, fk frameKind) {
+		pm := newTestPhys(t)
+		const pages = 16
+		for i := 0; i < pages; i++ {
+			if err := fk.write(pm, PA(0x1000*uint64(i+1)), 0); err != nil {
+				t.Fatal(err)
 			}
-		}(k, c)
-	}
-	wg.Wait()
-	buf := make([]byte, PageSize)
-	for k, c := range children {
-		if err := c.Read(0x1000, buf); err != nil {
+		}
+		const kids = 4
+		children := make([]*PhysMem, kids)
+		for k := range children {
+			children[k] = pm.Fork()
+		}
+		var wg sync.WaitGroup
+		for k, c := range children {
+			wg.Add(1)
+			go func(k int, c *PhysMem) {
+				defer wg.Done()
+				for i := 0; i < pages; i++ {
+					if err := fk.write(c, PA(0x1000*uint64(i+1)), byte(100+k)); err != nil {
+						t.Errorf("child %d write: %v", k, err)
+					}
+				}
+			}(k, c)
+		}
+		wg.Wait()
+		buf := make([]byte, PageSize)
+		for k, c := range children {
+			if err := c.Read(0x1000, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, fk.want(byte(100+k))) {
+				t.Errorf("child %d lost its own writes", k)
+			}
+			if got := c.COWCopies(); got != pages {
+				t.Errorf("child %d privatized %d pages, want %d", k, got, pages)
+			}
+			if issues := c.AuditCOW(); len(issues) != 0 {
+				t.Errorf("child %d audit: %v", k, issues)
+			}
+		}
+		if err := pm.Read(0x1000, buf); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf, pattern(byte(100+k))) {
-			t.Errorf("child %d lost its own writes", k)
+		if !bytes.Equal(buf, fk.want(0)) {
+			t.Error("concurrent child writes corrupted the zygote snapshot")
 		}
-		if got := c.COWCopies(); got != pages {
-			t.Errorf("child %d privatized %d pages, want %d", k, got, pages)
-		}
-		if issues := c.AuditCOW(); len(issues) != 0 {
-			t.Errorf("child %d audit: %v", k, issues)
-		}
-	}
-	if err := pm.Read(0x1000, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, pattern(0)) {
-		t.Error("concurrent child writes corrupted the zygote snapshot")
-	}
+	})
 }
 
 // TestStage1CloneForIndependentTables: a cloned stage-1 walker over forked

@@ -20,7 +20,119 @@ var ErrOutOfFrames = errors.New("physical memory exhausted")
 // hashing, while sparse chunks keep memory proportional to what is touched.
 const frameChunkShift = 9
 
-type frameChunk [1 << frameChunkShift]*[PageSize]byte
+// frameChunk holds the storage of 512 frames. A materialized frame is
+// stored one of two ways, and exactly one of its two slots is set: dense,
+// as a 4KB page, or compact (see compactFrame). Which one is a host-memory
+// decision of this file alone; every read sees the same bytes either way.
+type frameChunk struct {
+	dense   [1 << frameChunkShift]*[PageSize]byte
+	compact [1 << frameChunkShift]*compactFrame
+}
+
+// storage returns frame fi's storage pointer, dense or compact, or nil
+// when the frame is untouched.
+func (ch *frameChunk) storage(fi int) any {
+	if f := ch.dense[fi]; f != nil {
+		return f
+	}
+	if c := ch.compact[fi]; c != nil {
+		return c
+	}
+	return nil
+}
+
+// compactCap is the most non-zero words a compact frame holds.
+const compactCap = 8
+
+// compactFrame stores a frame whose non-zero 8-byte words number at most
+// compactCap: word idx[k] holds val[k] for k < n, in ascending idx, and
+// every other word is zero. Page-table frames written through the
+// table-word path start compact, since most hold one to three descriptors;
+// such a frame costs about 100 bytes instead of 4KB. Storing a non-zero
+// word past the cap, or any byte-path write, turns the frame dense.
+type compactFrame struct {
+	n   int
+	idx [compactCap]uint16
+	val [compactCap]uint64
+}
+
+// word returns word i.
+func (c *compactFrame) word(i uint64) uint64 {
+	for k := 0; k < c.n; k++ {
+		if uint64(c.idx[k]) == i {
+			return c.val[k]
+		}
+	}
+	return 0
+}
+
+// store sets word i to v. It reports false, changing nothing, when v is a
+// non-zero word the frame has no room for.
+func (c *compactFrame) store(i, v uint64) bool {
+	k := 0
+	for k < c.n && uint64(c.idx[k]) < i {
+		k++
+	}
+	switch {
+	case k < c.n && uint64(c.idx[k]) == i && v != 0:
+		c.val[k] = v
+	case k < c.n && uint64(c.idx[k]) == i:
+		copy(c.idx[k:c.n], c.idx[k+1:c.n])
+		copy(c.val[k:c.n], c.val[k+1:c.n])
+		c.n--
+		c.idx[c.n], c.val[c.n] = 0, 0
+	case v == 0:
+	case c.n == compactCap:
+		return false
+	default:
+		copy(c.idx[k+1:c.n+1], c.idx[k:c.n])
+		copy(c.val[k+1:c.n+1], c.val[k:c.n])
+		c.idx[k], c.val[k] = uint16(i), v
+		c.n++
+	}
+	return true
+}
+
+// read copies the frame's bytes [off, off+len(buf)) into buf.
+func (c *compactFrame) read(off uint64, buf []byte) {
+	clear(buf)
+	end := off + uint64(len(buf))
+	for k := 0; k < c.n; k++ {
+		lo := uint64(c.idx[k]) * 8
+		if lo+8 <= off || lo >= end {
+			continue
+		}
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], c.val[k])
+		s, e := max(lo, off), min(lo+8, end)
+		copy(buf[s-off:e-off], w[s-lo:e-lo])
+	}
+}
+
+// load returns the size-byte little-endian value at off, which must not
+// cross the frame's end.
+func (c *compactFrame) load(off uint64, size int) uint64 {
+	if off&7 == 0 && size == 8 {
+		return c.word(off >> 3)
+	}
+	var b [8]byte
+	c.read(off, b[:size])
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+// render writes the frame's words into f, whose other words must be zero.
+func (c *compactFrame) render(f *[PageSize]byte) {
+	for k := 0; k < c.n; k++ {
+		binary.LittleEndian.PutUint64(f[uint64(c.idx[k])*8:], c.val[k])
+	}
+}
+
+// erase zeroes the words of f that render wrote.
+func (c *compactFrame) erase(f *[PageSize]byte) {
+	for k := 0; k < c.n; k++ {
+		binary.LittleEndian.PutUint64(f[uint64(c.idx[k])*8:], 0)
+	}
+}
 
 // cowChunk parallels frameChunk with per-frame share counters. A non-nil
 // cell means the frame's storage is (or was) shared with a fork relative;
@@ -36,42 +148,22 @@ type PhysMem struct {
 	next      uint64
 	freeList  []uint64
 	allocated uint64
-	// pool carves frames out of batch allocations (see newFrame): first
-	// touch costs one host allocation per frameBatch pages instead of one
-	// per page, which matters when fleet sweeps materialize tens of
-	// thousands of frames.
-	pool [][PageSize]byte
 
 	// COW fork state (zygote snapshot/fork, DESIGN.md §14). These fields
-	// are confined to this file by tools/lint: the copy-on-write soundness
-	// argument — every mutation funnels through frameForWrite, refcounts
-	// account every holder — is an audit of phys.go alone.
+	// and the frame storage are confined to this file by tools/lint: the
+	// copy-on-write soundness argument — every mutation funnels through
+	// frameForWrite or storeTableWord, refcounts account every holder — is
+	// an audit of phys.go alone.
 	cowShares []*cowChunk // per-frame share cells, parallel to chunks
 	// cowChunkShared[ci] marks the chunk and share arrays at ci as shared
 	// with a fork relative: Fork hands out the array pointers instead of
-	// copying 4KB of metadata per live chunk, and every slot store goes
+	// copying the metadata per live chunk, and every slot store goes
 	// through unshare to privatize the arrays first. Relatives only ever
 	// read shared arrays, so children may run concurrently.
 	cowChunkShared []bool
 	cowParent      *PhysMem // the PhysMem this one was forked from (nil at cold boot)
 	cowForks       uint64   // number of children forked off this PhysMem
 	cowCopies      uint64   // frames privatized by copy-on-write (the dirty-page count)
-}
-
-// frameBatch is how many frames one pool allocation covers (64KB batches).
-const frameBatch = 16
-
-// newFrame returns a zeroed frame from the batch pool. Batches come zeroed
-// from the allocator, and frames are never returned to the pool (freed
-// frames stay in place and are re-zeroed by AllocFrame on reuse), so every
-// frame handed out is zero.
-func (m *PhysMem) newFrame() *[PageSize]byte {
-	if len(m.pool) == 0 {
-		m.pool = make([][PageSize]byte, frameBatch)
-	}
-	f := &m.pool[0]
-	m.pool = m.pool[1:]
-	return f
 }
 
 // NewPhysMem creates physical memory of size bytes (rounded down to whole
@@ -111,30 +203,35 @@ func (m *PhysMem) AllocFrame() (PA, error) {
 	case len(m.freeList) > 0:
 		idx = m.freeList[len(m.freeList)-1]
 		m.freeList = m.freeList[:len(m.freeList)-1]
-		// Reused frames must be zeroed for page-table safety.
+		// Reused frames must be zeroed for page-table safety. A frame
+		// keeps the way it is stored.
 		ci, fi := idx>>frameChunkShift, idx&(1<<frameChunkShift-1)
-		if ch := m.chunkAt(ci); ch != nil {
-			if f := ch[fi]; f != nil {
-				switch cell := m.cowCell(idx); {
-				case cell == nil:
-					*f = [PageSize]byte{}
-				case cell.Load() > 1:
-					// The storage is still shared with a fork relative:
-					// zeroing in place would wipe the relative's view of
-					// the page. Detach to a fresh zero frame instead; the
-					// slot stays materialized so the digest's frame set
-					// matches a cold boot's.
-					m.unshare(ci)
-					m.chunks[ci][fi] = m.newFrame()
-					m.cowShares[ci][fi] = nil
-					cell.Add(-1)
-					m.cowCopies++
-				default:
-					m.unshare(ci)
-					m.cowShares[ci][fi] = nil
-					*f = [PageSize]byte{}
-				}
+		ch := m.chunkAt(ci)
+		if ch == nil || ch.dense[fi] == nil && ch.compact[fi] == nil {
+			break
+		}
+		switch cell := m.cowCell(idx); {
+		case cell == nil:
+			zeroFrame(ch.dense[fi], ch.compact[fi])
+		case cell.Load() > 1:
+			// The storage is still shared with a fork relative: zeroing
+			// in place would wipe the relative's view of the page.
+			// Detach to fresh zero storage instead; the slot stays
+			// materialized so the digest's frame set matches a cold
+			// boot's.
+			m.unshare(ci)
+			if ch = m.chunks[ci]; ch.dense[fi] != nil {
+				ch.dense[fi] = new([PageSize]byte)
+			} else {
+				ch.compact[fi] = new(compactFrame)
 			}
+			m.cowShares[ci][fi] = nil
+			cell.Add(-1)
+			m.cowCopies++
+		default:
+			m.unshare(ci)
+			m.cowShares[ci][fi] = nil
+			zeroFrame(ch.dense[fi], ch.compact[fi])
 		}
 	case m.next < m.numFrames:
 		idx = m.next
@@ -144,6 +241,15 @@ func (m *PhysMem) AllocFrame() (PA, error) {
 	}
 	m.allocated++
 	return PA(idx << PageShift), nil
+}
+
+// zeroFrame zeroes a frame's storage in place: f or c, whichever is set.
+func zeroFrame(f *[PageSize]byte, c *compactFrame) {
+	if f != nil {
+		*f = [PageSize]byte{}
+	} else {
+		*c = compactFrame{}
+	}
 }
 
 // AllocContiguous allocates n physically contiguous zeroed frames and
@@ -207,20 +313,32 @@ func (m *PhysMem) unshare(ci uint64) {
 	m.cowChunkShared[ci] = false
 }
 
-func (m *PhysMem) frame(pa PA) (*[PageSize]byte, error) {
+// resolve returns pa's frame storage, dense or compact (exactly one is
+// set). An untouched frame materializes on first touch: compact when the
+// table-word path touches it (compact set), dense otherwise.
+func (m *PhysMem) resolve(pa PA, compact bool) (*[PageSize]byte, *compactFrame, error) {
 	idx := uint64(pa) >> PageShift
 	if idx >= m.numFrames {
-		return nil, fmt.Errorf("physical address %v beyond memory size %#x", pa, m.Size())
+		return nil, nil, fmt.Errorf("physical address %v beyond memory size %#x", pa, m.Size())
 	}
+	ci, fi := idx>>frameChunkShift, idx&(1<<frameChunkShift-1)
 	ch := m.chunkFor(idx)
-	f := ch[idx&(1<<frameChunkShift-1)]
-	if f == nil {
-		m.unshare(idx >> frameChunkShift)
-		ch = m.chunks[idx>>frameChunkShift]
-		f = m.newFrame()
-		ch[idx&(1<<frameChunkShift-1)] = f
+	if f := ch.dense[fi]; f != nil {
+		return f, nil, nil
 	}
-	return f, nil
+	if c := ch.compact[fi]; c != nil {
+		return nil, c, nil
+	}
+	m.unshare(ci)
+	ch = m.chunks[ci]
+	if compact {
+		c := new(compactFrame)
+		ch.compact[fi] = c
+		return nil, c, nil
+	}
+	f := new([PageSize]byte)
+	ch.dense[fi] = f
+	return f, nil, nil
 }
 
 // cowCell returns the share counter for a frame index, or nil when the
@@ -237,42 +355,125 @@ func (m *PhysMem) cowCell(idx uint64) *atomic.Int64 {
 	return ch[idx&(1<<frameChunkShift-1)]
 }
 
-// frameForWrite is the mutation funnel: it returns a frame that is safe to
-// write, breaking copy-on-write sharing first when the storage is held by a
-// fork relative. Ordering matters for concurrently running forks: the copy
-// happens before the refcount drop, so no other holder can ever observe a
-// count of 1 (and write in place) while this PhysMem still reads the shared
-// bytes. Every physical-memory write path — Write, WriteUint, and the
-// stage-1/stage-2 table walkers' descriptor stores — resolves frames here.
-func (m *PhysMem) frameForWrite(pa PA) (*[PageSize]byte, error) {
-	f, err := m.frame(pa)
+// resolveForWrite is the copy-on-write rule both write funnels share: it
+// resolves pa's frame like resolve and returns storage that is safe to
+// write, breaking sharing first when a fork relative holds it. Ordering
+// matters for concurrently running forks: the copy happens before the
+// refcount drop, so no other holder can ever observe a count of 1 (and
+// write in place) while this PhysMem still reads the shared storage.
+func (m *PhysMem) resolveForWrite(pa PA, compact bool) (*[PageSize]byte, *compactFrame, error) {
+	f, c, err := m.resolve(pa, compact)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	idx := uint64(pa) >> PageShift
+	cell := m.cowCell(idx)
+	if cell == nil {
+		return f, c, nil
+	}
 	ci, fi := idx>>frameChunkShift, idx&(1<<frameChunkShift-1)
-	if ci >= uint64(len(m.cowShares)) {
-		return f, nil
-	}
-	sc := m.cowShares[ci]
-	if sc == nil || sc[fi] == nil {
-		return f, nil
-	}
-	cell := sc[fi]
 	if cell.Load() > 1 {
-		nf := m.newFrame()
-		*nf = *f // copy first …
+		// Copy first …
+		if f != nil {
+			nf := new([PageSize]byte)
+			*nf = *f
+			f = nf
+		} else {
+			nc := *c
+			c = &nc
+		}
 		m.unshare(ci)
-		m.chunks[ci][fi] = nf
+		m.chunks[ci].dense[fi], m.chunks[ci].compact[fi] = f, c
 		m.cowShares[ci][fi] = nil
 		cell.Add(-1) // … then release the shared storage
 		m.cowCopies++
-		return nf, nil
+		return f, c, nil
 	}
 	// Sole remaining holder: reclaim exclusive ownership and write in place.
 	m.unshare(ci)
 	m.cowShares[ci][fi] = nil
-	return f, nil
+	return f, c, nil
+}
+
+// frameForWrite is the byte-path mutation funnel (Write, WriteUint): it
+// returns a dense frame that is safe to write, copying it first when a fork
+// relative shares it, and turns a compact frame dense.
+func (m *PhysMem) frameForWrite(pa PA) (*[PageSize]byte, error) {
+	f, c, err := m.resolveForWrite(pa, false)
+	if err != nil || f != nil {
+		return f, err
+	}
+	return m.densify(pa, c), nil
+}
+
+// densify replaces the compact frame c, which this PhysMem holds
+// exclusively at pa, with a dense frame holding the same bytes.
+func (m *PhysMem) densify(pa PA, c *compactFrame) *[PageSize]byte {
+	f := new([PageSize]byte)
+	c.render(f)
+	idx := uint64(pa) >> PageShift
+	ci, fi := idx>>frameChunkShift, idx&(1<<frameChunkShift-1)
+	m.unshare(ci)
+	m.chunks[ci].dense[fi], m.chunks[ci].compact[fi] = f, nil
+	return f
+}
+
+// tableWord returns word i (i < 512) of the page-table frame at tab, which
+// must be page-aligned. An untouched frame materializes compact.
+func (m *PhysMem) tableWord(tab PA, i uint64) (uint64, error) {
+	f, c, err := m.resolve(tab, true)
+	if err != nil {
+		return 0, err
+	}
+	if f != nil {
+		return binary.LittleEndian.Uint64(f[i*8 : i*8+8]), nil
+	}
+	return c.word(i), nil
+}
+
+// storeTableWord is the table-word mutation funnel: it stores v into word
+// i (i < 512) of the page-table frame at tab, under the same copy-on-write
+// rule as frameForWrite. An untouched frame materializes compact, and a
+// compact frame turns dense when v is a non-zero word past its cap.
+func (m *PhysMem) storeTableWord(tab PA, i, v uint64) error {
+	f, c, err := m.resolveForWrite(tab, true)
+	if err != nil {
+		return err
+	}
+	if f == nil {
+		if c.store(i, v) {
+			return nil
+		}
+		f = m.densify(tab, c)
+	}
+	binary.LittleEndian.PutUint64(f[i*8:i*8+8], v)
+	return nil
+}
+
+// tableWords calls fn(i, w) for every non-zero word w of the page-table
+// frame at tab in ascending index i, until fn returns false. A compact
+// frame is walked as it stood when the call began. An untouched frame
+// materializes compact.
+func (m *PhysMem) tableWords(tab PA, fn func(i, w uint64) bool) error {
+	f, c, err := m.resolve(tab, true)
+	if err != nil {
+		return err
+	}
+	if f == nil {
+		words := *c
+		for k := 0; k < words.n; k++ {
+			if !fn(uint64(words.idx[k]), words.val[k]) {
+				return nil
+			}
+		}
+		return nil
+	}
+	for i := uint64(0); i < PageSize/8; i++ {
+		if w := binary.LittleEndian.Uint64(f[i*8 : i*8+8]); w != 0 && !fn(i, w) {
+			return nil
+		}
+	}
+	return nil
 }
 
 // Fork snapshots this PhysMem into a copy-on-write child: the child shares
@@ -280,14 +481,10 @@ func (m *PhysMem) frameForWrite(pa PA) (*[PageSize]byte, error) {
 // each holder) and privatizes a frame only on its first write, so a fork
 // costs O(materialized frame table) pointer copies instead of O(memory).
 // Allocator state (next, free list, allocated count) is duplicated so the
-// child allocates exactly as a cold-booted machine would.
-//
-// The batch pool is dropped on both sides: remaining pool slots index into
-// one shared backing array, and letting parent and child carve the same
-// slot would silently alias two unrelated frames across the fork boundary
-// (the PR 4 batch-allocation hazard). Forks of the same parent must be
-// serialized by the caller (the zygote pool holds a per-zygote lock), but
-// forked children may run and break sharing concurrently.
+// child allocates exactly as a cold-booted machine would. Dense and compact
+// frames are shared alike. Forks of the same parent must be serialized by
+// the caller (the zygote pool holds a per-zygote lock), but forked children
+// may run and break sharing concurrently.
 func (m *PhysMem) Fork() *PhysMem {
 	// The chunk table only spans what was touched; keep the share and
 	// shared-flag tables in step (chunks materialized since the last fork
@@ -298,7 +495,6 @@ func (m *PhysMem) Fork() *PhysMem {
 	if len(m.cowChunkShared) < len(m.chunks) {
 		m.cowChunkShared = append(m.cowChunkShared, make([]bool, len(m.chunks)-len(m.cowChunkShared))...)
 	}
-	m.pool = nil
 	for ci, ch := range m.chunks {
 		if ch == nil {
 			continue
@@ -308,8 +504,8 @@ func (m *PhysMem) Fork() *PhysMem {
 			sc = new(cowChunk)
 			m.cowShares[ci] = sc
 		}
-		for fi, f := range ch {
-			if f == nil {
+		for fi := range sc {
+			if ch.storage(fi) == nil {
 				continue
 			}
 			cell := sc[fi]
@@ -364,8 +560,8 @@ func (m *PhysMem) SharedFrames() uint64 {
 			continue
 		}
 		sc := m.cowShares[ci]
-		for fi := range ch {
-			if ch[fi] != nil && sc[fi] != nil && sc[fi].Load() > 1 {
+		for fi := range sc {
+			if ch.storage(fi) != nil && sc[fi] != nil && sc[fi].Load() > 1 {
 				n++
 			}
 		}
@@ -398,7 +594,7 @@ func (m *PhysMem) AuditCOW() []COWIssue {
 		pa   PA
 		cell *atomic.Int64
 	}
-	byStorage := make(map[*[PageSize]byte][]holder)
+	byStorage := make(map[any][]holder) // keyed by frame storage pointer
 	for _, p := range fam {
 		for ci, ch := range p.chunks {
 			if ch == nil {
@@ -408,7 +604,8 @@ func (m *PhysMem) AuditCOW() []COWIssue {
 			if ci < len(p.cowShares) {
 				sc = p.cowShares[ci]
 			}
-			for fi, f := range ch {
+			for fi := range ch.dense {
+				f := ch.storage(fi)
 				if f == nil {
 					continue
 				}
@@ -465,16 +662,18 @@ func (m *PhysMem) AuditCOW() []COWIssue {
 // cow-aliasing checker must catch at the exact PA. Planted-battery and test
 // use only.
 func (m *PhysMem) PlantCOWAlias(src, dst PA) error {
-	sf, err := m.frame(src)
+	sf, sc, err := m.resolve(src, false)
 	if err != nil {
 		return err
 	}
-	if _, err := m.frame(dst); err != nil {
+	if _, _, err := m.resolve(dst, false); err != nil {
 		return err
 	}
 	idx := uint64(dst) >> PageShift
 	m.unshare(idx >> frameChunkShift)
-	m.chunks[idx>>frameChunkShift][idx&(1<<frameChunkShift-1)] = sf
+	ch := m.chunks[idx>>frameChunkShift]
+	fi := idx & (1<<frameChunkShift - 1)
+	ch.dense[fi], ch.compact[fi] = sf, sc
 	return nil
 }
 
@@ -482,17 +681,30 @@ func (m *PhysMem) PlantCOWAlias(src, dst PA) error {
 // order. Observation only: unlike Read, it never materializes frames, so a
 // full-memory digest taken between benchmark steps leaves the machine
 // byte-identical (an untouched frame reads as zero and stays untouched).
-// fn must not retain the frame pointer past the call.
+// A compact frame is rendered into one scratch page that every compact
+// frame of the call reuses, so fn must neither retain nor modify the frame.
 func (m *PhysMem) VisitFrames(fn func(pa PA, frame *[PageSize]byte)) {
+	var scratch *[PageSize]byte
 	for ci, ch := range m.chunks {
 		if ch == nil {
 			continue
 		}
-		for fi, f := range ch {
-			if f == nil {
+		for fi, f := range &ch.dense {
+			pa := PA((uint64(ci)<<frameChunkShift | uint64(fi)) << PageShift)
+			if f != nil {
+				fn(pa, f)
 				continue
 			}
-			fn(PA((uint64(ci)<<frameChunkShift|uint64(fi))<<PageShift), f)
+			c := ch.compact[fi]
+			if c == nil {
+				continue
+			}
+			if scratch == nil {
+				scratch = new([PageSize]byte)
+			}
+			c.render(scratch)
+			fn(pa, scratch)
+			c.erase(scratch)
 		}
 	}
 }
@@ -500,12 +712,17 @@ func (m *PhysMem) VisitFrames(fn func(pa PA, frame *[PageSize]byte)) {
 // Read copies len(buf) bytes starting at pa. Accesses may cross frames.
 func (m *PhysMem) Read(pa PA, buf []byte) error {
 	for len(buf) > 0 {
-		f, err := m.frame(pa)
+		f, c, err := m.resolve(pa, false)
 		if err != nil {
 			return err
 		}
 		off := uint64(pa) & PageMask
-		n := copy(buf, f[off:])
+		n := min(len(buf), int(PageSize-off))
+		if f != nil {
+			copy(buf, f[off:])
+		} else {
+			c.read(off, buf[:n])
+		}
 		buf = buf[n:]
 		pa += PA(n)
 	}
@@ -531,11 +748,14 @@ func (m *PhysMem) Write(pa PA, buf []byte) error {
 // cross a frame boundary — the emulated load/store fast path. Callers must
 // check the bound; crossing accesses go through Read.
 func (m *PhysMem) ReadUint(pa PA, size int) (uint64, error) {
-	f, err := m.frame(pa)
+	f, c, err := m.resolve(pa, false)
 	if err != nil {
 		return 0, err
 	}
 	off := uint64(pa) & PageMask
+	if f == nil {
+		return c.load(off, size), nil
+	}
 	switch size {
 	case 8:
 		return binary.LittleEndian.Uint64(f[off : off+8]), nil
@@ -573,9 +793,12 @@ func (m *PhysMem) WriteUint(pa PA, size int, v uint64) error {
 // ReadU64 reads a little-endian 64-bit word (page-table descriptors).
 func (m *PhysMem) ReadU64(pa PA) (uint64, error) {
 	if off := uint64(pa) & PageMask; off+8 <= PageSize {
-		f, err := m.frame(pa)
+		f, c, err := m.resolve(pa, false)
 		if err != nil {
 			return 0, err
+		}
+		if f == nil {
+			return c.load(off, 8), nil
 		}
 		return binary.LittleEndian.Uint64(f[off : off+8]), nil
 	}
@@ -596,9 +819,12 @@ func (m *PhysMem) WriteU64(pa PA, v uint64) error {
 // ReadU32 reads a little-endian 32-bit word (instruction fetch).
 func (m *PhysMem) ReadU32(pa PA) (uint32, error) {
 	if off := uint64(pa) & PageMask; off+4 <= PageSize {
-		f, err := m.frame(pa)
+		f, c, err := m.resolve(pa, false)
 		if err != nil {
 			return 0, err
+		}
+		if f == nil {
+			return uint32(c.load(off, 4)), nil
 		}
 		return binary.LittleEndian.Uint32(f[off : off+4]), nil
 	}

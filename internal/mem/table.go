@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // WalkResult is the outcome of a page-table walk.
 type WalkResult struct {
@@ -29,6 +26,9 @@ type WalkResult struct {
 // level 2. The only difference between the stages is the root's level —
 // 0 for a 48-bit stage-1 VA, 1 for a 39-bit stage-2 IPA. Stage1 and Stage2
 // are typed views over it that add the input-range checks and their tags.
+// The table reads and stores descriptors only through PhysMem's table-word
+// accessors (tableWord, storeTableWord, tableWords), never through frame
+// storage: how a table frame is stored is phys.go's decision.
 type table struct {
 	pm          *PhysMem
 	root        PA
@@ -78,18 +78,15 @@ func (t *table) descend(addr uint64, to int, onAlloc func(PA)) (PA, error) {
 }
 
 // nextTable returns the table pointed to by the descriptor at (tab, idx),
-// allocating it when absent. Table frames are page-aligned, so the
-// descriptor is read through the frame directly.
+// allocating it when absent.
 func (t *table) nextTable(tab PA, idx uint64, onAlloc func(PA)) (PA, error) {
-	f, err := t.pm.frame(tab)
+	desc, err := t.pm.tableWord(tab, idx)
 	if err != nil {
 		return 0, err
 	}
-	off := idx * 8
-	desc := binary.LittleEndian.Uint64(f[off : off+8])
 	if desc&DescValid != 0 {
 		if desc&DescTable == 0 {
-			return 0, fmt.Errorf("descriptor at %v is a block, not a table", tab+PA(off))
+			return 0, fmt.Errorf("descriptor at %v is a block, not a table", tab+PA(idx*8))
 		}
 		return PA(desc & OAMask), nil
 	}
@@ -98,14 +95,9 @@ func (t *table) nextTable(tab PA, idx uint64, onAlloc func(PA)) (PA, error) {
 		return 0, err
 	}
 	t.tableFrames++
-	// Re-resolve for writing: the table frame may be copy-on-write shared
-	// after a fork, and the descriptor store must land in this machine's
-	// private copy.
-	f, err = t.pm.frameForWrite(tab)
-	if err != nil {
+	if err := t.pm.storeTableWord(tab, idx, uint64(next)|DescValid|DescTable); err != nil {
 		return 0, err
 	}
-	binary.LittleEndian.PutUint64(f[off:off+8], uint64(next)|DescValid|DescTable)
 	if onAlloc != nil {
 		onAlloc(next)
 	}
@@ -125,7 +117,7 @@ func (t *table) mapPage(addr uint64, pa PA, attrs uint64, onAlloc func(PA)) erro
 		t.lastLeafTable = leaf
 	}
 	desc := uint64(pa)&OAMask | attrs | DescValid | DescTable | AttrAF
-	return t.pm.WriteU64(leaf+PA(TableIndex(addr, 3)*8), desc)
+	return t.pm.storeTableWord(leaf, TableIndex(addr, 3), desc)
 }
 
 // mapBlock installs a 2MB block at level 2.
@@ -139,7 +131,7 @@ func (t *table) mapBlock(addr uint64, pa PA, attrs uint64, onAlloc func(PA)) err
 		return err
 	}
 	desc := uint64(pa)&OAMask | attrs | DescValid | AttrAF // no DescTable: block
-	return t.pm.WriteU64(tab+PA(TableIndex(addr, 2)*8), desc)
+	return t.pm.storeTableWord(tab, TableIndex(addr, 2), desc)
 }
 
 // walk performs a software walk for addr. The typed views pass whether
@@ -155,12 +147,10 @@ func (t *table) walk(addr uint64, inRange bool) (WalkResult, error) {
 	for level := t.top; level <= 3; level++ {
 		res.Levels++
 		res.Level = level
-		f, err := t.pm.frame(tab)
+		desc, err := t.pm.tableWord(tab, TableIndex(addr, level))
 		if err != nil {
 			return res, err
 		}
-		off := TableIndex(addr, level) * 8
-		desc := binary.LittleEndian.Uint64(f[off : off+8])
 		if desc&DescValid == 0 {
 			return res, nil
 		}
@@ -189,50 +179,50 @@ func (t *table) walk(addr uint64, inRange bool) (WalkResult, error) {
 }
 
 // leaf returns the descriptor slot that maps addr (a page, or a 2MB block)
-// and the descriptor it holds, or 0, 0 when an intermediate table is absent.
-func (t *table) leaf(addr uint64) (PA, uint64, error) {
+// as its table and index, and the descriptor it holds, or a zero
+// descriptor when an intermediate table is absent.
+func (t *table) leaf(addr uint64) (PA, uint64, uint64, error) {
 	tab := t.root
 	for level := t.top; level <= 3; level++ {
-		f, err := t.pm.frame(tab)
+		idx := TableIndex(addr, level)
+		desc, err := t.pm.tableWord(tab, idx)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
-		off := TableIndex(addr, level) * 8
-		desc := binary.LittleEndian.Uint64(f[off : off+8])
 		switch {
 		case level == 3:
-			return tab + PA(off), desc, nil
+			return tab, idx, desc, nil
 		case desc&DescValid == 0:
-			return 0, 0, nil
+			return 0, 0, 0, nil
 		case desc&DescTable == 0:
 			if level == 2 {
-				return tab + PA(off), desc, nil // 2MB block slot
+				return tab, idx, desc, nil // 2MB block slot
 			}
-			return 0, 0, nil
+			return 0, 0, 0, nil
 		}
 		tab = PA(desc & OAMask)
 	}
-	return 0, 0, nil
+	return 0, 0, 0, nil
 }
 
 // unmap removes the leaf mapping for addr, reporting whether one existed.
 // Table frames are not eagerly reclaimed (as in Linux).
 func (t *table) unmap(addr uint64) (bool, error) {
-	slot, desc, err := t.leaf(addr)
+	tab, idx, desc, err := t.leaf(addr)
 	if err != nil || desc&DescValid == 0 {
 		return false, err
 	}
-	return true, t.pm.WriteU64(slot, 0)
+	return true, t.pm.storeTableWord(tab, idx, 0)
 }
 
 // updateLeaf rewrites the valid leaf descriptor for addr with fn's result,
 // reporting whether one existed.
 func (t *table) updateLeaf(addr uint64, fn func(uint64) uint64) (bool, error) {
-	slot, desc, err := t.leaf(addr)
+	tab, idx, desc, err := t.leaf(addr)
 	if err != nil || desc&DescValid == 0 {
 		return false, err
 	}
-	return true, t.pm.WriteU64(slot, fn(desc))
+	return true, t.pm.storeTableWord(tab, idx, fn(desc))
 }
 
 // visit calls fn(addr, desc, size) for every valid leaf below tab (a
@@ -243,15 +233,12 @@ func (t *table) updateLeaf(addr uint64, fn func(uint64) uint64) (bool, error) {
 // generic function loses its escape summary, and every caller's fn closure
 // would move to the heap.
 func visit[A VA | IPA](t *table, tab PA, level int, base uint64, fn func(A, uint64, uint64) bool) (bool, error) {
-	f, err := t.pm.frame(tab)
-	if err != nil {
-		return false, err
-	}
 	span := uint64(1) << (PageShift + 9*(3-level))
-	for idx := uint64(0); idx < 512; idx++ {
-		desc := binary.LittleEndian.Uint64(f[idx*8 : idx*8+8])
+	more := true
+	var subErr error
+	err := t.pm.tableWords(tab, func(idx, desc uint64) bool {
 		if desc&DescValid == 0 {
-			continue
+			return true
 		}
 		addr := base + idx*span
 		// Canonicalize TTBR1-half addresses: stage-1 root indices >= 256
@@ -262,20 +249,18 @@ func visit[A VA | IPA](t *table, tab PA, level int, base uint64, fn func(A, uint
 		}
 		switch {
 		case level == 3:
-			if !fn(A(addr), desc, PageSize) {
-				return false, nil
-			}
+			more = fn(A(addr), desc, PageSize)
 		case desc&DescTable == 0:
-			if level == 2 && !fn(A(addr), desc, HugePageSize) {
-				return false, nil
-			}
+			more = level != 2 || fn(A(addr), desc, HugePageSize)
 		default:
-			if more, err := visit(t, PA(desc&OAMask), level+1, addr, fn); !more || err != nil {
-				return false, err
-			}
+			more, subErr = visit(t, PA(desc&OAMask), level+1, addr, fn)
 		}
+		return more && subErr == nil
+	})
+	if err != nil {
+		return false, err
 	}
-	return true, nil
+	return more && subErr == nil, subErr
 }
 
 // cloneFor copies the bookkeeping for a forked machine whose physical
@@ -300,14 +285,13 @@ func (t *table) Free() {
 // order decides which frames later allocations reuse.
 func (t *table) free(tab PA, level int) {
 	if level < 3 {
-		if f, err := t.pm.frame(tab); err == nil {
-			for idx := uint64(0); idx < 512; idx++ {
-				desc := binary.LittleEndian.Uint64(f[idx*8 : idx*8+8])
-				if desc&DescValid != 0 && desc&DescTable != 0 {
-					t.free(PA(desc&OAMask), level+1)
-				}
+		// A frame beyond physical memory has no subtables to return.
+		_ = t.pm.tableWords(tab, func(_, desc uint64) bool {
+			if desc&DescValid != 0 && desc&DescTable != 0 {
+				t.free(PA(desc&OAMask), level+1)
 			}
-		}
+			return true
+		})
 	}
 	t.pm.FreeFrame(tab)
 }

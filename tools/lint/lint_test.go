@@ -336,6 +336,14 @@ func sneak(m *PhysMem) { m.cowShares = nil; m.cowParent = nil; m.cowCopies++ }
 	if len(probs) != 3 {
 		t.Fatalf("want three confinement violations, got %v", probs)
 	}
+	// Frame storage is phys.go's too: table code reaching into a chunk
+	// would write a descriptor past both write funnels.
+	probs = lintNamed(t, "table.go", `package mem
+func poke(t *table, ci, fi int) { t.pm.chunks[ci].dense[fi][0] = 1 }
+`)
+	if len(probs) != 1 || !strings.Contains(probs[0], "phys.go") {
+		t.Fatalf("want one storage confinement violation, got %v", probs)
+	}
 }
 
 func TestCOWStateAllowedInPhysFile(t *testing.T) {

@@ -43,11 +43,13 @@
 //
 //  7. copy-on-write confinement: the zygote fork's frame-share state
 //     (`.cowShares`, `.cowParent`, `.cowForks`, `.cowCopies` in package
-//     mem) is touched only by phys.go. The COW soundness argument — every
-//     mutation funnels through frameForWrite, refcounts account every
-//     holder, no frame storage ever backs two physical addresses — is an
-//     audit of that single file; a stray refcount access elsewhere would
-//     invalidate it.
+//     mem) and the frame storage itself (`.chunks`, dense and compact
+//     frames alike) are touched only by phys.go. The COW soundness
+//     argument — every mutation funnels through frameForWrite (the byte
+//     path) or storeTableWord (the table-word path), and both share one
+//     refcount rule; refcounts account every holder; no frame storage ever
+//     backs two physical addresses — is an audit of that single file; a
+//     stray refcount or storage access elsewhere would invalidate it.
 //
 // Usage: go run ./tools/lint [root]   (root defaults to ".")
 //
@@ -118,6 +120,7 @@ var confined = map[string]map[string]string{
 		"cowParent": "phys.go",
 		"cowForks":  "phys.go",
 		"cowCopies": "phys.go",
+		"chunks":    "phys.go",
 	},
 	"cpu": {
 		"mtlb":   "microtlb.go",
