@@ -19,7 +19,11 @@ const maxCachedBlocks = 8192
 // consecutive instruction words within one page, ending at the first
 // terminator (branch, exception, system op) or the page boundary.
 type dblock struct {
+	// insns is the block's body. It is never written after construction,
+	// so the children of one zygote share a body through its code
+	// template (see CodeTemplate); everything else here is per machine.
 	insns []arm64.Insn
+	pa    mem.PA // physical address of the first instruction when built
 	page  uint64 // VA >> PageShift
 	snap  uint64 // code-epoch snapshot when the build started
 	// checkedGen is the epoch generation at which snap was last verified to
@@ -105,10 +109,16 @@ type BlockCache struct {
 	// if the page's epoch moves between build start and finalize.
 	building bool
 	bkey     blockKey
+	bpa      mem.PA
 	bpage    uint64
 	bsnap    uint64
 	bexpect  uint64
 	binsns   []arm64.Insn
+
+	// tmpl is the code template of the zygote this machine was forked
+	// from, or nil: a miss adopts a body from it instead of building one
+	// when the words at the body's PA check equal (adopt).
+	tmpl *CodeTemplate
 }
 
 // decodeCacheDefault seeds the enabled state of newly created block caches,
@@ -311,10 +321,10 @@ func (d *BlockCache) enter(c *VCPU, pc uint64) *dblock {
 	return b
 }
 
-// noteDecoded feeds one freshly decoded instruction to the block builder.
-// Consecutive calls with sequential PCs on one page grow the pending block;
-// a terminator or page boundary completes it.
-func (d *BlockCache) noteDecoded(c *VCPU, pc uint64, in arm64.Insn) {
+// noteDecoded feeds one freshly decoded instruction, fetched from pa, to
+// the block builder. Consecutive calls with sequential PCs on one page grow
+// the pending block; a terminator or page boundary completes it.
+func (d *BlockCache) noteDecoded(c *VCPU, pc uint64, pa mem.PA, in arm64.Insn) {
 	if !d.enabled {
 		return
 	}
@@ -322,6 +332,7 @@ func (d *BlockCache) noteDecoded(c *VCPU, pc uint64, in arm64.Insn) {
 	if !d.building || pc != d.bexpect || pg != d.bpage {
 		d.building = true
 		d.bkey = d.keyFor(c, pc)
+		d.bpa = pa
 		d.bpage = pg
 		d.bsnap = d.epochs.Snapshot(pg)
 		d.binsns = d.binsns[:0]
@@ -348,21 +359,117 @@ func (d *BlockCache) finalize() {
 		d.reset()
 		return
 	}
-	if _, exists := d.blocks[d.bkey]; !exists {
+	d.insert(d.bkey, &dblock{
+		insns:      append([]arm64.Insn(nil), d.binsns...),
+		pa:         d.bpa,
+		page:       d.bpage,
+		snap:       d.bsnap,
+		checkedGen: d.epochs.Gen(),
+	})
+	d.stats.CodeBlocks++
+}
+
+// insert caches b under key and counts its page as holding code.
+func (d *BlockCache) insert(key blockKey, b *dblock) {
+	if _, exists := d.blocks[key]; !exists {
 		if d.blocks == nil {
 			d.blocks = make(map[blockKey]*dblock)
 			d.codePages = make(map[uint64]int)
 		}
-		d.codePages[d.bpage]++
+		d.codePages[b.page]++
 	}
-	d.blocks[d.bkey] = &dblock{
-		insns:      append([]arm64.Insn(nil), d.binsns...),
-		page:       d.bpage,
-		snap:       d.bsnap,
-		checkedGen: d.epochs.Gen(),
-	}
-	d.stats.CodeBlocks++
+	d.blocks[key] = b
 }
+
+// adopt caches and returns the template's body for a fetch at pc whose
+// first word, read from pa, is word — or returns nil, and the caller
+// decodes and builds as without a template, when there is no template, a
+// build in progress would grow at pc, the template holds no body at pa, or
+// the words at pa are not the body's. The word check is the whole proof:
+// decode is a pure function of the word, and a block's extent (to its
+// first terminator or the page end) a function of its words, so a body
+// whose words equal this machine's at pa is the block a build at pc would
+// make. It reads only the page the fetch just read, so it materializes no
+// frame. The adopted block takes this machine's own epoch snapshot, so an
+// epoch bump retires it as it retires a built one.
+func (d *BlockCache) adopt(c *VCPU, pc uint64, pa mem.PA, word uint32) *dblock {
+	t := d.tmpl
+	if t == nil || !d.enabled {
+		return nil
+	}
+	pg := pc >> mem.PageShift
+	if d.building && pc == d.bexpect && pg == d.bpage {
+		return nil
+	}
+	body := t.blocks[pa]
+	if len(body) == 0 || body[0].Raw != word || len(d.blocks) >= maxCachedBlocks {
+		return nil
+	}
+	for i := 1; i < len(body); i++ {
+		if w, err := c.Mem.ReadU32(pa + mem.PA(i*arm64.InsnBytes)); err != nil || w != body[i].Raw {
+			return nil
+		}
+	}
+	// Adoption stands in for the build that would start at pc, and that
+	// start abandons any build in progress.
+	d.building = false
+	key := d.keyFor(c, pc)
+	b := &dblock{insns: body, pa: pa, page: pg, snap: d.epochs.Snapshot(pg), checkedGen: d.epochs.Gen()}
+	d.insert(key, b)
+	d.stats.CodeAdopted++
+	return b
+}
+
+// CodeTemplate is the decoded code a zygote's first finished child
+// publishes for the children forked after it (DESIGN §14): block bodies
+// keyed by the physical address of their first instruction, and stitched
+// traces keyed by entry PC (see trace.go). It is immutable once built, so
+// children on any goroutine read it without locks, and it holds nothing
+// per machine: a child adopts a body only after checking its own words at
+// that PA, and keeps its own epoch snapshots, proofs and hot counters.
+type CodeTemplate struct {
+	prof   *arm64.Profile // traces hold the publisher's fused MRS costs
+	blocks map[mem.PA][]arm64.Insn
+	traces map[uint64][]*traceTemplate
+}
+
+// CodeTemplate builds a template of this machine's code caches, or returns
+// nil when the decode cache or traces are off or no block is cached. It
+// holds one body per PA: of the live blocks that start there, the one with
+// the least cache key, so a deterministic run builds the same template
+// every time. Bounded by the caches it copies (maxCachedBlocks bodies,
+// maxTraces traces); nothing of the machine moves.
+func (c *VCPU) CodeTemplate() *CodeTemplate {
+	d := c.Decoded
+	if !d.enabled || !c.TracesEnabled() || len(d.blocks) == 0 {
+		return nil
+	}
+	type pick struct {
+		key  blockKey
+		body []arm64.Insn
+	}
+	picks := make(map[mem.PA]pick, len(d.blocks))
+	for k, b := range d.blocks {
+		if d.epochs.Snapshot(b.page) != b.snap {
+			continue
+		}
+		if p, ok := picks[b.pa]; ok && p.key < k {
+			continue
+		}
+		picks[b.pa] = pick{k, b.insns}
+	}
+	t := &CodeTemplate{prof: c.Prof, blocks: make(map[mem.PA][]arm64.Insn, len(picks))}
+	for pa, p := range picks {
+		t.blocks[pa] = p.body
+	}
+	t.traces = c.templateTraces(t.blocks)
+	return t
+}
+
+// SetCodeTemplate attaches a zygote's code template to this machine, or
+// detaches it (nil). Only the pointer is kept; the cache's containers are
+// made at its first insert, as without a template.
+func (c *VCPU) SetCodeTemplate(t *CodeTemplate) { c.Decoded.tmpl = t }
 
 func (d *BlockCache) dropPageRef(pg uint64) {
 	if n := d.codePages[pg]; n > 1 {

@@ -233,6 +233,36 @@ func TestSVCRoutesToEL1AndTGERoutesToEL2(t *testing.T) {
 	}
 }
 
+// TestTrapRoundTripAllocationFree: a Run that ends in an SVC exit to a
+// functional kernel, and the kernel's return through ELR/SPSR, allocate
+// nothing once the loop's code is cached and stitched — the Exit is the
+// vCPU's own, not a fresh one per delivery.
+func TestTrapRoundTripAllocationFree(t *testing.T) {
+	e := newEnv(t)
+	a := arm64.NewAsm()
+	a.Label("top")
+	a.Emit(arm64.ADDImm(0, 0, 1, false))
+	a.Emit(arm64.SVC(0))
+	a.B("top")
+	e.load(t, a)
+	roundTrip := func() {
+		exit, err := e.c.Run(100)
+		if err != nil || exit.Syndrome.Class != ECSVC {
+			t.Fatalf("run: exit %+v, err %v", exit, err)
+		}
+		e.c.PC, e.c.PState = e.c.Sys(arm64.ELREL1), e.c.Sys(arm64.SPSREL1)
+	}
+	for i := 0; i < 64; i++ { // past block build and stitching
+		roundTrip()
+	}
+	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
+		t.Errorf("a trap round trip allocates %v times, want 0", n)
+	}
+	if e.c.R(0) != 64+101 {
+		t.Errorf("x0 = %d after %d round trips", e.c.R(0), 64+101)
+	}
+}
+
 func TestHVCUndefinedAtEL0(t *testing.T) {
 	e := newEnv(t)
 	if _, err := e.s1.UpdateLeaf(codeVA, func(d uint64) uint64 {

@@ -39,7 +39,9 @@ func (c *VCPU) Run(maxInsns int64) (Exit, error) {
 //  3. a stitched trace at PC → runTrace;
 //  4. a cached block at PC → open a cursor at its first instruction, then
 //     runBlock;
-//  5. otherwise → Step, which fetches, decodes and feeds the block builder.
+//  5. otherwise → Step, which fetches, decodes and feeds the block builder
+//     — or adopts the block at PC from the zygote's code template and opens
+//     its cursor at the second instruction.
 //
 // A dead cursor (PC moved away from it) is never resumed: a block entry and
 // every exit of runTrace overwrite it and Step drops it, so a later
@@ -142,7 +144,8 @@ func (c *VCPU) runBlock(budget int64) (int64, *Exit, error) {
 }
 
 // deliver routes and takes a synchronous exception; it returns a non-nil
-// Exit when the exception leaves the emulated world.
+// Exit when the exception leaves the emulated world. The Exit is the
+// vCPU's own (see VCPU.exit): valid until the next delivery.
 func (c *VCPU) deliver(s Syndrome, preferReturn uint64) *Exit {
 	// Exception entry observes and charges Cycles; commit any cycles still
 	// batched by a block-resident replay (data aborts from loads/stores
@@ -155,7 +158,8 @@ func (c *VCPU) deliver(s Syndrome, preferReturn uint64) *Exit {
 	target := c.routeSyncException(s)
 	c.TakeException(target, s, preferReturn)
 	if target == arm64.EL2 || !c.EmulatedEL1 {
-		return &Exit{TargetEL: target, Syndrome: s}
+		c.exit = Exit{TargetEL: target, Syndrome: s}
+		return &c.exit
 	}
 	return nil
 }
@@ -165,8 +169,10 @@ func (c *VCPU) deliver(s Syndrome, preferReturn uint64) *Exit {
 // stage-1/stage-2 permission checks), decodes it, feeds the block builder
 // and dispatches it through the per-form handler table. It never replays a
 // cached block: it drops any block cursor, and runLoop alone enters and
-// replays cached code. It returns a non-nil Exit when control leaves the
-// emulated world.
+// replays cached code. The one cursor Step opens is an adopted block's (see
+// BlockCache.adopt), after dispatching its first instruction's word as
+// fetched. It returns a non-nil Exit when control leaves the emulated
+// world; the Exit stays valid until the next delivery.
 func (c *VCPU) Step() (*Exit, error) {
 	if c.EL() == arm64.EL2 {
 		return nil, fmt.Errorf("interpreter invoked at EL2 (pc=%#x)", c.PC)
@@ -178,19 +184,32 @@ func (c *VCPU) Step() (*Exit, error) {
 		target := c.routeIRQ()
 		c.TakeException(target, s, c.PC)
 		if target == arm64.EL2 || !c.EmulatedEL1 {
-			return &Exit{TargetEL: target, Syndrome: s}, nil
+			c.exit = Exit{TargetEL: target, Syndrome: s}
+			return &c.exit, nil
 		}
 		return nil, nil
 	}
 
-	word, ab := c.FetchInsn(mem.VA(c.PC))
+	word, pa, ab := c.FetchInsn(mem.VA(c.PC))
 	if ab != nil {
 		ab.Syndrome.Class = classifyAbort(mem.AccessExec, c.EL(), ab.Syndrome.Stage)
 		return c.deliver(ab.Syndrome, c.PC), nil
 	}
-	in := arm64.Decode(word)
-	c.Stats.CodeMisses++
-	c.Decoded.noteDecoded(c, c.PC, in)
+	var in arm64.Insn
+	if b := c.Decoded.adopt(c, c.PC, pa, word); b != nil {
+		// An adopted block runs its first instruction here, as a built one
+		// does, and the rest through runBlock's cursor, which translates
+		// every fetch; the proof audit opens its span at the next entry.
+		in = b.insns[0]
+		c.Stats.CodeHits++
+		if len(b.insns) > 1 {
+			c.cur = blockCursor{blk: b, idx: 1, expect: c.PC + arm64.InsnBytes}
+		}
+	} else {
+		in = arm64.Decode(word)
+		c.Stats.CodeMisses++
+		c.Decoded.noteDecoded(c, c.PC, pa, in)
+	}
 
 	c.Insns++
 	c.Charge(c.Prof.InsnCost)

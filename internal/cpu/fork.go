@@ -10,7 +10,10 @@ import "lightzone/internal/mem"
 // point. Host-side caches (decoded blocks, stitched traces, micro-TLBs,
 // batched cycles) start empty instead: the identity CI lanes prove them
 // digest-invisible, and fresh caches cannot dangle into the parent's frame
-// storage across the COW boundary. The pipeline toggles (decode cache,
+// storage across the COW boundary. A zygote's child fills its empty caches
+// from the zygote's code template once one is attached (SetCodeTemplate):
+// a block only after its words at that PA check equal, a trace only when
+// its members are such blocks. The pipeline toggles (decode cache,
 // micro-TLBs, traces, proof audit) are seeded from the process defaults,
 // exactly as a cold boot's are, so a child forked after the defaults change
 // runs the pipeline a cold boot would run now, not the one its zygote was

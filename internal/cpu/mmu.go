@@ -292,15 +292,16 @@ func (c *VCPU) writeCrossing(va mem.VA, pa mem.PA, size int, v uint64, unpriv bo
 	return nil
 }
 
-// FetchInsn fetches the instruction word at va with execute permission.
-func (c *VCPU) FetchInsn(va mem.VA) (uint32, *Abort) {
+// FetchInsn fetches the instruction word at va with execute permission,
+// and returns the physical address it was read from.
+func (c *VCPU) FetchInsn(va mem.VA) (uint32, mem.PA, *Abort) {
 	pa, ab := c.Translate(va, mem.AccessExec, false)
 	if ab != nil {
-		return 0, ab
+		return 0, 0, ab
 	}
 	w, err := c.Mem.ReadU32(pa)
 	if err != nil {
-		return 0, c.abort(va, 0, mem.AccessExec, mem.FaultAddressSize, 1)
+		return 0, 0, c.abort(va, 0, mem.AccessExec, mem.FaultAddressSize, 1)
 	}
-	return w, nil
+	return w, pa, nil
 }

@@ -47,6 +47,7 @@
 package cpu
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -80,13 +81,16 @@ const (
 
 // traceStep is one pre-flattened instruction of a trace: the decoded insn,
 // its predicted PC and successor, and the block cursor untraced execution
-// would hold at its dispatch (so side-exits resume bit-identically).
+// would hold at its dispatch (so side-exits resume bit-identically). A step
+// names its member block by index, never by pointer, so one step list
+// serves every machine that adopts the trace from a code template; nothing
+// writes a step list after flattenSteps builds it.
 type traceStep struct {
 	in     arm64.Insn
 	pc     uint64
-	next   uint64  // predicted PC after this step
-	curBlk *dblock // member block if the cursor would still be live, else nil
-	bIdx   int     // index of this insn within its member block
+	next   uint64 // predicted PC after this step
+	bIdx   int    // index of this insn within its member block
+	member int8   // member whose cursor would still be live, or -1
 	kind   uint8
 	end    bool // final instruction of the trace
 
@@ -139,6 +143,13 @@ type trace struct {
 	gPriv    bool
 }
 
+// traceWalk is the scratch of the stitch walk and of adoptTrace.
+type traceWalk struct {
+	members  []traceMember
+	pages    []tracePage
+	retStack []uint64
+}
+
 // traceCache is the per-vCPU trace state: the stitched traces (at most
 // maxTraces; the stitch that would exceed it clears them all first), the
 // stitcher's scratch, and host-side counters (flushed to the package
@@ -149,21 +160,30 @@ type traceCache struct {
 	threshold uint32
 	traces    map[blockKey]*trace
 
-	// walk is the stitch walk's scratch, reused by every walk so that a
-	// failed walk allocates nothing; a successful one copies it out.
-	walk struct {
-		members  []traceMember
-		pages    []tracePage
-		retStack []uint64
-	}
+	// walk is the stitch walk's scratch, reused by every walk and template
+	// probe so that a failed one allocates nothing; a successful one copies
+	// it out.
+	walk traceWalk
 
 	stitched     uint64
 	stitchFailed uint64
+	adopted      uint64
 	entered      uint64
 	completed    uint64
 	sideExits    uint64
 	invalidated  uint64
 	insnsRun     uint64
+}
+
+// scratch returns the walk scratch, made on first use.
+func (tc *traceCache) scratch() *traceWalk {
+	w := &tc.walk
+	if w.members == nil {
+		w.members = make([]traceMember, 0, maxTraceBlocks)
+		w.pages = make([]tracePage, 0, maxTracePages)
+		w.retStack = make([]uint64, 0, maxTraceBlocks)
+	}
+	return w
 }
 
 func newTraceCache() traceCache {
@@ -220,6 +240,7 @@ func (c *VCPU) TraceCacheLen() int { return len(c.tcache.traces) }
 type TraceStats struct {
 	Stitched     uint64 // traces successfully composed
 	StitchFailed uint64 // stitch attempts abandoned (transient or permanent)
+	Adopted      uint64 // traces taken from a zygote's code template instead of stitched
 	Entered      uint64 // guarded trace entries taken
 	Completed    uint64 // traces that ran to their final instruction
 	SideExits    uint64 // traces abandoned mid-run (misprediction, gen move, exception)
@@ -232,6 +253,7 @@ func (s TraceStats) Sub(o TraceStats) TraceStats {
 	return TraceStats{
 		Stitched:     s.Stitched - o.Stitched,
 		StitchFailed: s.StitchFailed - o.StitchFailed,
+		Adopted:      s.Adopted - o.Adopted,
 		Entered:      s.Entered - o.Entered,
 		Completed:    s.Completed - o.Completed,
 		SideExits:    s.SideExits - o.SideExits,
@@ -243,6 +265,7 @@ func (s TraceStats) Sub(o TraceStats) TraceStats {
 var (
 	tStitched     atomic.Uint64
 	tStitchFailed atomic.Uint64
+	tAdopted      atomic.Uint64
 	tEntered      atomic.Uint64
 	tCompleted    atomic.Uint64
 	tSideExits    atomic.Uint64
@@ -255,6 +278,7 @@ func ReadTraceStats() TraceStats {
 	return TraceStats{
 		Stitched:     tStitched.Load(),
 		StitchFailed: tStitchFailed.Load(),
+		Adopted:      tAdopted.Load(),
 		Entered:      tEntered.Load(),
 		Completed:    tCompleted.Load(),
 		SideExits:    tSideExits.Load(),
@@ -267,7 +291,7 @@ func ReadTraceStats() TraceStats {
 // aggregates (called at the end of every Run, like notePerf).
 func (c *VCPU) flushTraceStats() {
 	tc := &c.tcache
-	if tc.stitched|tc.stitchFailed|tc.entered|tc.completed|tc.sideExits|
+	if tc.stitched|tc.stitchFailed|tc.adopted|tc.entered|tc.completed|tc.sideExits|
 		tc.invalidated|tc.insnsRun == 0 {
 		return
 	}
@@ -278,6 +302,9 @@ func (c *VCPU) flushTraceStats() {
 	}
 	if tc.stitchFailed != 0 {
 		tStitchFailed.Add(tc.stitchFailed)
+	}
+	if tc.adopted != 0 {
+		tAdopted.Add(tc.adopted)
 	}
 	if tc.entered != 0 {
 		tEntered.Add(tc.entered)
@@ -294,7 +321,7 @@ func (c *VCPU) flushTraceStats() {
 	if tc.insnsRun != 0 {
 		tInsnsRun.Add(tc.insnsRun)
 	}
-	tc.stitched, tc.stitchFailed, tc.entered, tc.completed = 0, 0, 0, 0
+	tc.stitched, tc.stitchFailed, tc.adopted, tc.entered, tc.completed = 0, 0, 0, 0, 0
 	tc.sideExits, tc.invalidated, tc.insnsRun = 0, 0, 0
 }
 
@@ -316,13 +343,18 @@ func pureOp(op arm64.Op) bool {
 }
 
 // noteBlockHot is called by BlockCache.enter on every validated block entry.
-// The counter saturates at the stitch threshold: a successful stitch keys
-// the trace here, a permanent failure pins the counter so the walk never
-// re-runs, and a transient failure (successor not cached yet) resets it so
-// a warmer pass retries.
+// The counter saturates at the stitch threshold: a successful stitch or an
+// adoption from the code template keys the trace here, a permanent failure
+// pins the counter so the walk never re-runs, and a transient failure
+// (successor not cached yet) resets it so a warmer pass retries. Below the
+// threshold every entry first tries the template (adoptTrace).
 func (c *VCPU) noteBlockHot(b *dblock, key blockKey, pc uint64) {
 	tc := &c.tcache
 	if !tc.enabled || b.hot >= tc.threshold {
+		return
+	}
+	if c.adoptTrace(b, key, pc) {
+		b.hot = tc.threshold
 		return
 	}
 	b.hot++
@@ -355,12 +387,7 @@ func (c *VCPU) maybeStitch(b *dblock, key blockKey, pc uint64) {
 	mmuOff := c.sys[arm64.SCTLREL1]&SCTLRM == 0
 	ttbr1 := !mmuOff && mem.IsTTBR1(mem.VA(pc))
 
-	w := &tc.walk
-	if w.members == nil {
-		w.members = make([]traceMember, 0, maxTraceBlocks)
-		w.pages = make([]tracePage, 0, maxTracePages)
-		w.retStack = make([]uint64, 0, maxTraceBlocks)
-	}
+	w := tc.scratch()
 	members := append(w.members[:0], traceMember{blk: b, key: key, start: pc})
 	pages := append(w.pages[:0], tracePage{page: b.page, snap: b.snap})
 	retStack := w.retStack[:0]
@@ -458,14 +485,20 @@ walk:
 		pages:   append([]tracePage(nil), pages...),
 	}
 	t.steps = c.flattenSteps(t.members, insns)
+	c.installTrace(t)
+	tc.stitched++
+}
+
+// installTrace caches t under its key, clearing the cache first at the cap.
+func (c *VCPU) installTrace(t *trace) {
+	tc := &c.tcache
 	if len(tc.traces) >= maxTraces {
 		c.dropAllTraces()
 	}
 	if tc.traces == nil {
 		tc.traces = make(map[blockKey]*trace)
 	}
-	tc.traces[key] = t
-	tc.stitched++
+	tc.traces[t.key] = t
 }
 
 // hasMemberStart reports whether a member block of the walk starts at pc.
@@ -498,13 +531,14 @@ func (c *VCPU) flattenSteps(members []traceMember, insns int) []traceStep {
 		n := len(m.blk.insns)
 		for i, in := range m.blk.insns {
 			st := traceStep{
-				in:   in,
-				pc:   m.start + uint64(i)*arm64.InsnBytes,
-				bIdx: i,
+				in:     in,
+				pc:     m.start + uint64(i)*arm64.InsnBytes,
+				bIdx:   i,
+				member: -1,
 			}
 			st.next = st.pc + arm64.InsnBytes
 			if i+1 < n {
-				st.curBlk = m.blk
+				st.member = int8(mi)
 			}
 			switch {
 			case i < n-1: // interior instruction
@@ -709,7 +743,11 @@ func (c *VCPU) runTrace(t *trace) (int64, *Exit, error) {
 		// cursor is set first so exception delivery, self-modifying-code
 		// cursor kills, and side-exit resumption all see the state an
 		// untraced replay would have at this point.
-		c.cur = blockCursor{blk: st.curBlk, idx: st.bIdx + 1, expect: st.pc + arm64.InsnBytes}
+		var blk *dblock
+		if st.member >= 0 {
+			blk = t.members[st.member].blk
+		}
+		c.cur = blockCursor{blk: blk, idx: st.bIdx + 1, expect: st.pc + arm64.InsnBytes}
 		if st.in.Op.Terminates() {
 			c.flushBatch()
 		}
@@ -784,6 +822,144 @@ func (c *VCPU) dropAllTraces() {
 	clear(tc.traces)
 }
 
+// traceLive reports whether every member page's code epoch still matches
+// the trace's stitch-time snapshot: whether the entry guard would keep it.
+func (c *VCPU) traceLive(t *trace) bool {
+	for i := range t.pages {
+		if c.TLB.Code.Snapshot(t.pages[i].page) != t.pages[i].snap {
+			return false
+		}
+	}
+	return true
+}
+
+// traceTemplate is one trace of a code template (see CodeTemplate): its
+// shape, its members by entry PC and template body, and the publisher's
+// step list, shared as is.
+type traceTemplate struct {
+	insns   int
+	mmuOff  bool
+	ttbr1   bool
+	members []templateMember
+	steps   []traceStep
+}
+
+// templateMember is one member of a template trace.
+type templateMember struct {
+	start uint64
+	body  []arm64.Insn // one of CodeTemplate.blocks
+	edge  absint.TraceEdge
+}
+
+// templateTraces copies this machine's live traces for a code template
+// whose bodies are blocks, keyed by entry PC. A template trace names each
+// member by its template body, so a trace is kept only when the words of
+// every member equal the body published at the member's PA, and a trace
+// whose members repeat an earlier candidate's is dropped. Traces are
+// visited in key order, so the candidates of one entry come in a fixed
+// order.
+func (c *VCPU) templateTraces(blocks map[mem.PA][]arm64.Insn) map[uint64][]*traceTemplate {
+	tc := &c.tcache
+	keys := make([]blockKey, 0, len(tc.traces))
+	for k, t := range tc.traces {
+		if c.traceLive(t) {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	out := make(map[uint64][]*traceTemplate)
+traces:
+	for _, k := range keys {
+		t := tc.traces[k]
+		tt := &traceTemplate{
+			insns: t.insns, mmuOff: t.mmuOff, ttbr1: t.ttbr1,
+			members: make([]templateMember, len(t.members)),
+			steps:   t.steps,
+		}
+		for i := range t.members {
+			m := &t.members[i]
+			body := blocks[m.blk.pa]
+			if !slices.EqualFunc(body, m.blk.insns, func(a, b arm64.Insn) bool { return a.Raw == b.Raw }) {
+				continue traces
+			}
+			tt.members[i] = templateMember{start: m.start, body: body, edge: m.edge}
+		}
+		entry := tt.members[0].start
+		for _, o := range out[entry] {
+			if o.mmuOff == tt.mmuOff && o.ttbr1 == tt.ttbr1 &&
+				slices.EqualFunc(o.members, tt.members, func(a, b templateMember) bool {
+					return a.start == b.start && &a.body[0] == &b.body[0]
+				}) {
+				continue traces
+			}
+		}
+		out[entry] = append(out[entry], tt)
+	}
+	return out
+}
+
+// sameBody reports whether b holds body itself, not merely equal words:
+// pointer equality proves b was adopted from the template that holds body.
+func sameBody(b *dblock, body []arm64.Insn) bool {
+	return len(b.insns) == len(body) && &b.insns[0] == &body[0]
+}
+
+// adoptTrace installs a trace from the code template for the validated
+// entry block b at pc, when one fits, and reports whether it did. A
+// candidate fits when this machine runs the publisher's profile (fused MRS
+// costs are per profile), its MMU state and TTBR half match, and every
+// member is cached here, live, and holds the template's body itself. Such
+// a trace is one the stitch walk builds over these very members, so the
+// entry guard's identity argument covers it; adoption skips the walk and
+// the step list, taking this machine's members, keys and page snapshots.
+// Like maybeStitch it reads only the block map: every member is in the
+// entry's TTBR half, so each keyFor hits the context memo the entry's own
+// lookup just filled and interning cannot reset mid-probe.
+func (c *VCPU) adoptTrace(b *dblock, key blockKey, pc uint64) bool {
+	tmpl := c.Decoded.tmpl
+	if tmpl == nil || tmpl.prof != c.Prof {
+		return false
+	}
+	cands := tmpl.traces[pc]
+	tc := &c.tcache
+	if len(cands) == 0 || tc.traces[key] != nil {
+		return false
+	}
+	d := c.Decoded
+	mmuOff := c.sys[arm64.SCTLREL1]&SCTLRM == 0
+	ttbr1 := !mmuOff && mem.IsTTBR1(mem.VA(pc))
+	w := tc.scratch()
+cands:
+	for _, tt := range cands {
+		if tt.mmuOff != mmuOff || tt.ttbr1 != ttbr1 || !sameBody(b, tt.members[0].body) {
+			continue
+		}
+		members := append(w.members[:0], traceMember{blk: b, key: key, start: pc, edge: tt.members[0].edge})
+		pages := append(w.pages[:0], tracePage{page: b.page, snap: b.snap})
+		for i := 1; i < len(tt.members); i++ {
+			m := &tt.members[i]
+			skey := d.keyFor(c, m.start)
+			sb := d.blocks[skey]
+			if sb == nil || !sameBody(sb, m.body) || c.TLB.Code.Snapshot(sb.page) != sb.snap {
+				continue cands
+			}
+			if !hasPage(pages, sb.page) {
+				pages = append(pages, tracePage{page: sb.page, snap: sb.snap})
+			}
+			members = append(members, traceMember{blk: sb, key: skey, start: m.start, edge: m.edge})
+		}
+		c.installTrace(&trace{
+			key: key, insns: tt.insns, mmuOff: mmuOff, ttbr1: ttbr1,
+			members: append([]traceMember(nil), members...),
+			pages:   append([]tracePage(nil), pages...),
+			steps:   tt.steps,
+		})
+		tc.adopted++
+		return true
+	}
+	return false
+}
+
 // TraceInfo describes one stitched trace for verifiers and tests:
 // its keying context, shape, and whether the entry guard would still admit
 // it. Observation-only.
@@ -819,14 +995,9 @@ func (c *VCPU) TraceSnapshot() []TraceInfo {
 			Blocks:  len(t.members),
 			Insns:   t.insns,
 			Pages:   len(t.pages),
-			EpochOK: true,
+			EpochOK: c.traceLive(t),
 			PCs:     make([]uint64, 0, len(t.steps)),
 			Raw:     make([]uint32, 0, len(t.steps)),
-		}
-		for i := range t.pages {
-			if c.TLB.Code.Snapshot(t.pages[i].page) != t.pages[i].snap {
-				info.EpochOK = false
-			}
 		}
 		for i := range t.steps {
 			info.PCs = append(info.PCs, t.steps[i].pc)

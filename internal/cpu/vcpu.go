@@ -48,6 +48,11 @@ type VCPU struct {
 	nextPC  uint64
 	stepErr error
 
+	// exit is the Exit that deliver and Step's IRQ path hand back when an
+	// exception leaves the emulated world. Reusing it keeps a trap round
+	// trip allocation-free; Run returns it by value.
+	exit Exit
+
 	// Architectural state.
 	X      [32]uint64 // general-purpose; index 31 reads as zero
 	PC     uint64

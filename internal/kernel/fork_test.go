@@ -65,7 +65,8 @@ func TestForkRefusesScheduledThread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.SwitchTo(p.MainThread(), k.worldFor(p))
+	w := k.worldFor(p)
+	k.SwitchTo(p.MainThread(), &w)
 	defer func() {
 		if r, _ := recover().(string); !strings.Contains(r, "scheduled a thread") {
 			t.Fatalf("Fork after SwitchTo: recovered %q, want the scheduled-thread panic", r)

@@ -321,12 +321,13 @@ var ErrTrapBudget = errors.New("trap budget exhausted")
 
 // worldFor builds the World configuration for an ordinary process under
 // this kernel. LightZone processes carry their own world (built by the
-// module) in Process.LZ via the LZWorld interface.
-func (k *Kernel) worldFor(p *Process) *World {
+// module) in Process.LZ via the LZWorld interface. It returns the World by
+// value, so a scheduling decision allocates nothing.
+func (k *Kernel) worldFor(p *Process) World {
 	if lzw, ok := p.LZ.(interface{ World() *World }); ok && p.LZ != nil {
-		return lzw.World()
+		return *lzw.World()
 	}
-	w := &World{EL: arm64.EL0, SCTLR: cpu.SCTLRM}
+	w := World{EL: arm64.EL0, SCTLR: cpu.SCTLRM}
 	if k.EL == arm64.EL2 {
 		w.HCR = cpu.HCRE2H | cpu.HCRTGE // VHE host process
 	} else {
@@ -347,7 +348,8 @@ func (k *Kernel) RunProcess(p *Process, maxTraps int64) error {
 		if t == nil {
 			return fmt.Errorf("process %d: no runnable threads", p.PID)
 		}
-		k.SwitchTo(t, k.worldFor(p))
+		w := k.worldFor(p)
+		k.SwitchTo(t, &w)
 		for !p.Exited && t.State == ThreadRunning {
 			exit, err := k.CPU.Run(1 << 30)
 			if err != nil {

@@ -18,6 +18,10 @@ type Stats struct {
 	// cache; CodeStale counts cached blocks rejected by an epoch check.
 	CodeBlocks uint64
 	CodeStale  uint64
+	// CodeAdopted counts blocks taken from a zygote's code template
+	// instead of built (internal/cpu's BlockCache.adopt). Host
+	// observation only: no emulation path reads it.
+	CodeAdopted uint64
 	// CodeInvalidations counts code-generation epoch bumps (page-granular
 	// and wholesale combined).
 	CodeInvalidations uint64

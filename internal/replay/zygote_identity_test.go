@@ -8,13 +8,19 @@ package replay
 // measured number.
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
+	"lightzone/internal/arm64"
 	"lightzone/internal/core"
 	"lightzone/internal/kernel"
+	"lightzone/internal/mem"
 	"lightzone/internal/workload"
 )
 
@@ -103,8 +109,11 @@ func TestForkIdentityAcrossWorkloads(t *testing.T) {
 // variant — grouped by the backend its machine boots with: the TTBR and
 // PAN switches and both baselines on lightzone, and the overlay and
 // granule switches — forks into a child that runs to the digest the
-// machine itself reaches.
+// machine itself reaches, and so do the zygote pool's first two children,
+// the second adopting from the template the first published.
 func TestForkIdentityAcrossBackends(t *testing.T) {
+	workload.ResetZygotes()
+	t.Cleanup(workload.ResetZygotes)
 	variants := map[string][]workload.Variant{
 		"lightzone": {workload.VariantLZTTBR, workload.VariantLZPAN, workload.VariantWatchpoint, workload.VariantLwC},
 		"overlay":   {workload.VariantOverlay},
@@ -142,6 +151,21 @@ func TestForkIdentityAcrossBackends(t *testing.T) {
 							t.Errorf("COW audit after forked run: %v", issues)
 						}
 						t.Logf("%s: forked run dirtied %d pages", name, envFork.M.PM.COWCopies())
+
+						// Through the zygote pool: the first child publishes
+						// its code template, the second adopts from it, and
+						// both reach the same digest. The second child must
+						// adopt, so the test cannot stop exercising adoption.
+						first, d := forkFromPool(t, cfg)
+						requireAllGrades(t, name+"/publisher", cold, d)
+						if n := first.M.CPU.Stats.CodeAdopted; n != 0 {
+							t.Errorf("publisher adopted %d blocks with no template published", n)
+						}
+						second, d := forkFromPool(t, cfg)
+						requireAllGrades(t, name+"/adopter", cold, d)
+						if s := second.M.CPU.Stats; s.CodeAdopted == 0 {
+							t.Errorf("second pool child adopted no block (built %d)", s.CodeBlocks)
+						}
 					})
 				}
 			}
@@ -231,6 +255,201 @@ func TestChaosSeedJournalReplaysClean(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("row %d (%s) drifted from the pre-fork journal:\ngot:  %+v\nwant: %+v",
 				i, want.Injection, got, want)
+		}
+	}
+}
+
+// forkFromPool forks a child of cfg's zygote and runs it to its digest.
+func forkFromPool(t testing.TB, cfg workload.DomainSwitchConfig) (*workload.Env, Digest) {
+	t.Helper()
+	env, p, err := workload.ForkDomainSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env, finishDigest(t, env, p, workload.DomainSwitchBudget(cfg))
+}
+
+// coldDigest cold-boots cfg and runs it to its digest.
+func coldDigest(t testing.TB, cfg workload.DomainSwitchConfig) Digest {
+	t.Helper()
+	env, p, err := workload.PrepareDomainSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return finishDigest(t, env, p, workload.DomainSwitchBudget(cfg))
+}
+
+// TestZygoteTemplateRewrittenCodeNotAdopted: a child forked after its
+// zygote published a template rewrites one word of a template block — the
+// loop counter's decrement, SUBS x11, x11, #1 becomes #2 — through
+// PhysMem.Write and InvalidateCode before it runs. The block holding that
+// word is built, not adopted, and the new word runs: the child reaches the
+// digest of a cold boot patched the same way, not the unpatched one. A
+// sibling forked afterwards still adopts and reaches the unpatched digest.
+func TestZygoteTemplateRewrittenCodeNotAdopted(t *testing.T) {
+	workload.ResetZygotes()
+	t.Cleanup(workload.ResetZygotes)
+	cfg := workload.DomainSwitchConfig{
+		Platform: workload.Platform{Prof: arm64.ProfileCortexA55()},
+		Variant:  workload.VariantLZTTBR, Domains: 8, Iters: 200, Seed: 1,
+	}
+	budget := workload.DomainSwitchBudget(cfg)
+	oldWord, newWord := arm64.SUBSImm(11, 11, 1), arm64.SUBSImm(11, 11, 2)
+	patch := func(env *workload.Env, p *kernel.Process) {
+		t.Helper()
+		text := make([]byte, mem.PageSize)
+		if err := p.AS.ReadVA(kernel.TextBase, text); err != nil {
+			t.Fatal(err)
+		}
+		off := -1
+		for i := 0; i+4 <= len(text); i += 4 {
+			if binary.LittleEndian.Uint32(text[i:]) == oldWord {
+				if off >= 0 {
+					t.Fatal("the loop decrement occurs twice in the text page")
+				}
+				off = i
+			}
+		}
+		if off < 0 {
+			t.Fatal("loop decrement not found in the text page")
+		}
+		va := kernel.TextBase + mem.VA(off)
+		res, err := p.AS.S1.Walk(va)
+		if err != nil || !res.Found {
+			t.Fatalf("walk %v: %+v, %v", va, res, err)
+		}
+		var w [4]byte
+		binary.LittleEndian.PutUint32(w[:], newWord)
+		if err := env.M.PM.Write(res.PA, w[:]); err != nil {
+			t.Fatal(err)
+		}
+		env.M.CPU.InvalidateCode(va)
+	}
+
+	unpatched := coldDigest(t, cfg)
+	envCold, pCold, err := workload.PrepareDomainSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch(envCold, pCold)
+	patchedCold := finishDigest(t, envCold, pCold, budget)
+	if patchedCold.Equal(unpatched) {
+		t.Fatal("the patched word does not change the outcome")
+	}
+
+	publisher, d := forkFromPool(t, cfg) // publishes the template
+	requireAllGrades(t, "publisher", unpatched, d)
+	built := publisher.M.CPU.Stats.CodeBlocks
+
+	env, p, err := workload.ForkDomainSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch(env, p)
+	requireAllGrades(t, "patched child", patchedCold, finishDigest(t, env, p, budget))
+	s := env.M.CPU.Stats
+	if s.CodeAdopted == 0 {
+		t.Error("patched child adopted nothing: the template was not published")
+	}
+	holdsNew := false
+	for _, b := range env.M.CPU.DecodedBlocks() {
+		if slices.Contains(b.Raw, newWord) {
+			holdsNew = true
+		}
+	}
+	if !holdsNew {
+		t.Error("no cached block holds the rewritten word")
+	}
+
+	sibling, d := forkFromPool(t, cfg)
+	requireAllGrades(t, "sibling", unpatched, d)
+	ss := sibling.M.CPU.Stats
+	if ss.CodeAdopted == 0 {
+		t.Error("sibling forked after the rewrite adopted nothing")
+	}
+	if s.CodeBlocks <= ss.CodeBlocks {
+		t.Errorf("patched child built %d blocks, its unpatched sibling %d: the rewritten block was adopted",
+			s.CodeBlocks, ss.CodeBlocks)
+	}
+	t.Logf("blocks built: publisher %d, patched child %d, sibling %d", built, s.CodeBlocks, ss.CodeBlocks)
+}
+
+// TestZygoteTemplateConcurrentChildren runs children of one zygote on
+// separate goroutines: two forked before any child finished, some forked
+// while those run (before, during or after publication), and two after
+// publication. Every child reaches a cold boot's digest; under -race this
+// checks that the published template is read without a data race.
+func TestZygoteTemplateConcurrentChildren(t *testing.T) {
+	workload.ResetZygotes()
+	t.Cleanup(workload.ResetZygotes)
+	cfg := workload.DomainSwitchConfig{
+		Platform: workload.Platform{Prof: arm64.ProfileCortexA55()},
+		Variant:  workload.VariantLZTTBR, Domains: 8, Iters: 200, Seed: 1,
+	}
+	budget := workload.DomainSwitchBudget(cfg)
+	cold := coldDigest(t, cfg)
+
+	type child struct {
+		env *workload.Env
+		p   *kernel.Process
+	}
+	fork := func() child {
+		env, p, err := workload.ForkDomainSwitch(cfg)
+		if err != nil {
+			t.Error(err)
+		}
+		return child{env, p}
+	}
+	var mu sync.Mutex
+	var digests []Digest
+	run := func(c child, wg *sync.WaitGroup) {
+		defer wg.Done()
+		if c.env == nil {
+			return
+		}
+		if err := c.env.Run(c.p, budget); err != nil {
+			t.Error(err)
+			return
+		}
+		d := CaptureDigest(c.env.M.CPU, c.env.M.PM)
+		m, err := c.env.Measured()
+		if err != nil {
+			t.Error(err)
+		}
+		d.Measured = m
+		d.Killed, d.KillMsg = c.p.Killed, c.p.KillMsg
+		mu.Lock()
+		digests = append(digests, d)
+		mu.Unlock()
+	}
+
+	var wg sync.WaitGroup
+	early := []child{fork(), fork()}
+	for _, c := range early {
+		wg.Add(1)
+		go run(c, &wg)
+	}
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go run(fork(), &wg)
+	}
+	wg.Wait()
+	late := []child{fork(), fork()}
+	for _, c := range late {
+		wg.Add(1)
+		go run(c, &wg)
+	}
+	wg.Wait()
+
+	if len(digests) != 7 {
+		t.Fatalf("%d of 7 children finished", len(digests))
+	}
+	for i, d := range digests {
+		requireAllGrades(t, fmt.Sprintf("child %d", i), cold, d)
+	}
+	for i, c := range late {
+		if c.env.M.CPU.Stats.CodeAdopted == 0 {
+			t.Errorf("child %d forked after publication adopted nothing", i)
 		}
 	}
 }

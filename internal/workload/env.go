@@ -141,6 +141,11 @@ type Env struct {
 	WP       *baseline.Watchpoint
 	LWC      *baseline.LwC
 	Marks    *Marker
+
+	// zyg is the zygote this environment was forked from while the zygote
+	// had no code template yet; the first such child whose run finishes
+	// publishes one (Run).
+	zyg *zygote
 }
 
 // EnableTrace attaches an event recorder to the LightZone module and
@@ -215,12 +220,20 @@ func (e *Env) NewProcess(name string, a *arm64.Asm, data []byte, entries []core.
 	return p, nil
 }
 
-// Run executes a process to completion.
+// Run executes a process to completion. A zygote child whose process
+// finishes here offers its code caches as the zygote's code template.
 func (e *Env) Run(p *kernel.Process, maxTraps int64) error {
+	var err error
 	if e.Platform.Guest {
-		return e.M.RunGuestProcess(e.VM, p, maxTraps)
+		err = e.M.RunGuestProcess(e.VM, p, maxTraps)
+	} else {
+		err = e.M.RunHostProcess(p, maxTraps)
 	}
-	return e.M.RunHostProcess(p, maxTraps)
+	if err == nil && e.zyg != nil && p.Exited && !p.Killed {
+		e.zyg.publish(e.M.CPU)
+		e.zyg = nil
+	}
+	return err
 }
 
 // run executes a process to completion and fails if it was killed.

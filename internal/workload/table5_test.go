@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"lightzone/internal/arm64"
@@ -102,5 +103,50 @@ func TestWatchpointSixteenDomainWall(t *testing.T) {
 	}
 	if _, err := RunDomainSwitch(DomainSwitchConfig{Platform: plat, Variant: VariantLZTTBR, Domains: 128, Iters: 100, Seed: 1}); err != nil {
 		t.Errorf("128 LightZone domains rejected: %v", err)
+	}
+}
+
+// raceEnabled is set in -race builds (race_test.go).
+var raceEnabled bool
+
+// TestTrapPathAllocationsFlat: on the cells whose loop traps on every
+// switch — the watchpoint and lwC baselines' syscalls, and the gate
+// traps of a PAN and a guest TTBR cell — a whole cell (boot, preparation,
+// run) allocates as often at 4,000 switches as at 2,000. A trap round trip
+// allocates nothing: the delivered Exit is the vCPU's own and the
+// kernel's scheduling World is a value.
+func TestTrapPathAllocationsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts jitter under -race: its sync.Pool drops items at random")
+	}
+	cortex := Platform{Prof: arm64.ProfileCortexA55()}
+	carmel := Platform{Prof: arm64.ProfileCarmel()}
+	guest := Platform{Prof: arm64.ProfileCarmel(), Guest: true}
+	cells := []DomainSwitchConfig{
+		{Platform: cortex, Variant: VariantWatchpoint, Domains: 3},
+		{Platform: cortex, Variant: VariantLwC, Domains: 3},
+		{Platform: carmel, Variant: VariantLZPAN, Domains: 1},
+		{Platform: guest, Variant: VariantLZTTBR, Domains: 32},
+	}
+	// A collection inside the measured window adds a few runtime
+	// allocations that follow heap timing, not the number of traps, so
+	// the count is taken with the collector paused.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, cfg := range cells {
+		allocs := func(iters int) float64 {
+			cfg := cfg
+			cfg.Iters, cfg.Seed = iters, Table5Seed
+			return testing.AllocsPerRun(1, func() {
+				if _, err := RunDomainSwitch(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a, b := allocs(2000), allocs(4000); a != b {
+			t.Errorf("%s %s-%d: %v allocations at 2,000 switches, %v at 4,000",
+				cfg.Platform, cfg.Variant, cfg.Domains, a, b)
+		} else {
+			t.Logf("%s %s-%d: %v allocations", cfg.Platform, cfg.Variant, cfg.Domains, a)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"lightzone/internal/baseline"
 	"lightzone/internal/core"
+	"lightzone/internal/cpu"
 	"lightzone/internal/kernel"
 )
 
@@ -54,11 +55,28 @@ func (e *Env) Fork() *Env {
 // then every consumer forks a child instead of cold-booting. The mutex
 // serializes forks — PhysMem.Fork lazily creates share cells on the parent,
 // so two concurrent forks of one zygote must not interleave.
+//
+// tmpl is the code template of the zygote's first child to finish with its
+// decode cache and traces on (see publish). It is set once, by
+// compare-and-swap, and immutable after; every child forked later adopts
+// from it (cpu.CodeTemplate), and a child forked before runs without one.
 type zygote struct {
-	mu  sync.Mutex
-	env *Env
-	pid int
-	err error
+	mu   sync.Mutex
+	env  *Env
+	pid  int
+	err  error
+	tmpl atomic.Pointer[cpu.CodeTemplate]
+}
+
+// publish offers a finished child's code as the zygote's template, unless
+// one is published already.
+func (z *zygote) publish(c *cpu.VCPU) {
+	if z.tmpl.Load() != nil {
+		return
+	}
+	if t := c.CodeTemplate(); t != nil {
+		z.tmpl.CompareAndSwap(nil, t)
+	}
 }
 
 var (
@@ -108,7 +126,8 @@ func zygoteKey(cfg DomainSwitchConfig) zkey {
 // ForkDomainSwitch returns a forked child of the config's zygote,
 // cold-preparing the zygote on first use. The child is ready to Run exactly
 // as a PrepareDomainSwitch result would be, and runs the pipeline a cold
-// boot of cfg would run now.
+// boot of cfg would run now. Its code caches start empty; once a sibling
+// has published the zygote's code template, they fill from it.
 func ForkDomainSwitch(cfg DomainSwitchConfig) (*Env, *kernel.Process, error) {
 	zygoteMu.Lock()
 	z, ok := zygotes[zygoteKey(cfg)]
@@ -135,6 +154,11 @@ func ForkDomainSwitch(cfg DomainSwitchConfig) (*Env, *kernel.Process, error) {
 	p2, ok := env2.K.Process(z.pid)
 	if !ok {
 		return nil, nil, fmt.Errorf("zygote fork lost process %d", z.pid)
+	}
+	if t := z.tmpl.Load(); t != nil {
+		env2.M.CPU.SetCodeTemplate(t)
+	} else {
+		env2.zyg = z // a candidate publisher (Env.Run)
 	}
 	cfg.applyPipeline(env2)
 	zygoteForks.Add(1)

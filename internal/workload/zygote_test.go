@@ -287,15 +287,63 @@ func TestForkRefusesEnteredProcess(t *testing.T) {
 	}
 }
 
-// BenchmarkForkCell measures one short traced machine end to end: fork a
-// Cortex TTBR-32 cell of 1,000 switches from its zygote and run it to exit.
-// Cache warm-up in the fresh child — block build, stitching — and Go
-// allocation dominate, so allocs/op tracks the trace compiler's build cost.
-func BenchmarkForkCell(b *testing.B) {
-	cfg := DomainSwitchConfig{
+// forkCellConfig is the bench fork-fleet cell: a Cortex TTBR-32 cell of
+// 1,000 switches.
+func forkCellConfig() DomainSwitchConfig {
+	return DomainSwitchConfig{
 		Platform: Platform{Prof: arm64.ProfileCortexA55()},
 		Variant:  VariantLZTTBR, Domains: 32, Iters: 1000, Seed: 1,
 	}
+}
+
+// TestZygoteTemplateDeterministic: two publications, each from a fresh
+// zygote of one configuration, yield templates of identical shape — the
+// same bodies at the same PAs, the same traces per entry PC in the same
+// order (reflect.DeepEqual walks the unexported fields) — so a run's
+// per-unit host counters repeat at one seed. A child of the second zygote
+// adopts blocks and traces, so neither template is empty.
+func TestZygoteTemplateDeterministic(t *testing.T) {
+	freshZygotes(t)
+	cfg := forkCellConfig()
+	publish := func() *cpu.CodeTemplate {
+		ResetZygotes()
+		if _, err := runForked(cfg); err != nil {
+			t.Fatal(err)
+		}
+		zygoteMu.Lock()
+		z := zygotes[zygoteKey(cfg)]
+		zygoteMu.Unlock()
+		tmpl := z.tmpl.Load()
+		if tmpl == nil {
+			t.Fatal("a finished child published no template")
+		}
+		return tmpl
+	}
+	a, b := publish(), publish()
+	if !reflect.DeepEqual(a, b) {
+		t.Error("two publications from fresh zygotes differ")
+	}
+	traces := cpu.ReadTraceStats()
+	env, p, err := ForkDomainSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Run(p, domainSwitchBudget(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	if n, m := env.M.CPU.Stats.CodeAdopted, cpu.ReadTraceStats().Sub(traces).Adopted; n == 0 || m == 0 {
+		t.Errorf("a child adopted %d blocks and %d traces from the template, want both", n, m)
+	}
+}
+
+// BenchmarkForkCell measures one short traced machine end to end: fork the
+// fork-fleet cell from its zygote and run it to exit. Each child fills its
+// code caches from the template the warm-up child published; the custom
+// metrics count, per child, the blocks it built and adopted and the traces
+// it stitched and adopted.
+func BenchmarkForkCell(b *testing.B) {
+	cfg := forkCellConfig()
+	var built, adopted uint64
 	run := func() {
 		env, p, err := ForkDomainSwitch(cfg)
 		if err != nil {
@@ -310,11 +358,22 @@ func BenchmarkForkCell(b *testing.B) {
 		if p.Killed {
 			b.Fatalf("cell killed: %s", p.KillMsg)
 		}
+		built += env.M.CPU.Stats.CodeBlocks
+		adopted += env.M.CPU.Stats.CodeAdopted
 	}
-	run() // cold-prepares the zygote outside the timed loop
+	run() // cold-prepares the zygote and publishes its template
+	built, adopted = 0, 0
+	traces := cpu.ReadTraceStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
 	}
+	b.StopTimer()
+	ts := cpu.ReadTraceStats().Sub(traces)
+	n := float64(b.N)
+	b.ReportMetric(float64(built)/n, "built-blocks/op")
+	b.ReportMetric(float64(adopted)/n, "adopted-blocks/op")
+	b.ReportMetric(float64(ts.Stitched)/n, "stitched-traces/op")
+	b.ReportMetric(float64(ts.Adopted)/n, "adopted-traces/op")
 }
