@@ -2,6 +2,7 @@ package absint
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"lightzone/internal/arm64"
@@ -54,6 +55,57 @@ func TestDomainLattice(t *testing.T) {
 	}
 	if r := shrVal(TopVal(false), 60); r.K != Range || r.Hi != 0xF {
 		t.Fatalf("shr of top must bound: got %v", r)
+	}
+}
+
+// ubfmRef is 64-bit UBFM from the ARM ARM pseudocode: DecodeBitMasks gives
+// wmask = ROR(Ones(imms+1), immr) and tmask = Ones(d+1) with
+// d = (imms-immr) mod 64, and the result is ROR(x, immr) AND wmask AND tmask.
+func ubfmRef(x uint64, immr, imms uint) uint64 {
+	ones := func(n uint) uint64 { return 1<<n - 1 } // all ones when n is 64
+	wmask := bits.RotateLeft64(ones(imms+1), -int(immr))
+	tmask := ones((imms-immr)%64 + 1)
+	return bits.RotateLeft64(x, -int(immr)) & wmask & tmask
+}
+
+// TestUBFMAllImmediates steps UBFM for all 4,096 (immr, imms) pairs on four
+// trusted constants and three ranges. A constant operand must give the
+// trusted constant ubfmRef computes: a different constant would be a
+// soundness bug, and anything wider a loss of precision. A range operand
+// must give a value holding ubfmRef of each member tried.
+func TestUBFMAllImmediates(t *testing.T) {
+	operands := []AbsVal{
+		ConstVal(0xF0F0123456789ABC, false), ConstVal(7, false), ConstVal(^uint64(0), false), ConstVal(1<<63, false),
+		RangeVal(5, 9, false), RangeVal(0x100, 0x1ff, false), RangeVal(1<<62, 1<<62+7, false),
+	}
+	wrong := 0
+	for _, x := range operands {
+		for immr := uint8(0); immr < 64; immr++ {
+			for imms := uint8(0); imms < 64; imms++ {
+				var nid uint32
+				s := NewEntryState(&nid)
+				s.setReg(1, x)
+				stepInsn(s, 0, 0, arm64.Decode(arm64.UBFM(0, 1, immr, imms)), nil, func(Effect) {})
+				got, ok := s.Reg(0), true
+				if c, isConst := x.IsConst(); isConst {
+					v, k := got.IsConst()
+					ok = k && got.Trusted() && v == ubfmRef(c, uint(immr), uint(imms))
+				} else if got.K != Top {
+					for _, m := range []uint64{x.Lo, x.Lo + (x.Hi-x.Lo)/2, x.Hi} {
+						r := ubfmRef(m, uint(immr), uint(imms))
+						ok = ok && got.Lo <= r && r <= got.Hi
+					}
+				}
+				if !ok {
+					if wrong++; wrong <= 5 {
+						t.Errorf("UBFM x0, x1=%v, #%d, #%d = %v", x, immr, imms, got)
+					}
+				}
+			}
+		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of %d results wrong", wrong, len(operands)*64*64)
 	}
 }
 

@@ -196,6 +196,16 @@ func andVal(a, b AbsVal) AbsVal {
 	return TopVal(a.Taint || b.Taint)
 }
 
+// lowBits abstracts keeping the low width bits of a (0 < width <= 64). A
+// value whose bounds already fit in them passes through unchanged.
+func lowBits(a AbsVal, width uint64) AbsVal {
+	mask := uint64(1)<<width - 1 // all ones when width is 64
+	if a.K == Top && width < 64 || a.K != Top && a.Hi > mask {
+		return andVal(a, ConstVal(mask, false))
+	}
+	return a
+}
+
 // shlVal abstracts a left shift by a known amount; sh must be < 64.
 // Non-constant operands widen: a left shift discards high bits, so interval
 // bounds survive only when no bit is shifted out.

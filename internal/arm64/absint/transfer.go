@@ -151,21 +151,16 @@ func stepInsn(s *State, pc uint64, index int, in arm64.Insn, orc MemOracle, emit
 			}))
 
 	case arm64.OpUBFM:
-		// Mirrors the handler's form detection exactly: LSR when imms==63,
-		// LSL when imms+1 == immr (mod 64), bitfield extract otherwise.
+		// The ARM ARM's two cases: UBFX when imms >= immr (LSR is its
+		// imms == 63 case), UBFIZ otherwise (LSL is its imms+1 == immr
+		// case).
 		immr := uint64(in.ShiftAmt)
 		imms := uint64(in.Imm)
 		v := s.getCell(in.Rn).v
-		switch {
-		case imms == 63:
-			s.setReg(in.Rd, shrVal(v, uint8(immr)))
-		case imms+1 == immr%64 || (immr == 0 && imms == 63):
-			s.setReg(in.Rd, shlVal(v, uint8((64-immr)%64)))
-		case imms < immr:
-			s.setReg(in.Rd, shlVal(v, uint8((64-immr)%64)))
-		default:
-			width := imms - immr + 1
-			s.setReg(in.Rd, andVal(shrVal(v, uint8(immr)), ConstVal(1<<width-1, false)))
+		if imms >= immr {
+			s.setReg(in.Rd, lowBits(shrVal(v, uint8(immr)), imms-immr+1))
+		} else {
+			s.setReg(in.Rd, shlVal(lowBits(v, imms+1), uint8(64-immr)))
 		}
 
 	case arm64.OpCSel:

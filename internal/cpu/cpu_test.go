@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math/bits"
 	"testing"
 
 	"lightzone/internal/arm64"
@@ -118,6 +119,47 @@ func TestMulDivShifts(t *testing.T) {
 		if got := e.c.R(reg); got != want {
 			t.Errorf("x%d = %d, want %d", reg, got, want)
 		}
+	}
+}
+
+// ubfmRef is 64-bit UBFM from the ARM ARM pseudocode: DecodeBitMasks gives
+// wmask = ROR(Ones(imms+1), immr) and tmask = Ones(d+1) with
+// d = (imms-immr) mod 64, and the result is ROR(x, immr) AND wmask AND tmask.
+func ubfmRef(x uint64, immr, imms uint) uint64 {
+	ones := func(n uint) uint64 { return 1<<n - 1 } // all ones when n is 64
+	wmask := bits.RotateLeft64(ones(imms+1), -int(immr))
+	tmask := ones((imms-immr)%64 + 1)
+	return bits.RotateLeft64(x, -int(immr)) & wmask & tmask
+}
+
+// TestUBFMAllImmediates fetches, decodes and dispatches UBFM through Step
+// for all 4,096 (immr, imms) pairs on four operands, and compares each
+// result with ubfmRef: the LSR, LSL, UBFX and UBFIZ forms alike.
+func TestUBFMAllImmediates(t *testing.T) {
+	e := newEnv(t)
+	code := mustPA(t, e.s1, codeVA)
+	wrong := 0
+	for _, x := range []uint64{0xF0F0123456789ABC, 7, ^uint64(0), 1 << 63} {
+		for immr := uint8(0); immr < 64; immr++ {
+			for imms := uint8(0); imms < 64; imms++ {
+				if err := e.pm.WriteUint(code, 4, uint64(arm64.UBFM(0, 1, immr, imms))); err != nil {
+					t.Fatal(err)
+				}
+				e.c.PC = uint64(codeVA)
+				e.c.SetR(1, x)
+				if _, err := e.c.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := e.c.R(0), ubfmRef(x, uint(immr), uint(imms)); got != want {
+					if wrong++; wrong <= 5 {
+						t.Errorf("UBFM x0, x1=%#x, #%d, #%d = %#x, want %#x", x, immr, imms, got, want)
+					}
+				}
+			}
+		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of %d results wrong", wrong, 4*64*64)
 	}
 }
 

@@ -2,22 +2,21 @@ package cpu
 
 import "lightzone/internal/mem"
 
-// Fork clones this vCPU for a forked machine backed by pm2 (a copy-on-write
-// fork of this vCPU's physical memory). Architectural state — registers,
-// PSTATE, the system-register file, cycle/instruction counters, and the
-// warm TLB — transfers exactly: all of it is digest-visible, so the child
-// must resume from precisely the state a cold boot reaches at the same
-// point. Host-side caches (decoded blocks, stitched traces, micro-TLBs,
-// batched cycles) start empty instead: the identity CI lanes prove them
-// digest-invisible, and fresh caches cannot dangle into the parent's frame
-// storage across the COW boundary. A zygote's child fills its empty caches
-// from the zygote's code template once one is attached (SetCodeTemplate):
-// a block only after its words at that PA check equal, a trace only when
-// its members are such blocks. The pipeline toggles (decode cache,
-// micro-TLBs, traces, proof audit) are seeded from the process defaults,
-// exactly as a cold boot's are, so a child forked after the defaults change
-// runs the pipeline a cold boot would run now, not the one its zygote was
-// booted under.
+// Fork clones this vCPU for a forked machine backed by pm2 (a fork of this
+// vCPU's physical memory). Architectural state — registers, PSTATE, the
+// system-register file, cycle/instruction counters, and the warm TLB —
+// transfers exactly: all of it is digest-visible, so the child must resume
+// from precisely the state a cold boot reaches at the same point. Host-side
+// caches (decoded blocks, stitched traces, micro-TLBs, batched cycles)
+// start empty instead: the identity CI lanes prove them digest-invisible,
+// and fresh caches cannot dangle into the parent's frame storage. A
+// zygote's child fills its empty caches from the zygote's code template
+// once one is attached (SetCodeTemplate): a block only after its words at
+// that PA check equal, a trace only when its members are such blocks. The
+// pipeline toggles (decode cache, micro-TLBs, traces, proof audit) are
+// seeded from the process defaults, exactly as a cold boot's are, so a
+// child forked after the defaults change runs the pipeline a cold boot
+// would run now, not the one its zygote was booted under.
 //
 // Fork must only be called between Run invocations — no instruction or
 // cached-block replay may be in flight on the parent.

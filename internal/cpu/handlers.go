@@ -159,20 +159,16 @@ func buildHandlers() [arm64.NumOps]Handler {
 	}
 
 	handlers[arm64.OpUBFM] = func(c *VCPU, in arm64.Insn) *Exit {
-		// LSR when imms == 63; LSL when imms == immr-1 (mod 64);
-		// general bitfield extract otherwise.
+		// The ARM ARM's two cases: UBFX when imms >= immr (LSR is its
+		// imms == 63 case), UBFIZ otherwise (LSL is its imms+1 == immr
+		// case).
 		immr := uint64(in.ShiftAmt)
 		imms := uint64(in.Imm)
 		v := c.R(in.Rn)
-		if imms == 63 {
-			c.SetR(in.Rd, v>>immr)
-		} else if imms+1 == immr%64 || (immr == 0 && imms == 63) {
-			c.SetR(in.Rd, v<<((64-immr)%64))
-		} else if imms < immr {
-			c.SetR(in.Rd, v<<(64-immr)%64) // LSL form
+		if imms >= immr {
+			c.SetR(in.Rd, v>>immr&(1<<(imms-immr+1)-1))
 		} else {
-			width := imms - immr + 1
-			c.SetR(in.Rd, v>>immr&(1<<width-1))
+			c.SetR(in.Rd, (v&(1<<(imms+1)-1))<<(64-immr))
 		}
 		return nil
 	}

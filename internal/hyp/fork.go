@@ -7,10 +7,10 @@ import (
 
 // Fork clones the EL2 layer for a forked machine running on pm2/cpu2. VM
 // records are duplicated with their stage-2 tables re-pointed at the
-// child's physical memory (the tables themselves are copy-on-write shared
-// frames); guest kernels are attached by Machine.Fork, and the Lowvisor by
-// core.InstallLowvisor, since both close over state this package does not
-// own.
+// child's physical memory (the table frames themselves were copied by
+// PhysMem.Fork); guest kernels are attached by Machine.Fork, and the
+// Lowvisor by core.InstallLowvisor, since both close over state this
+// package does not own.
 func (h *Hypervisor) Fork(pm2 *mem.PhysMem, cpu2 *cpu.VCPU) *Hypervisor {
 	h2 := &Hypervisor{
 		Prof:         h.Prof,
@@ -33,14 +33,14 @@ func (h *Hypervisor) Fork(pm2 *mem.PhysMem, cpu2 *cpu.VCPU) *Hypervisor {
 	return h2
 }
 
-// Fork clones the whole platform in O(dirty pages): physical memory forks
-// copy-on-write, the vCPU transfers its architectural state exactly, and
-// the hypervisor, host kernel, and every guest kernel are re-assembled
-// around the child's memory. The vCPU, memory and hypervisor forks are
-// general; the kernel forks are not: a machine forks only at a fork point
-// (workload.Env.Fork), with processes created and no thread ever
-// scheduled, and kernel.Kernel.Fork panics on anything else. Module wiring
-// (the LightZone module chain and the Lowvisor) is the caller's job.
+// Fork clones the whole platform: physical memory is copied frame by frame,
+// the vCPU transfers its architectural state exactly, and the hypervisor,
+// host kernel, and every guest kernel are re-assembled around the child's
+// memory. The vCPU, memory and hypervisor forks are general; the kernel
+// forks are not: a machine forks only at a fork point (workload.Env.Fork),
+// with processes created and no thread ever scheduled, and
+// kernel.Kernel.Fork panics on anything else. Module wiring (the LightZone
+// module chain and the Lowvisor) is the caller's job.
 func (m *Machine) Fork() *Machine {
 	pm2 := m.PM.Fork()
 	cpu2 := m.CPU.Fork(pm2)

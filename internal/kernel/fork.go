@@ -6,9 +6,9 @@ import (
 )
 
 // cloneFor duplicates the address space bookkeeping for a forked machine
-// whose physical memory pm2 copy-on-write shares the original's frames. The
-// page table itself lives in (shared) physical memory; only the Go-side
-// metadata moves. UnmapNotify/ProtNotify are deliberately dropped — they
+// whose physical memory pm2 holds a copy of the original's frames. The page
+// table itself lives in physical memory, which the fork copied; only the
+// Go-side metadata moves. UnmapNotify/ProtNotify are deliberately dropped — they
 // close over the original machine's module state.
 func (as *AddressSpace) cloneFor(pm2 *mem.PhysMem) *AddressSpace {
 	return &AddressSpace{

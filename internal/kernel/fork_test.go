@@ -9,7 +9,7 @@ import (
 	"lightzone/internal/arm64"
 )
 
-// forkKernel forks k onto a copy-on-write fork of its memory and vCPU.
+// forkKernel forks k onto a fork of its memory and vCPU.
 func forkKernel(k *Kernel) *Kernel {
 	pm2 := k.PM.Fork()
 	return k.Fork(pm2, k.CPU.Fork(pm2), nil)

@@ -153,52 +153,32 @@ func TestCompactFrameReuseReadsZero(t *testing.T) {
 }
 
 // refMem is the dense reference model of PhysMem for the differential
-// test: every materialized frame is a 4KB array, and copy-on-write keeps a
-// holder count per storage, as the share cells do.
+// test: every materialized frame is a 4KB array, and a fork copies them all.
 type refMem struct {
 	numFrames uint64
-	frames    map[uint64]*refFrame // by frame index
+	frames    map[uint64]*[PageSize]byte // by frame index
 	next      uint64
 	free      []uint64
-	copies    uint64
-}
-
-type refFrame struct {
-	b       [PageSize]byte
-	holders int
 }
 
 var errRefBounds = errors.New("beyond memory")
 
 func newRefMem(size uint64) *refMem {
-	return &refMem{numFrames: size >> PageShift, frames: map[uint64]*refFrame{}}
+	return &refMem{numFrames: size >> PageShift, frames: map[uint64]*[PageSize]byte{}}
 }
 
 // frame returns pa's frame, materializing it on first touch.
-func (m *refMem) frame(pa PA) (*refFrame, error) {
+func (m *refMem) frame(pa PA) (*[PageSize]byte, error) {
 	idx := uint64(pa) >> PageShift
 	if idx >= m.numFrames {
 		return nil, errRefBounds
 	}
 	f := m.frames[idx]
 	if f == nil {
-		f = &refFrame{holders: 1}
+		f = new([PageSize]byte)
 		m.frames[idx] = f
 	}
 	return f, nil
-}
-
-// writable returns pa's frame, copying it first when a relative holds it.
-func (m *refMem) writable(pa PA) (*refFrame, error) {
-	f, err := m.frame(pa)
-	if err != nil || f.holders == 1 {
-		return f, err
-	}
-	f.holders--
-	nf := &refFrame{b: f.b, holders: 1}
-	m.frames[uint64(pa)>>PageShift] = nf
-	m.copies++
-	return nf, nil
 }
 
 func (m *refMem) read(pa PA, buf []byte) error {
@@ -207,7 +187,7 @@ func (m *refMem) read(pa PA, buf []byte) error {
 		if err != nil {
 			return err
 		}
-		n := copy(buf, f.b[uint64(pa)&PageMask:])
+		n := copy(buf, f[uint64(pa)&PageMask:])
 		buf, pa = buf[n:], pa+PA(n)
 	}
 	return nil
@@ -215,11 +195,11 @@ func (m *refMem) read(pa PA, buf []byte) error {
 
 func (m *refMem) write(pa PA, buf []byte) error {
 	for len(buf) > 0 {
-		f, err := m.writable(pa)
+		f, err := m.frame(pa)
 		if err != nil {
 			return err
 		}
-		n := copy(f.b[uint64(pa)&PageMask:], buf)
+		n := copy(f[uint64(pa)&PageMask:], buf)
 		buf, pa = buf[n:], pa+PA(n)
 	}
 	return nil
@@ -244,11 +224,7 @@ func (m *refMem) alloc() (PA, error) {
 		idx = m.free[len(m.free)-1]
 		m.free = m.free[:len(m.free)-1]
 		if f := m.frames[idx]; f != nil {
-			if f.holders > 1 {
-				f.holders--
-				m.copies++
-			}
-			m.frames[idx] = &refFrame{holders: 1}
+			*f = [PageSize]byte{}
 		}
 	case m.next < m.numFrames:
 		idx = m.next
@@ -262,23 +238,13 @@ func (m *refMem) alloc() (PA, error) {
 func (m *refMem) freeFrame(pa PA) { m.free = append(m.free, uint64(pa)>>PageShift) }
 
 func (m *refMem) fork() *refMem {
-	c := &refMem{numFrames: m.numFrames, frames: make(map[uint64]*refFrame, len(m.frames)),
+	c := &refMem{numFrames: m.numFrames, frames: make(map[uint64]*[PageSize]byte, len(m.frames)),
 		next: m.next, free: append([]uint64(nil), m.free...)}
 	for idx, f := range m.frames {
-		f.holders++
-		c.frames[idx] = f
+		nf := *f
+		c.frames[idx] = &nf
 	}
 	return c
-}
-
-func (m *refMem) shared() uint64 {
-	var n uint64
-	for _, f := range m.frames {
-		if f.holders > 1 {
-			n++
-		}
-	}
-	return n
 }
 
 // refTable is the reference radix table over refMem: table's descent,
@@ -424,14 +390,14 @@ func (m *refMem) frameList() []PA {
 	return pas
 }
 
-// check compares the side's frames, copy-on-write counters and audit with
-// the model's.
+// check compares the side's frames with the model's and requires a clean
+// fork-family audit.
 func (s *diffSide) check(t *testing.T, step int, op string) {
 	t.Helper()
 	want := s.ref.frameList()
 	n := 0
 	s.pm.VisitFrames(func(pa PA, f *[PageSize]byte) {
-		if n < len(want) && want[n] == pa && s.ref.frames[uint64(pa)>>PageShift].b != *f {
+		if n < len(want) && want[n] == pa && *s.ref.frames[uint64(pa)>>PageShift] != *f {
 			t.Fatalf("step %d (%s): frame %v bytes differ from the model's", step, op, pa)
 		}
 		if n >= len(want) || want[n] != pa {
@@ -441,12 +407,6 @@ func (s *diffSide) check(t *testing.T, step int, op string) {
 	})
 	if n != len(want) {
 		t.Fatalf("step %d (%s): visited %d frames, model has %d", step, op, n, len(want))
-	}
-	if got, want := s.pm.COWCopies(), s.ref.copies; got != want {
-		t.Fatalf("step %d (%s): COWCopies = %d, model %d", step, op, got, want)
-	}
-	if got, want := s.pm.SharedFrames(), s.ref.shared(); got != want {
-		t.Fatalf("step %d (%s): SharedFrames = %d, model %d", step, op, got, want)
 	}
 	if issues := s.pm.AuditCOW(); len(issues) != 0 {
 		t.Fatalf("step %d (%s): AuditCOW: %v", step, op, issues)
@@ -458,8 +418,8 @@ func (s *diffSide) check(t *testing.T, step int, op string) {
 // unaligned and word-spanning offsets), table-word stores past the compact
 // cap, frees with reuse, and forks with writes on every side, on PhysMem and
 // on the dense reference model. After every step each side must visit the
-// same frames with the same bytes, count the same copies and shared frames,
-// and audit clean: how a frame is stored is invisible.
+// same frames with the same bytes and audit clean: how a frame is stored is
+// invisible.
 func TestCOWCompactFramesMatchDenseModel(t *testing.T) {
 	const size = 64 << 20
 	rng := rand.New(rand.NewSource(30))
@@ -618,7 +578,7 @@ func TestCOWCompactFramesMatchDenseModel(t *testing.T) {
 				// keeps, from a few bytes before to a few bytes past.
 				var nonZero []int
 				for i := 0; i < PageSize/8; i++ {
-					if binary.LittleEndian.Uint64(f.b[i*8:]) != 0 {
+					if binary.LittleEndian.Uint64(f[i*8:]) != 0 {
 						nonZero = append(nonZero, i)
 					}
 				}

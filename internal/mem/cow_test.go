@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -59,11 +60,96 @@ func forEachKind(t *testing.T, fn func(t *testing.T, k frameKind)) {
 	}
 }
 
-// TestForkSharesThenCopiesOnWrite is the core COW contract: a fork shares
-// every materialized frame, reads stay identical on both sides and copy
-// nothing, and the child's first write to a shared page privatizes exactly
-// that one frame, however it is stored.
-func TestForkSharesThenCopiesOnWrite(t *testing.T) {
+// storageOf returns pm's frame storage pointers, dense or compact, by PA.
+func storageOf(pm *PhysMem) map[PA]any {
+	out := make(map[PA]any)
+	for ci, ch := range pm.chunks {
+		if ch == nil {
+			continue
+		}
+		for fi := range ch.dense {
+			if f := ch.storage(fi); f != nil {
+				out[PA((uint64(ci)<<frameChunkShift|uint64(fi))<<PageShift)] = f
+			}
+		}
+	}
+	return out
+}
+
+// visitedFrame is one frame as VisitFrames shows it.
+type visitedFrame struct {
+	pa PA
+	b  []byte
+}
+
+// visitAll returns every frame VisitFrames shows, in its order.
+func visitAll(pm *PhysMem) []visitedFrame {
+	var out []visitedFrame
+	pm.VisitFrames(func(pa PA, f *[PageSize]byte) {
+		out = append(out, visitedFrame{pa, append([]byte(nil), f[:]...)})
+	})
+	return out
+}
+
+// TestForkCopiesEveryFrame: a fork copies every materialized frame, dense
+// and compact alike and in every chunk, so no child frame slot points at
+// storage of the parent's, the parent's own slots are left as they were,
+// and both sides visit the same frames with the same bytes, each stored
+// the same way.
+func TestForkCopiesEveryFrame(t *testing.T) {
+	pm := newTestPhys(t)
+	seed := byte(1)
+	for _, base := range []PA{0x1000, 0x1000 << frameChunkShift} {
+		for i, k := range frameKinds {
+			for j := 0; j < 3; j++ {
+				if err := k.write(pm, base+PA(0x1000*(4*i+2*j)), seed); err != nil {
+					t.Fatal(err)
+				}
+				seed++
+			}
+		}
+	}
+	parent := storageOf(pm)
+	child := pm.Fork()
+	if got := storageOf(pm); !maps.Equal(got, parent) {
+		t.Error("Fork changed the parent's frame slots")
+	}
+	owned := make(map[any]PA, len(parent))
+	for pa, f := range parent {
+		owned[f] = pa
+	}
+	kids := storageOf(child)
+	if len(kids) != len(parent) {
+		t.Errorf("child holds %d frames, parent %d", len(kids), len(parent))
+	}
+	for pa, f := range kids {
+		if ppa, ok := owned[f]; ok {
+			t.Errorf("child frame %v shares the storage of the parent's frame %v", pa, ppa)
+		}
+		if compactAt(child, pa) != compactAt(pm, pa) {
+			t.Errorf("child frame %v is stored differently from the parent's", pa)
+		}
+	}
+	want, got := visitAll(pm), visitAll(child)
+	if len(got) != len(want) {
+		t.Fatalf("child visits %d frames, parent %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].pa != want[i].pa || !bytes.Equal(got[i].b, want[i].b) {
+			t.Errorf("visited frame #%d: child %v, parent %v, bytes equal %v",
+				i, got[i].pa, want[i].pa, bytes.Equal(got[i].b, want[i].b))
+		}
+	}
+	if issues := child.AuditCOW(); len(issues) != 0 {
+		t.Errorf("audit: %v", issues)
+	}
+}
+
+// TestForkChildWritesStayPrivate: both sides of a fork read the parent's
+// contents, and a child's writes to a frame, however it is stored, never
+// reach the parent. The child's copy is stored the way the original is
+// until a byte write turns it dense.
+func TestForkChildWritesStayPrivate(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k frameKind) {
 		pm := newTestPhys(t)
 		pa1, pa2 := PA(0x1000), PA(0x4000)
@@ -78,33 +164,16 @@ func TestForkSharesThenCopiesOnWrite(t *testing.T) {
 		}
 
 		child := pm.Fork()
-		if pm.Forks() != 1 {
-			t.Errorf("parent Forks() = %d, want 1", pm.Forks())
-		}
-		if got := child.SharedFrames(); got != 2 {
-			t.Errorf("child shares %d frames after fork, want 2", got)
-		}
 		buf := make([]byte, PageSize)
 		if err := child.Read(pa1, buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, k.want(1)) {
-			t.Error("child read of shared frame differs from parent contents")
-		}
-		if got := child.COWCopies(); got != 0 {
-			t.Errorf("reading a shared frame copied it: COWCopies = %d", got)
+			t.Error("child read of a forked frame differs from parent contents")
 		}
 
-		// First child write: exactly one copy; the parent's bytes are
-		// untouched, and the copy is stored the way the original was.
 		if err := k.write(child, pa1, 9); err != nil {
 			t.Fatal(err)
-		}
-		if got := child.COWCopies(); got != 1 {
-			t.Errorf("child privatized %d frames after one write, want exactly 1", got)
-		}
-		if got := pm.COWCopies(); got != 0 {
-			t.Errorf("parent privatized %d frames without writing, want 0", got)
 		}
 		if err := pm.Read(pa1, buf); err != nil {
 			t.Fatal(err)
@@ -122,21 +191,29 @@ func TestForkSharesThenCopiesOnWrite(t *testing.T) {
 			t.Error("the copy is stored differently from the original")
 		}
 
-		// A second write to the same page must not copy again, even when
-		// the byte write turns a compact copy dense.
+		// A byte write turns a compact copy dense; the parent's frame
+		// stays as it was.
 		if err := child.WriteUint(pa1+8, 8, 0xfeed); err != nil {
 			t.Fatal(err)
 		}
-		if got := child.COWCopies(); got != 1 {
-			t.Errorf("second write to a privatized page copied again: COWCopies = %d", got)
+		if err := pm.Read(pa1, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, k.want(1)) {
+			t.Error("child byte write leaked into the parent's frame")
+		}
+		if compactAt(pm, pa1) != (k.name == "compact") {
+			t.Error("child byte write changed how the parent stores its frame")
 		}
 
-		// Writing the other shared page is a second, independent copy.
 		if err := k.write(child, pa2, 8); err != nil {
 			t.Fatal(err)
 		}
-		if got := child.COWCopies(); got != 2 {
-			t.Errorf("child COWCopies = %d after writing two shared pages, want 2", got)
+		if err := pm.Read(pa2, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, k.want(2)) {
+			t.Error("child write to a second frame leaked into the parent")
 		}
 		if issues := child.AuditCOW(); len(issues) != 0 {
 			t.Errorf("audit: %v", issues)
@@ -145,7 +222,7 @@ func TestForkSharesThenCopiesOnWrite(t *testing.T) {
 }
 
 // TestForkParentWriteDoesNotDisturbChild checks the symmetric direction:
-// the parent privatizes on write too, and the child keeps the snapshot view.
+// the child keeps the snapshot view when the parent writes.
 func TestForkParentWriteDoesNotDisturbChild(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k frameKind) {
 		pm := newTestPhys(t)
@@ -157,9 +234,6 @@ func TestForkParentWriteDoesNotDisturbChild(t *testing.T) {
 		if err := k.write(pm, pa, 7); err != nil {
 			t.Fatal(err)
 		}
-		if got := pm.COWCopies(); got != 1 {
-			t.Errorf("parent COWCopies = %d after one write, want 1", got)
-		}
 		buf := make([]byte, PageSize)
 		if err := child.Read(pa, buf); err != nil {
 			t.Fatal(err)
@@ -170,40 +244,10 @@ func TestForkParentWriteDoesNotDisturbChild(t *testing.T) {
 	})
 }
 
-// TestForkSoleHolderWritesInPlace: once the child privatizes a page, the
-// parent is the sole remaining holder of the original storage and may
-// reclaim it without another copy — the dirty-page count stays exact.
-func TestForkSoleHolderWritesInPlace(t *testing.T) {
-	forEachKind(t, func(t *testing.T, k frameKind) {
-		pm := newTestPhys(t)
-		pa := PA(0x3000)
-		if err := k.write(pm, pa, 4); err != nil {
-			t.Fatal(err)
-		}
-		child := pm.Fork()
-		if err := k.write(child, pa, 5); err != nil {
-			t.Fatal(err)
-		}
-		if err := k.write(pm, pa, 6); err != nil {
-			t.Fatal(err)
-		}
-		if got := pm.COWCopies(); got != 0 {
-			t.Errorf("sole holder copied instead of reclaiming in place: parent COWCopies = %d", got)
-		}
-		buf := make([]byte, PageSize)
-		if err := child.Read(pa, buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, k.want(5)) {
-			t.Error("parent in-place write corrupted the child's privatized frame")
-		}
-	})
-}
-
-// TestForkFreeListReuseDetaches: reallocating a freed frame whose storage is
-// still shared must detach to a fresh zero frame stored the same way
-// (zeroing in place would wipe the relative's view), and the slot must stay
-// materialized so the digest's frame set matches a cold boot's.
+// TestForkFreeListReuseDetaches: reallocating a freed frame after a fork
+// zeroes it without touching the fork relative's view, keeps how it is
+// stored, and keeps the slot materialized so the digest's frame set matches
+// a cold boot's.
 func TestForkFreeListReuseDetaches(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k frameKind) {
 		pm := newTestPhys(t)
@@ -224,18 +268,15 @@ func TestForkFreeListReuseDetaches(t *testing.T) {
 		if pa2 != pa {
 			t.Fatalf("free list did not reuse the frame: got %v, want %v", pa2, pa)
 		}
-		if got := pm.COWCopies(); got != 1 {
-			t.Errorf("detaching counted %d copies, want 1", got)
-		}
 		buf := make([]byte, PageSize)
 		if err := child.Read(pa, buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, k.want(11)) {
-			t.Error("reallocating a shared frame wiped the fork relative's view")
+			t.Error("reallocating a frame wiped the fork relative's view")
 		}
 		if compactAt(pm, pa) != compact {
-			t.Error("detaching changed how the frame is stored")
+			t.Error("reallocating changed how the frame is stored")
 		}
 		if got := visited(pm, pa); got == nil {
 			t.Error("reallocated frame slot de-materialized; digest frame set now differs from a cold boot")
@@ -286,7 +327,7 @@ func TestForkFirstTouchNotShared(t *testing.T) {
 }
 
 // TestForkChainAuditClean forks a grandchild chain, dirties pages at every
-// level, and requires the COW audit to hold from every family member's view.
+// level, and requires the fork-family audit to hold from every member's view.
 func TestForkChainAuditClean(t *testing.T) {
 	pm := newTestPhys(t)
 	for i := 0; i < 8; i++ {
@@ -348,34 +389,33 @@ func TestAuditCOWCatchesPlantedAlias(t *testing.T) {
 	}
 }
 
-// TestAuditCOWCatchesMissingShareCell simulates an unaccounted holder — a
-// shared storage whose share cell was lost — which the audit must flag
-// because an in-place write would leak across domains.
-func TestAuditCOWCatchesMissingShareCell(t *testing.T) {
-	pm := newTestPhys(t)
-	pa := PA(0x2000)
-	if err := pm.Write(pa, pattern(1)); err != nil {
-		t.Fatal(err)
-	}
-	child := pm.Fork()
-	idx := uint64(pa) >> PageShift
-	child.cowShares[idx>>frameChunkShift][idx&(1<<frameChunkShift-1)] = nil
-	issues := child.AuditCOW()
-	if len(issues) == 0 {
-		t.Fatal("audit missed a shared frame with no share cell")
-	}
-	for _, is := range issues {
-		if is.PA != pa {
-			t.Errorf("issue at %v, want all issues at %v: %v", is.PA, pa, is.Detail)
+// TestAuditCOWCatchesShallowFork simulates a Fork that failed to copy a
+// frame: the child's slot points at the parent's storage at the same PA, so
+// a write on either side would reach the other. The audit must flag it at
+// that PA.
+func TestAuditCOWCatchesShallowFork(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k frameKind) {
+		pm := newTestPhys(t)
+		pa := PA(0x2000)
+		if err := k.write(pm, pa, 1); err != nil {
+			t.Fatal(err)
 		}
-	}
+		child := pm.Fork()
+		idx := uint64(pa) >> PageShift
+		ci, fi := idx>>frameChunkShift, idx&(1<<frameChunkShift-1)
+		child.chunks[ci].dense[fi], child.chunks[ci].compact[fi] = pm.chunks[ci].dense[fi], pm.chunks[ci].compact[fi]
+		issues := child.AuditCOW()
+		if len(issues) != 1 || issues[0].PA != pa || !strings.Contains(issues[0].Detail, "held by two fork-family members") {
+			t.Errorf("want one shared-storage issue at %v, got %v", pa, issues)
+		}
+	})
 }
 
 // TestForkConcurrentChildrenIsolated forks several children off one zygote
-// (forks serialized, as the zygote pool guarantees) and lets them break
-// sharing concurrently. Every child must end with its own pattern, the
-// parent must keep the snapshot, and the audit must stay clean — under
-// -race this also proves the copy-before-decrement ordering.
+// and lets them write every forked frame concurrently. Every child must end
+// with its own pattern, the parent must keep the snapshot, and the audit
+// must stay clean; under -race this also shows that no two of them write
+// one storage.
 func TestForkConcurrentChildrenIsolated(t *testing.T) {
 	forEachKind(t, func(t *testing.T, fk frameKind) {
 		pm := newTestPhys(t)
@@ -411,9 +451,6 @@ func TestForkConcurrentChildrenIsolated(t *testing.T) {
 			if !bytes.Equal(buf, fk.want(byte(100+k))) {
 				t.Errorf("child %d lost its own writes", k)
 			}
-			if got := c.COWCopies(); got != pages {
-				t.Errorf("child %d privatized %d pages, want %d", k, got, pages)
-			}
 			if issues := c.AuditCOW(); len(issues) != 0 {
 				t.Errorf("child %d audit: %v", k, issues)
 			}
@@ -429,7 +466,7 @@ func TestForkConcurrentChildrenIsolated(t *testing.T) {
 
 // TestStage1CloneForIndependentTables: a cloned stage-1 walker over forked
 // memory must see the snapshot mappings, and new mappings on either side
-// (which write table descriptors through the COW funnel) must stay private.
+// (which write table descriptors through storeTableWord) must stay private.
 func TestStage1CloneForIndependentTables(t *testing.T) {
 	pm := newTestPhys(t)
 	s1, err := NewStage1(pm, 1)
@@ -455,8 +492,9 @@ func TestStage1CloneForIndependentTables(t *testing.T) {
 		t.Fatalf("clone lost the snapshot mapping: %+v, %v", res, err)
 	}
 
-	// Map a new page in the child only: the descriptor store must privatize
-	// the table frame, leaving the parent's walker blind to it.
+	// Map a new page in the child only: the descriptor store lands in the
+	// child's copy of the table frame, leaving the parent's walker blind
+	// to it.
 	va2 := VA(0x41_0000)
 	pa2, err := pm2.AllocFrame()
 	if err != nil {
@@ -470,9 +508,6 @@ func TestStage1CloneForIndependentTables(t *testing.T) {
 	}
 	if res, err := s1.Walk(va2); err != nil || res.Found {
 		t.Errorf("child's post-fork mapping visible to the parent walker: %+v, %v", res, err)
-	}
-	if pm2.COWCopies() == 0 {
-		t.Error("child descriptor store did not go through the COW funnel")
 	}
 }
 

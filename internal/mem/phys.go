@@ -5,15 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // ErrOutOfFrames is returned when the frame allocator is exhausted.
 var ErrOutOfFrames = errors.New("physical memory exhausted")
 
-// PhysMem is sparse simulated physical memory with a frame allocator.
-// Frames are materialized on first touch, so multi-gigabyte address spaces
-// cost only what is actually used.
 // frameChunkShift groups frames into chunks of 512 (one 2MB span) so the
 // frame table is a two-level array instead of a hash map: instruction
 // fetches and page-table walks resolve frames with two indexed loads and no
@@ -134,36 +130,20 @@ func (c *compactFrame) erase(f *[PageSize]byte) {
 	}
 }
 
-// cowChunk parallels frameChunk with per-frame share counters. A non-nil
-// cell means the frame's storage is (or was) shared with a fork relative;
-// the cell's value is the number of PhysMems whose frame table still points
-// at that storage. Cells are shared across the fork family and atomic so
-// forked machines running on different goroutines can break sharing
-// concurrently.
-type cowChunk [1 << frameChunkShift]*atomic.Int64
-
+// PhysMem is sparse simulated physical memory with a frame allocator.
+// Frames are materialized on first touch, so multi-gigabyte address spaces
+// cost only what is actually used.
 type PhysMem struct {
+	// tools/lint confines the frame storage and the fork parent to this
+	// file, so an audit of it alone shows that every frame store goes
+	// through frameForWrite or storeTableWord and that Fork shares no
+	// storage.
 	chunks    []*frameChunk
 	numFrames uint64
 	next      uint64
 	freeList  []uint64
 	allocated uint64
-
-	// COW fork state (zygote snapshot/fork, DESIGN.md §14). These fields
-	// and the frame storage are confined to this file by tools/lint: the
-	// copy-on-write soundness argument — every mutation funnels through
-	// frameForWrite or storeTableWord, refcounts account every holder — is
-	// an audit of phys.go alone.
-	cowShares []*cowChunk // per-frame share cells, parallel to chunks
-	// cowChunkShared[ci] marks the chunk and share arrays at ci as shared
-	// with a fork relative: Fork hands out the array pointers instead of
-	// copying the metadata per live chunk, and every slot store goes
-	// through unshare to privatize the arrays first. Relatives only ever
-	// read shared arrays, so children may run concurrently.
-	cowChunkShared []bool
-	cowParent      *PhysMem // the PhysMem this one was forked from (nil at cold boot)
-	cowForks       uint64   // number of children forked off this PhysMem
-	cowCopies      uint64   // frames privatized by copy-on-write (the dirty-page count)
+	parent    *PhysMem // the PhysMem this one was forked from (nil at cold boot)
 }
 
 // NewPhysMem creates physical memory of size bytes (rounded down to whole
@@ -175,8 +155,8 @@ func NewPhysMem(size uint64) *PhysMem {
 // chunkFor returns the chunk holding frame index idx, materializing it (and
 // growing the chunk table, which is sized to the highest chunk ever touched
 // rather than the full address space) on first use. Keeping the table dense
-// only up to the live span is what makes Fork O(materialized frames): a 4GB
-// machine that touches one 2MB span forks a one-entry table, not 2048.
+// only up to the live span keeps Fork proportional to what was touched: a
+// 4GB machine that touches one 2MB span forks a one-entry table, not 2048.
 func (m *PhysMem) chunkFor(idx uint64) *frameChunk {
 	ci := idx >> frameChunkShift
 	if ci >= uint64(len(m.chunks)) {
@@ -204,34 +184,14 @@ func (m *PhysMem) AllocFrame() (PA, error) {
 		idx = m.freeList[len(m.freeList)-1]
 		m.freeList = m.freeList[:len(m.freeList)-1]
 		// Reused frames must be zeroed for page-table safety. A frame
-		// keeps the way it is stored.
-		ci, fi := idx>>frameChunkShift, idx&(1<<frameChunkShift-1)
-		ch := m.chunkAt(ci)
-		if ch == nil || ch.dense[fi] == nil && ch.compact[fi] == nil {
-			break
-		}
-		switch cell := m.cowCell(idx); {
-		case cell == nil:
-			zeroFrame(ch.dense[fi], ch.compact[fi])
-		case cell.Load() > 1:
-			// The storage is still shared with a fork relative: zeroing
-			// in place would wipe the relative's view of the page.
-			// Detach to fresh zero storage instead; the slot stays
-			// materialized so the digest's frame set matches a cold
-			// boot's.
-			m.unshare(ci)
-			if ch = m.chunks[ci]; ch.dense[fi] != nil {
-				ch.dense[fi] = new([PageSize]byte)
-			} else {
-				ch.compact[fi] = new(compactFrame)
+		// keeps the way it is stored, and stays materialized.
+		if ch := m.chunkAt(idx >> frameChunkShift); ch != nil {
+			fi := idx & (1<<frameChunkShift - 1)
+			if f := ch.dense[fi]; f != nil {
+				*f = [PageSize]byte{}
+			} else if c := ch.compact[fi]; c != nil {
+				*c = compactFrame{}
 			}
-			m.cowShares[ci][fi] = nil
-			cell.Add(-1)
-			m.cowCopies++
-		default:
-			m.unshare(ci)
-			m.cowShares[ci][fi] = nil
-			zeroFrame(ch.dense[fi], ch.compact[fi])
 		}
 	case m.next < m.numFrames:
 		idx = m.next
@@ -241,15 +201,6 @@ func (m *PhysMem) AllocFrame() (PA, error) {
 	}
 	m.allocated++
 	return PA(idx << PageShift), nil
-}
-
-// zeroFrame zeroes a frame's storage in place: f or c, whichever is set.
-func zeroFrame(f *[PageSize]byte, c *compactFrame) {
-	if f != nil {
-		*f = [PageSize]byte{}
-	} else {
-		*c = compactFrame{}
-	}
 }
 
 // AllocContiguous allocates n physically contiguous zeroed frames and
@@ -288,31 +239,6 @@ func (m *PhysMem) chunkAt(ci uint64) *frameChunk {
 	return m.chunks[ci]
 }
 
-// unshare privatizes chunk ci's metadata arrays (the frame pointers and the
-// share cells) before a slot store. Fork shares the array pointers with the
-// child; since every mutator copies before its first store, a shared array
-// is only ever read, and fork relatives can run concurrently without
-// observing each other's metadata updates. The share cells themselves stay
-// shared — they count holders across the whole family.
-func (m *PhysMem) unshare(ci uint64) {
-	if ci >= uint64(len(m.cowChunkShared)) || !m.cowChunkShared[ci] {
-		return
-	}
-	if ch := m.chunks[ci]; ch != nil {
-		nch := new(frameChunk)
-		*nch = *ch
-		m.chunks[ci] = nch
-	}
-	if ci < uint64(len(m.cowShares)) {
-		if sc := m.cowShares[ci]; sc != nil {
-			nsc := new(cowChunk)
-			*nsc = *sc
-			m.cowShares[ci] = nsc
-		}
-	}
-	m.cowChunkShared[ci] = false
-}
-
 // resolve returns pa's frame storage, dense or compact (exactly one is
 // set). An untouched frame materializes on first touch: compact when the
 // table-word path touches it (compact set), dense otherwise.
@@ -321,7 +247,7 @@ func (m *PhysMem) resolve(pa PA, compact bool) (*[PageSize]byte, *compactFrame, 
 	if idx >= m.numFrames {
 		return nil, nil, fmt.Errorf("physical address %v beyond memory size %#x", pa, m.Size())
 	}
-	ci, fi := idx>>frameChunkShift, idx&(1<<frameChunkShift-1)
+	fi := idx & (1<<frameChunkShift - 1)
 	ch := m.chunkFor(idx)
 	if f := ch.dense[fi]; f != nil {
 		return f, nil, nil
@@ -329,8 +255,6 @@ func (m *PhysMem) resolve(pa PA, compact bool) (*[PageSize]byte, *compactFrame, 
 	if c := ch.compact[fi]; c != nil {
 		return nil, c, nil
 	}
-	m.unshare(ci)
-	ch = m.chunks[ci]
 	if compact {
 		c := new(compactFrame)
 		ch.compact[fi] = c
@@ -341,80 +265,24 @@ func (m *PhysMem) resolve(pa PA, compact bool) (*[PageSize]byte, *compactFrame, 
 	return f, nil, nil
 }
 
-// cowCell returns the share counter for a frame index, or nil when the
-// frame's storage is exclusively owned.
-func (m *PhysMem) cowCell(idx uint64) *atomic.Int64 {
-	ci := idx >> frameChunkShift
-	if ci >= uint64(len(m.cowShares)) {
-		return nil
-	}
-	ch := m.cowShares[ci]
-	if ch == nil {
-		return nil
-	}
-	return ch[idx&(1<<frameChunkShift-1)]
-}
-
-// resolveForWrite is the copy-on-write rule both write funnels share: it
-// resolves pa's frame like resolve and returns storage that is safe to
-// write, breaking sharing first when a fork relative holds it. Ordering
-// matters for concurrently running forks: the copy happens before the
-// refcount drop, so no other holder can ever observe a count of 1 (and
-// write in place) while this PhysMem still reads the shared storage.
-func (m *PhysMem) resolveForWrite(pa PA, compact bool) (*[PageSize]byte, *compactFrame, error) {
-	f, c, err := m.resolve(pa, compact)
-	if err != nil {
-		return nil, nil, err
-	}
-	idx := uint64(pa) >> PageShift
-	cell := m.cowCell(idx)
-	if cell == nil {
-		return f, c, nil
-	}
-	ci, fi := idx>>frameChunkShift, idx&(1<<frameChunkShift-1)
-	if cell.Load() > 1 {
-		// Copy first …
-		if f != nil {
-			nf := new([PageSize]byte)
-			*nf = *f
-			f = nf
-		} else {
-			nc := *c
-			c = &nc
-		}
-		m.unshare(ci)
-		m.chunks[ci].dense[fi], m.chunks[ci].compact[fi] = f, c
-		m.cowShares[ci][fi] = nil
-		cell.Add(-1) // … then release the shared storage
-		m.cowCopies++
-		return f, c, nil
-	}
-	// Sole remaining holder: reclaim exclusive ownership and write in place.
-	m.unshare(ci)
-	m.cowShares[ci][fi] = nil
-	return f, c, nil
-}
-
 // frameForWrite is the byte-path mutation funnel (Write, WriteUint): it
-// returns a dense frame that is safe to write, copying it first when a fork
-// relative shares it, and turns a compact frame dense.
+// returns pa's frame as a dense page, turning a compact frame dense.
 func (m *PhysMem) frameForWrite(pa PA) (*[PageSize]byte, error) {
-	f, c, err := m.resolveForWrite(pa, false)
+	f, c, err := m.resolve(pa, false)
 	if err != nil || f != nil {
 		return f, err
 	}
 	return m.densify(pa, c), nil
 }
 
-// densify replaces the compact frame c, which this PhysMem holds
-// exclusively at pa, with a dense frame holding the same bytes.
+// densify replaces the compact frame c at pa with a dense frame holding the
+// same bytes.
 func (m *PhysMem) densify(pa PA, c *compactFrame) *[PageSize]byte {
 	f := new([PageSize]byte)
 	c.render(f)
 	idx := uint64(pa) >> PageShift
-	ci, fi := idx>>frameChunkShift, idx&(1<<frameChunkShift-1)
-	m.unshare(ci)
-	m.chunks[ci].dense[fi], m.chunks[ci].compact[fi] = f, nil
+	ch, fi := m.chunks[idx>>frameChunkShift], idx&(1<<frameChunkShift-1)
+	ch.dense[fi], ch.compact[fi] = f, nil
 	return f
 }
 
@@ -432,11 +300,11 @@ func (m *PhysMem) tableWord(tab PA, i uint64) (uint64, error) {
 }
 
 // storeTableWord is the table-word mutation funnel: it stores v into word
-// i (i < 512) of the page-table frame at tab, under the same copy-on-write
-// rule as frameForWrite. An untouched frame materializes compact, and a
-// compact frame turns dense when v is a non-zero word past its cap.
+// i (i < 512) of the page-table frame at tab. An untouched frame
+// materializes compact, and a compact frame turns dense when v is a non-zero
+// word past its cap.
 func (m *PhysMem) storeTableWord(tab PA, i, v uint64) error {
-	f, c, err := m.resolveForWrite(tab, true)
+	f, c, err := m.resolve(tab, true)
 	if err != nil {
 		return err
 	}
@@ -476,98 +344,49 @@ func (m *PhysMem) tableWords(tab PA, fn func(i, w uint64) bool) error {
 	return nil
 }
 
-// Fork snapshots this PhysMem into a copy-on-write child: the child shares
-// every materialized frame's storage with the parent (share counters track
-// each holder) and privatizes a frame only on its first write, so a fork
-// costs O(materialized frame table) pointer copies instead of O(memory).
-// Allocator state (next, free list, allocated count) is duplicated so the
-// child allocates exactly as a cold-booted machine would. Dense and compact
-// frames are shared alike. Forks of the same parent must be serialized by
-// the caller (the zygote pool holds a per-zygote lock), but forked children
-// may run and break sharing concurrently.
+// Fork returns a copy of this PhysMem that shares no storage with it: the
+// child gets its own copy of every materialized frame, each stored the way
+// this PhysMem stores it, and the allocator state (next, free list,
+// allocated count), so it allocates exactly as a cold-booted machine would.
+// A zygote holds 7 frames when it forks (DESIGN.md §14). Fork writes
+// nothing to this PhysMem, which must not be written concurrently.
 func (m *PhysMem) Fork() *PhysMem {
-	// The chunk table only spans what was touched; keep the share and
-	// shared-flag tables in step (chunks materialized since the last fork
-	// extend them).
-	if len(m.cowShares) < len(m.chunks) {
-		m.cowShares = append(m.cowShares, make([]*cowChunk, len(m.chunks)-len(m.cowShares))...)
-	}
-	if len(m.cowChunkShared) < len(m.chunks) {
-		m.cowChunkShared = append(m.cowChunkShared, make([]bool, len(m.chunks)-len(m.cowChunkShared))...)
+	child := &PhysMem{
+		chunks:    make([]*frameChunk, len(m.chunks)),
+		numFrames: m.numFrames,
+		next:      m.next,
+		freeList:  append([]uint64(nil), m.freeList...),
+		allocated: m.allocated,
+		parent:    m,
 	}
 	for ci, ch := range m.chunks {
 		if ch == nil {
 			continue
 		}
-		sc := m.cowShares[ci]
-		if sc == nil {
-			sc = new(cowChunk)
-			m.cowShares[ci] = sc
-		}
-		for fi := range sc {
-			if ch.storage(fi) == nil {
-				continue
+		nch := new(frameChunk)
+		for fi, f := range &ch.dense {
+			if f != nil {
+				nf := *f
+				nch.dense[fi] = &nf
+			} else if c := ch.compact[fi]; c != nil {
+				nc := *c
+				nch.compact[fi] = &nc
 			}
-			cell := sc[fi]
-			if cell == nil {
-				// Storing a fresh cell mutates the share array: privatize
-				// it first if an earlier fork still reads it. (In practice
-				// a still-shared chunk cannot hold cell-less frames —
-				// materializing one unshares — but stay defensive.)
-				if m.cowChunkShared[ci] {
-					m.unshare(uint64(ci))
-					sc = m.cowShares[ci]
-				}
-				cell = new(atomic.Int64)
-				cell.Store(1)
-				sc[fi] = cell
-			}
-			cell.Add(1)
 		}
-		m.cowChunkShared[ci] = true
+		child.chunks[ci] = nch
 	}
-	child := &PhysMem{
-		// Hand the metadata array pointers to the child instead of copying
-		// them: both sides are flagged shared, and the first slot store on
-		// either side privatizes through unshare. Fork is O(live chunks),
-		// not O(live chunks × chunk size).
-		chunks:         append([]*frameChunk(nil), m.chunks...),
-		cowShares:      append([]*cowChunk(nil), m.cowShares...),
-		cowChunkShared: append([]bool(nil), m.cowChunkShared...),
-		numFrames:      m.numFrames,
-		next:           m.next,
-		freeList:       append([]uint64(nil), m.freeList...),
-		allocated:      m.allocated,
-		cowParent:      m,
-	}
-	m.cowForks++
 	return child
 }
 
-// Forks returns how many children have been forked off this PhysMem.
-func (m *PhysMem) Forks() uint64 { return m.cowForks }
+// COWCopies returns 0: no frame storage is shared, so no write copies a
+// frame. bench/unit.go reads it for mem.cow_copies_per_unit; ROADMAP item
+// 2's benchmark PR deletes it with that metric.
+func (m *PhysMem) COWCopies() uint64 { return 0 }
 
-// COWCopies returns the number of frames this PhysMem privatized after a
-// fork — the dirty-page count of the zygote model.
-func (m *PhysMem) COWCopies() uint64 { return m.cowCopies }
-
-// SharedFrames counts materialized frames whose storage is still shared
-// with a fork relative.
-func (m *PhysMem) SharedFrames() uint64 {
-	var n uint64
-	for ci, ch := range m.chunks {
-		if ch == nil || ci >= len(m.cowShares) || m.cowShares[ci] == nil {
-			continue
-		}
-		sc := m.cowShares[ci]
-		for fi := range sc {
-			if ch.storage(fi) != nil && sc[fi] != nil && sc[fi].Load() > 1 {
-				n++
-			}
-		}
-	}
-	return n
-}
+// SharedFrames returns 0: no frame storage is shared with a fork relative.
+// bench/unit.go reads it for mem.shared_frames; ROADMAP item 2's benchmark
+// PR deletes it with that metric.
+func (m *PhysMem) SharedFrames() uint64 { return 0 }
 
 // COWIssue is one violation found by AuditCOW.
 type COWIssue struct {
@@ -577,75 +396,39 @@ type COWIssue struct {
 	Detail string
 }
 
-// AuditCOW proves that copy-on-write sharing never aliases across isolation
-// domains: walking the fork family (this PhysMem and its parent chain), (a)
-// one frame storage must never back two different physical addresses — that
-// would make a write at one PA appear at another, the cross-domain aliasing
-// attack — and (b) storage held by more than one family member must carry a
-// live share cell accounted by every holder, since an unaccounted holder
-// would write shared bytes in place while a relative still reads them.
-// Observation-only: no frames are materialized and no counters change.
+// AuditCOW proves that no frame storage is reachable from two frame slots
+// of the fork family (this PhysMem and its parent chain). Storage that
+// backs two physical addresses would make a write at one PA appear at
+// another, the cross-domain aliasing attack. Storage that two relatives
+// hold at one PA can only come from a Fork that failed to copy, and a write
+// on either side would reach the other. Observation-only: no frames are
+// materialized.
 func (m *PhysMem) AuditCOW() []COWIssue {
-	var fam []*PhysMem
-	for p := m; p != nil; p = p.cowParent {
-		fam = append(fam, p)
-	}
-	type holder struct {
-		pa   PA
-		cell *atomic.Int64
-	}
-	byStorage := make(map[any][]holder) // keyed by frame storage pointer
-	for _, p := range fam {
+	first := make(map[any]PA) // the first PA each frame storage was seen at
+	var issues []COWIssue
+	for p := m; p != nil; p = p.parent {
 		for ci, ch := range p.chunks {
 			if ch == nil {
 				continue
-			}
-			var sc *cowChunk
-			if ci < len(p.cowShares) {
-				sc = p.cowShares[ci]
 			}
 			for fi := range ch.dense {
 				f := ch.storage(fi)
 				if f == nil {
 					continue
 				}
-				var cell *atomic.Int64
-				if sc != nil {
-					cell = sc[fi]
-				}
 				pa := PA((uint64(ci)<<frameChunkShift | uint64(fi)) << PageShift)
-				byStorage[f] = append(byStorage[f], holder{pa: pa, cell: cell})
+				seen, ok := first[f]
+				switch {
+				case !ok:
+					first[f] = pa
+				case seen != pa:
+					issues = append(issues, COWIssue{PA: pa, Detail: fmt.Sprintf(
+						"frame storage aliased across the fork family: also backs %v", seen)})
+				default:
+					issues = append(issues, COWIssue{PA: pa, Detail: fmt.Sprintf(
+						"frame %v storage held by two fork-family members: a write on one would reach the other", pa)})
+				}
 			}
-		}
-	}
-	var issues []COWIssue
-	for _, hs := range byStorage {
-		if len(hs) == 1 {
-			continue
-		}
-		base := hs[0]
-		shared := 0
-		for _, h := range hs {
-			if h.pa != base.pa {
-				issues = append(issues, COWIssue{PA: h.pa, Detail: fmt.Sprintf(
-					"frame storage aliased across the fork family: also backs %v", base.pa)})
-				continue
-			}
-			if h.cell == nil {
-				issues = append(issues, COWIssue{PA: h.pa, Detail: fmt.Sprintf(
-					"frame %v shared by %d fork-family members without a share cell: an in-place write would leak across domains", h.pa, len(hs))})
-				continue
-			}
-			if h.cell != base.cell {
-				issues = append(issues, COWIssue{PA: h.pa, Detail: fmt.Sprintf(
-					"frame %v holders disagree on the share cell", h.pa)})
-				continue
-			}
-			shared++
-		}
-		if shared > 0 && base.cell != nil && base.cell.Load() < int64(shared) {
-			issues = append(issues, COWIssue{PA: base.pa, Detail: fmt.Sprintf(
-				"frame %v share count %d below its %d live holders", base.pa, base.cell.Load(), shared)})
 		}
 	}
 	sort.Slice(issues, func(i, j int) bool {
@@ -657,10 +440,9 @@ func (m *PhysMem) AuditCOW() []COWIssue {
 	return issues
 }
 
-// PlantCOWAlias redirects dst's frame slot at the storage backing src with
-// no share accounting — the cross-domain frame-share attack the
-// cow-aliasing checker must catch at the exact PA. Planted-battery and test
-// use only.
+// PlantCOWAlias points dst's frame slot at the storage backing src — the
+// cross-domain frame-share attack the cow-aliasing checker must catch at the
+// exact PA. Planted-battery and test use only.
 func (m *PhysMem) PlantCOWAlias(src, dst PA) error {
 	sf, sc, err := m.resolve(src, false)
 	if err != nil {
@@ -670,9 +452,7 @@ func (m *PhysMem) PlantCOWAlias(src, dst PA) error {
 		return err
 	}
 	idx := uint64(dst) >> PageShift
-	m.unshare(idx >> frameChunkShift)
-	ch := m.chunks[idx>>frameChunkShift]
-	fi := idx & (1<<frameChunkShift - 1)
+	ch, fi := m.chunks[idx>>frameChunkShift], idx&(1<<frameChunkShift-1)
 	ch.dense[fi], ch.compact[fi] = sf, sc
 	return nil
 }

@@ -70,7 +70,7 @@ func (t *Stage1) Visit(fn func(va VA, desc uint64, size uint64) bool) error {
 }
 
 // CloneFor snapshots the table's Go-side bookkeeping for a forked machine
-// whose physical memory pm2 copy-on-write shares this table's frames. The
+// whose physical memory pm2 holds a copy of this table's frames. The
 // descriptors themselves live in physical memory and are already covered by
 // the fork; only the metadata needs re-pointing. OnAllocTable is left nil
 // for the caller to re-wire to the fork's owner.

@@ -70,7 +70,7 @@ func (t *Stage2) Visit(fn func(ipa IPA, desc uint64, size uint64) bool) error {
 }
 
 // CloneFor snapshots the table's Go-side bookkeeping for a forked machine
-// whose physical memory pm2 copy-on-write shares this table's frames (see
+// whose physical memory pm2 holds a copy of this table's frames (see
 // Stage1.CloneFor).
 func (t *Stage2) CloneFor(pm2 *PhysMem) *Stage2 {
 	return &Stage2{table: t.cloneFor(pm2), vmid: t.vmid}

@@ -264,8 +264,8 @@ func visit[A VA | IPA](t *table, tab PA, level int, base uint64, fn func(A, uint
 }
 
 // cloneFor copies the bookkeeping for a forked machine whose physical
-// memory pm2 copy-on-write shares this table's frames. The descriptors live
-// in physical memory and are already covered by the fork.
+// memory pm2 holds a copy of this table's frames. The descriptors live in
+// physical memory and are already covered by the fork.
 func (t *table) cloneFor(pm2 *PhysMem) table {
 	c := *t
 	c.pm = pm2

@@ -37,7 +37,7 @@ type tableDigests struct {
 
 // runTableWorkload replays the seeded operation mix: about 10k Map,
 // MapBlock, Unmap, UpdateLeaf and Walk calls on a Stage1 and a Stage2, with
-// a short-lived third table freed twice and a copy-on-write fork halfway.
+// a short-lived third table freed twice and a fork halfway.
 func runTableWorkload(t *testing.T) tableDigests {
 	t.Helper()
 	rng := rand.New(rand.NewSource(16))
@@ -125,7 +125,7 @@ func runTableWorkload(t *testing.T) tableDigests {
 			put(tmp.TableBytes())
 			tmp.Free()
 		case 5000:
-			// Fork: the workload continues on the copy-on-write child.
+			// Fork: the workload continues on the child.
 			pm = pm.Fork()
 			s1, s2 = s1.CloneFor(pm), s2.CloneFor(pm)
 			s1.OnAllocTable = mirror

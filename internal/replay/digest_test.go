@@ -185,7 +185,7 @@ func TestMemDigestSeparatesEdits(t *testing.T) {
 }
 
 // TestMemDigestForkEqualsColdWrite: the same frames holding the same bytes
-// digest equally whether they were reached through a COW fork of a
+// digest equally whether they were reached through a fork of a
 // zygote-like parent or written cold.
 func TestMemDigestForkEqualsColdWrite(t *testing.T) {
 	parent := sparseMem(t, 4)

@@ -37,10 +37,9 @@ type chaosRunner struct {
 	baselines sync.Map // "scenario/sliceTraps" -> *chaosBaseline
 	memo      verify.Memo
 	// prepare builds the scenario machine. Nil means the default: fork a
-	// copy-on-write child of the scenario's zygote, so every injection
-	// case costs O(dirty pages) instead of a full boot. The fork-identity
-	// pinning tests swap in the cold-boot path to prove the classification
-	// of every injection is unchanged.
+	// child of the scenario's zygote, so no injection case pays for a full
+	// boot. The fork-identity pinning tests swap in the cold-boot path to
+	// prove the classification of every injection is unchanged.
 	prepare func(workload.DomainSwitchConfig) (*workload.Env, *kernel.Process, error)
 }
 

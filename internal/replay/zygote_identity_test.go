@@ -148,9 +148,8 @@ func TestForkIdentityAcrossBackends(t *testing.T) {
 						forked := finishDigest(t, envFork, pFork, budget)
 						requireAllGrades(t, name, cold, forked)
 						if issues := envFork.M.PM.AuditCOW(); len(issues) != 0 {
-							t.Errorf("COW audit after forked run: %v", issues)
+							t.Errorf("fork-family audit after forked run: %v", issues)
 						}
-						t.Logf("%s: forked run dirtied %d pages", name, envFork.M.PM.COWCopies())
 
 						// Through the zygote pool: the first child publishes
 						// its code template, the second adopts from it, and

@@ -1,15 +1,15 @@
 package verify
 
-// checkCOWAliasing audits the copy-on-write frame structure of the
-// machine's physical memory: across the whole fork family, every frame
-// storage backs exactly one physical address per machine, every shared
-// storage carries a share cell, and every cell's count covers its live
-// holders. A violation means one write could become visible at a second
-// physical address — and therefore inside a second isolation domain —
-// without any stage-1/stage-2 translation connecting them, a channel no
-// page-table audit can see. Findings carry the exact PA in both the VA and
-// PA fields (the audit is an address-space-independent, machine-wide
-// property; Domain -1 marks it process-unscoped).
+// checkCOWAliasing audits the frame storage of the machine's physical
+// memory: across the whole fork family (the machine and the zygotes it was
+// forked from), no frame storage backs two physical addresses, and no two
+// relatives hold one storage. A violation means one write could become
+// visible at a second physical address or in a second machine — and
+// therefore inside a second isolation domain — without any stage-1/stage-2
+// translation connecting them, a channel no page-table audit can see.
+// Findings carry the exact PA in both the VA and PA fields (the audit is an
+// address-space-independent, machine-wide property; Domain -1 marks it
+// process-unscoped).
 func checkCOWAliasing(s *Snapshot) []Finding {
 	var out []Finding
 	for _, issue := range s.M.PM.AuditCOW() {

@@ -114,7 +114,7 @@ func CheckersFor(backend string) []Checker {
 		},
 		{
 			Name: "cow-aliasing",
-			Desc: "no copy-on-write frame storage backs two physical addresses in one machine; every shared frame carries a share cell covering its live holders",
+			Desc: "no frame storage backs two physical addresses across the fork family",
 			Run:  checkCOWAliasing,
 		},
 	}

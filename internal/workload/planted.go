@@ -384,7 +384,7 @@ func plantedLightzoneAttacks() []plantedAttack {
 		// Point the GateTab frame's slot at the storage backing an
 		// executable page — a cross-domain frame share no page table
 		// connects, so every translation audit walks clean; only the
-		// COW frame audit can see it, and it must report the exact PA.
+		// frame-storage audit can see it, and it must report the exact PA.
 		plantedTamper("cow-cross-domain-share", "cow-aliasing", "lightzone", func(env *Env, lp *core.LZProc) (uint64, error) {
 			_, real, err := plantedExecPage(lp)
 			if err != nil {

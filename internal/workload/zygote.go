@@ -11,18 +11,18 @@ import (
 	"lightzone/internal/kernel"
 )
 
-// Fork clones a prepared environment in O(dirty pages). It forks only at a
-// fork point: the machine booted, the modules installed, the process
-// created and its gate entries registered, and nothing run. No instruction
-// retired, no process in LightZone and no thread scheduled; Fork, the
-// module fork and the kernel fork each panic on a machine past that point.
-// Physical memory forks copy-on-write, the vCPU and hypervisor transfer
-// their state exactly, the kernels their id counters and process tables,
-// and the child's module chain is rebuilt from what preparation set: the LightZone module's options, backend and
-// gate entries, fresh baselines (only their syscalls create per-process
-// records) and an unset marker. The child is a full environment,
-// indistinguishable by replay.Digest from a cold boot of the same
-// preparation.
+// Fork clones a prepared environment. It forks only at a fork point: the
+// machine booted, the modules installed, the process created and its gate
+// entries registered, and nothing run. No instruction retired, no process
+// in LightZone and no thread scheduled; Fork, the module fork and the
+// kernel fork each panic on a machine past that point. Physical memory is
+// copied (a prepared machine holds 7 frames), the vCPU and hypervisor
+// transfer their state exactly, the kernels their id counters and process
+// tables, and the child's module chain is rebuilt from what preparation
+// set: the LightZone module's options, backend and gate entries, fresh
+// baselines (only their syscalls create per-process records) and an unset
+// marker. The child is a full environment, indistinguishable by
+// replay.Digest from a cold boot of the same preparation.
 func (e *Env) Fork() *Env {
 	if e.M.CPU.Insns != 0 {
 		panic("workload: fork of a machine that has run")
@@ -52,9 +52,9 @@ func (e *Env) Fork() *Env {
 
 // zygote is one warmed, never-run environment with its benchmark process
 // already created: boot + module setup + assemble + CreateProcess paid once,
-// then every consumer forks a child instead of cold-booting. The mutex
-// serializes forks — PhysMem.Fork lazily creates share cells on the parent,
-// so two concurrent forks of one zygote must not interleave.
+// then every consumer forks a child instead of cold-booting. The mutex makes
+// the preparation happen once (env, pid and err are set under it) and
+// serializes the forks of one zygote.
 //
 // tmpl is the code template of the zygote's first child to finish with its
 // decode cache and traces on (see publish). It is set once, by

@@ -209,7 +209,7 @@ func TestZygoteChildrenIsolated(t *testing.T) {
 	}
 	for name, env := range map[string]*Env{"A": envA, "B": envB} {
 		if issues := env.M.PM.AuditCOW(); len(issues) != 0 {
-			t.Errorf("child %s COW audit: %v", name, issues)
+			t.Errorf("child %s fork-family audit: %v", name, issues)
 		}
 	}
 	// The zygote was never run: a third fork still measures the same.
@@ -333,6 +333,21 @@ func TestZygoteTemplateDeterministic(t *testing.T) {
 	}
 	if n, m := env.M.CPU.Stats.CodeAdopted, cpu.ReadTraceStats().Sub(traces).Adopted; n == 0 || m == 0 {
 		t.Errorf("a child adopted %d blocks and %d traces from the template, want both", n, m)
+	}
+}
+
+// BenchmarkZygoteFork measures the fork alone: Env.Fork of the fork-fleet
+// cell's prepared zygote, which copies its frames, clones its vCPU,
+// hypervisor and kernel, and rebuilds its module chain (DESIGN.md §14).
+func BenchmarkZygoteFork(b *testing.B) {
+	zyg, _, err := PrepareDomainSwitch(forkCellConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		zyg.Fork()
 	}
 }
 

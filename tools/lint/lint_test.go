@@ -322,16 +322,16 @@ func hot(c *VCPU) int { return len(c.tcache.traces) }
 }
 
 func TestCOWStateConfinedToPhysFile(t *testing.T) {
-	// Even a read of a COW refcount outside phys.go widens the audit
+	// Even a read of the fork parent outside phys.go widens the audit
 	// surface of the fork soundness argument.
 	probs := lintNamed(t, "stage1.go", `package mem
-func peek(m *PhysMem) uint64 { return m.cowForks }
+func peek(m *PhysMem) *PhysMem { return m.parent }
 `)
 	if len(probs) != 1 || !strings.Contains(probs[0], "phys.go") {
 		t.Fatalf("want one confinement violation, got %v", probs)
 	}
 	probs = lintNamed(t, "tlb.go", `package mem
-func sneak(m *PhysMem) { m.cowShares = nil; m.cowParent = nil; m.cowCopies++ }
+func sneak(m, p *PhysMem) { m.chunks = p.chunks; m.parent = p }
 `)
 	if len(probs) != 3 {
 		t.Fatalf("want three confinement violations, got %v", probs)
@@ -348,19 +348,19 @@ func poke(t *table, ci, fi int) { t.pm.chunks[ci].dense[fi][0] = 1 }
 
 func TestCOWStateAllowedInPhysFile(t *testing.T) {
 	probs := lintNamed(t, "phys.go", `package mem
-func (m *PhysMem) stats() uint64 { return m.cowForks + m.cowCopies }
+func (m *PhysMem) forked() bool { return m.parent != nil && len(m.chunks) > 0 }
 `)
 	if len(probs) != 0 {
-		t.Fatalf("phys.go must own the COW state, got %v", probs)
+		t.Fatalf("phys.go must own the frame storage and fork parent, got %v", probs)
 	}
 }
 
 func TestCOWStateOutsideMemIgnored(t *testing.T) {
 	// Other packages may have their own unrelated fields with these names.
 	probs := lintNamed(t, "anything.go", `package workload
-func f(x *thing) int { return x.cowCopies }
+func f(x *thing) *thing { return x.parent }
 `)
 	if len(probs) != 0 {
-		t.Fatalf("non-mem COW fields must be ignored, got %v", probs)
+		t.Fatalf("non-mem parent fields must be ignored, got %v", probs)
 	}
 }

@@ -41,15 +41,14 @@
 //     soundness argument — guard coverage, invalidation chokepoints,
 //     batched-flush identity — is an audit of that single file.
 //
-//  7. copy-on-write confinement: the zygote fork's frame-share state
-//     (`.cowShares`, `.cowParent`, `.cowForks`, `.cowCopies` in package
-//     mem) and the frame storage itself (`.chunks`, dense and compact
-//     frames alike) are touched only by phys.go. The COW soundness
-//     argument — every mutation funnels through frameForWrite (the byte
-//     path) or storeTableWord (the table-word path), and both share one
-//     refcount rule; refcounts account every holder; no frame storage ever
-//     backs two physical addresses — is an audit of that single file; a
-//     stray refcount or storage access elsewhere would invalidate it.
+//  7. frame-storage confinement: the frame storage (`.chunks` in package
+//     mem, dense and compact frames alike) and the fork parent
+//     (`.parent`) are touched only by phys.go. So every frame store goes
+//     through frameForWrite (the byte path) or storeTableWord (the
+//     table-word path), and the argument that no frame storage backs two
+//     physical addresses or two PhysMems — Fork copies every frame — is an
+//     audit of that single file; a stray storage access elsewhere would
+//     invalidate it.
 //
 // Usage: go run ./tools/lint [root]   (root defaults to ".")
 //
@@ -115,12 +114,9 @@ var chargers = map[string]bool{"Charge": true, "ChargeInsns": true}
 // file per package: package -> selector -> the only file allowed to use it.
 var confined = map[string]map[string]string{
 	"mem": {
-		"entries":   "tlb.go",
-		"cowShares": "phys.go",
-		"cowParent": "phys.go",
-		"cowForks":  "phys.go",
-		"cowCopies": "phys.go",
-		"chunks":    "phys.go",
+		"entries": "tlb.go",
+		"parent":  "phys.go",
+		"chunks":  "phys.go",
 	},
 	"cpu": {
 		"mtlb":   "microtlb.go",
