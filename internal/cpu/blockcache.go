@@ -373,7 +373,11 @@ func (d *BlockCache) finalize() {
 func (d *BlockCache) insert(key blockKey, b *dblock) {
 	if _, exists := d.blocks[key]; !exists {
 		if d.blocks == nil {
-			d.blocks = make(map[blockKey]*dblock)
+			var n int
+			if d.tmpl != nil {
+				n = d.tmpl.nBlocks
+			}
+			d.blocks = make(map[blockKey]*dblock, n)
 			d.codePages = make(map[uint64]int)
 		}
 		d.codePages[b.page]++
@@ -431,6 +435,11 @@ type CodeTemplate struct {
 	prof   *arm64.Profile // traces hold the publisher's fused MRS costs
 	blocks map[mem.PA][]arm64.Insn
 	traces map[uint64][]*traceTemplate
+
+	// nBlocks and nTraces are the publisher's cache sizes: an adopting
+	// child makes its block and trace maps that large at their first
+	// insert, so they do not rehash as adoption fills them.
+	nBlocks, nTraces int
 }
 
 // CodeTemplate builds a template of this machine's code caches, or returns
@@ -458,7 +467,10 @@ func (c *VCPU) CodeTemplate() *CodeTemplate {
 		}
 		picks[b.pa] = pick{k, b.insns}
 	}
-	t := &CodeTemplate{prof: c.Prof, blocks: make(map[mem.PA][]arm64.Insn, len(picks))}
+	t := &CodeTemplate{
+		prof: c.Prof, blocks: make(map[mem.PA][]arm64.Insn, len(picks)),
+		nBlocks: len(d.blocks), nTraces: c.TraceCacheLen(),
+	}
 	for pa, p := range picks {
 		t.blocks[pa] = p.body
 	}
@@ -468,7 +480,7 @@ func (c *VCPU) CodeTemplate() *CodeTemplate {
 
 // SetCodeTemplate attaches a zygote's code template to this machine, or
 // detaches it (nil). Only the pointer is kept; the cache's containers are
-// made at its first insert, as without a template.
+// made at their first insert, sized from the template.
 func (c *VCPU) SetCodeTemplate(t *CodeTemplate) { c.Decoded.tmpl = t }
 
 func (d *BlockCache) dropPageRef(pg uint64) {

@@ -17,7 +17,9 @@
 //
 //   - the block-cache key probe (keyFor) proves the executing context —
 //     (VMID, ASID, SCTLR.M) — equals the trace's stitch-time context, so the
-//     TTBR half and TLB tagging are unchanged;
+//     TTBR half and TLB tagging are unchanged; every member lies in the
+//     entry's half, so a TTBR1-half trace keeps TTBR1's ASID throughout,
+//     even across the MSR TTBR0_EL1 of a call gate;
 //   - per member page, the code-epoch Snapshot equals the stitch-time value,
 //     so every member block is still cached and byte-valid (the same check
 //     enter() would run), and — MMU on — a TLB Peek finds an exec-permitted,
@@ -35,7 +37,10 @@
 // steps cannot move generations, deliver, observe Cycles, or branch, so
 // they skip the checks entirely. Recognized stitch edges — the gate-switch
 // MRS reads and MSR PAN toggles of the lz_switch_* sequences — run fused
-// handlers that skip generic dispatch when no audit oracle is attached.
+// handlers that skip generic dispatch when no audit oracle is attached. A
+// call gate's MSR TTBR0_EL1 (TTBR1-half code only) is an edge too, but it
+// keeps generic dispatch with the memory-step checks, so its hook, an
+// HCR_EL2.TVM trap and any generation it moves act exactly as untraced.
 //
 // A stale trace dies in one place: the entry guard, whose per-page Snapshot
 // comparison refuses it and drops it, just as BlockCache.enter refuses and
@@ -344,17 +349,17 @@ func pureOp(op arm64.Op) bool {
 
 // noteBlockHot is called by BlockCache.enter on every validated block entry.
 // The counter saturates at the stitch threshold: a successful stitch or an
-// adoption from the code template keys the trace here, a permanent failure
-// pins the counter so the walk never re-runs, and a transient failure
-// (successor not cached yet) resets it so a warmer pass retries. Below the
-// threshold every entry first tries the template (adoptTrace).
+// adoption from the code template keys the trace here and pins every member
+// (installTrace), a permanent failure pins the counter so the walk never
+// re-runs, and a transient failure (successor not cached yet) resets it so
+// a warmer pass retries. Below the threshold every entry first tries the
+// template (adoptTrace).
 func (c *VCPU) noteBlockHot(b *dblock, key blockKey, pc uint64) {
 	tc := &c.tcache
 	if !tc.enabled || b.hot >= tc.threshold {
 		return
 	}
 	if c.adoptTrace(b, key, pc) {
-		b.hot = tc.threshold
 		return
 	}
 	b.hot++
@@ -365,13 +370,13 @@ func (c *VCPU) noteBlockHot(b *dblock, key blockKey, pc uint64) {
 
 // maybeStitch walks forward from a newly hot block across direct edges —
 // B, BL into a leaf whose RET matches the call, predicted-direction
-// conditionals, fused MSR-PAN / MRS fall-throughs, and page-boundary
-// fall-throughs — collecting cached, epoch-valid successor blocks into a
-// superblock. The walk never touches emulated state or stats: successors
-// are probed directly in the block map (not via enter, which mutates
-// CodeStale), and context interning cannot reset mid-walk because the
-// same-half constraint keeps every keyFor on the context the entry block's
-// own lookup just placed in the interning memo.
+// conditionals, fused MSR-PAN / MRS fall-throughs, a TTBR1-half call gate's
+// MSR TTBR0_EL1, and page-boundary fall-throughs — collecting cached,
+// epoch-valid successor blocks into a superblock. The walk never touches
+// emulated state or stats: successors are probed directly in the block map
+// (not via enter, which mutates CodeStale), and context interning cannot
+// reset mid-walk because the same-half constraint keeps every keyFor on the
+// context the entry block's own lookup just placed in the interning memo.
 //
 // A stitch costs this one walk over the per-cache scratch (at most
 // maxTraceBlocks members and maxTracePages pages, so membership tests are
@@ -439,6 +444,15 @@ walk:
 				break walk
 			}
 			next = termPC + arm64.InsnBytes
+		case arm64.OpMSRReg:
+			// A call gate's TTBR0 switch: TTBR1-half code fetches and keys
+			// its blocks under TTBR1's ASID, which the write leaves alone.
+			// Any other sysreg write, or this one elsewhere, ends the walk.
+			r, known := arm64.LookupSysReg(last.Sys)
+			if !ttbr1 || !known || r != arm64.TTBR0EL1 {
+				break walk
+			}
+			next = termPC + arm64.InsnBytes
 		default:
 			if last.Op.Terminates() {
 				// Indirect branches, exception generators, sysreg writes,
@@ -489,16 +503,26 @@ walk:
 	tc.stitched++
 }
 
-// installTrace caches t under its key, clearing the cache first at the cap.
+// installTrace caches t under its key, clearing the cache first at the cap,
+// and pins the hot counter of every member at the threshold: a block that
+// already runs inside a trace never starts a second one mid-way. A dropped
+// trace unpins only its entry, which re-stitches the members it covered.
 func (c *VCPU) installTrace(t *trace) {
 	tc := &c.tcache
 	if len(tc.traces) >= maxTraces {
 		c.dropAllTraces()
 	}
 	if tc.traces == nil {
-		tc.traces = make(map[blockKey]*trace)
+		var n int
+		if tmpl := c.Decoded.tmpl; tmpl != nil {
+			n = tmpl.nTraces
+		}
+		tc.traces = make(map[blockKey]*trace, n)
 	}
 	tc.traces[t.key] = t
+	for i := range t.members {
+		t.members[i].blk.hot = tc.threshold
+	}
 }
 
 // hasMemberStart reports whether a member block of the walk starts at pc.
@@ -558,6 +582,11 @@ func (c *VCPU) flattenSteps(members []traceMember, insns int) []traceStep {
 					st.fusedReg = r
 					st.mrsS1 = arm64.IsStage1Reg(r)
 					st.fusedCost = c.Prof.SysRegReadCost(r)
+				case in.Op == arm64.OpMSRReg:
+					// The TTBR0 write edge keeps generic dispatch and its
+					// generation checks: the hook, a TVM trap and any
+					// generation movement behave exactly as untraced.
+					st.kind = kMem
 				case in.Op.Terminates():
 					st.kind = kTerm
 				case pureOp(in.Op):

@@ -560,8 +560,11 @@ func TestTraceCacheBoundedUnderChurn(t *testing.T) {
 	}
 }
 
-// TestTraceCacheClearsAtCap chains half again as many tiny blocks as
-// maxTraces and, at threshold 1, stitches a trace at every one. The
+// TestTraceCacheClearsAtCap chains half again as many independent traces
+// as maxTraces and, at threshold 1, stitches each one. A unit is two blocks,
+// `ADD; B #4` and `ADR; BR` to the next unit: the indirect branch ends every
+// walk and enters the next unit from outside any trace, so each unit's
+// entry stitches its own trace (a member never starts a second one). The
 // stitching pass steps one instruction at a time, so every stitch is
 // observed: the cache never holds more than the cap, and the stitch that
 // finds it full clears all maxTraces traces (Invalidated counts each)
@@ -569,20 +572,21 @@ func TestTraceCacheBoundedUnderChurn(t *testing.T) {
 // entries the clear emptied stitch again. All of it stays bit-identical to
 // the untraced pipeline.
 func TestTraceCacheClearsAtCap(t *testing.T) {
-	const blocks = maxTraces + maxTraces/2
-	const blockBytes = 2 * arm64.InsnBytes
-	words := make([]uint32, 0, 2*blocks+1)
-	for i := 0; i < blocks; i++ {
-		words = append(words, arm64.ADDImm(0, 0, 1, false), bPlus4)
+	const units = maxTraces + maxTraces/2
+	const unitBytes = 4 * arm64.InsnBytes
+	words := make([]uint32, 0, 4*units+1)
+	for i := 0; i < units; i++ {
+		words = append(words, arm64.ADDImm(0, 0, 1, false), bPlus4,
+			arm64.ADR(1, 2*arm64.InsnBytes), arm64.BR(1))
 	}
 	words = append(words, arm64.HVC(0))
 
-	// pass runs the chain from block `from` to its HVC in Run slices of
+	// pass runs the chain from unit `from` to its HVC in Run slices of
 	// the given size, checking the cap after every slice, and returns how
 	// often the cache was cleared.
 	pass := func(e *env, from int, slice int64) int {
 		clears, prev := 0, e.c.TraceCacheLen()
-		runSliced(t, e, uint64(codeVA)+uint64(from)*blockBytes, slice, int64(len(words)), func() {
+		runSliced(t, e, uint64(codeVA)+uint64(from)*unitBytes, slice, int64(len(words)), func() {
 			n := e.c.TraceCacheLen()
 			if n > maxTraces {
 				t.Fatalf("%d live traces, cap %d", n, maxTraces)
@@ -605,15 +609,15 @@ func TestTraceCacheClearsAtCap(t *testing.T) {
 		loadWords(t, e, words)
 		pass(e, 0, 1) // decode every block
 		before := ReadTraceStats()
-		clears := pass(e, 0, 1) // enter every block: one stitch each
+		clears := pass(e, 0, 1) // enter every unit: one stitch each
 		d := ReadTraceStats().Sub(before)
 		if traces {
-			if clears != 1 || d.Invalidated != maxTraces || d.Stitched != blocks {
+			if clears != 1 || d.Invalidated != maxTraces || d.Stitched != units {
 				t.Errorf("stitching pass: %d clears, %d invalidated, %d stitched; want 1, %d, %d",
-					clears, d.Invalidated, d.Stitched, maxTraces, blocks)
+					clears, d.Invalidated, d.Stitched, maxTraces, units)
 			}
-			if n := e.c.TraceCacheLen(); n != blocks-maxTraces {
-				t.Errorf("%d traces live after the clear, want %d", n, blocks-maxTraces)
+			if n := e.c.TraceCacheLen(); n != units-maxTraces {
+				t.Errorf("%d traces live after the clear, want %d", n, units-maxTraces)
 			}
 		}
 		before = ReadTraceStats()
@@ -635,7 +639,7 @@ func TestTraceCacheClearsAtCap(t *testing.T) {
 	if on.x != off.x {
 		t.Errorf("registers diverged:\n  traces on  %v\n  traces off %v", on.x, off.x)
 	}
-	if want := uint64(3*blocks + blocks - maxTraces); on.sig.x0 != want {
+	if want := uint64(3*units + units - maxTraces); on.sig.x0 != want {
 		t.Errorf("x0 = %d, want %d", on.sig.x0, want)
 	}
 }

@@ -124,6 +124,57 @@ func TestCompactFrameByteWriteGoesDense(t *testing.T) {
 	}
 }
 
+// TestCompactFrameReadTouchStaysCompact reads an untouched frame through
+// each byte-path read: the read materializes it compact with no words,
+// VisitFrames lists it as a zero page (the digest tells an all-zero frame
+// from an absent one), and the first byte-path store turns it dense.
+func TestCompactFrameReadTouchStaysCompact(t *testing.T) {
+	pm := newTestPhys(t)
+	reads := []struct {
+		name string
+		fn   func(pa PA) (uint64, error)
+	}{
+		{"Read", func(pa PA) (uint64, error) {
+			var b [8]byte
+			err := pm.Read(pa+3, b[:5])
+			return binary.LittleEndian.Uint64(b[:]), err
+		}},
+		{"ReadUint", func(pa PA) (uint64, error) { return pm.ReadUint(pa+6, 2) }},
+		{"ReadU64", func(pa PA) (uint64, error) { return pm.ReadU64(pa + 8) }},
+		{"ReadU32", func(pa PA) (uint64, error) {
+			v, err := pm.ReadU32(pa + 4)
+			return uint64(v), err
+		}},
+	}
+	zero := make([]byte, PageSize)
+	for i, r := range reads {
+		pa := PA(uint64(16+i) << PageShift)
+		if visited(pm, pa) != nil {
+			t.Fatalf("%s: frame %v materialized before the read", r.name, pa)
+		}
+		if v, err := r.fn(pa); err != nil || v != 0 {
+			t.Errorf("%s of an untouched frame = %#x, %v; want 0", r.name, v, err)
+		}
+		if !compactAt(pm, pa) {
+			t.Errorf("%s materialized the frame dense", r.name)
+		}
+		if got := visited(pm, pa); !bytes.Equal(got, zero) {
+			t.Errorf("%s: the read-touched frame is not visited as a zero page (visited: %v)", r.name, got != nil)
+		}
+		if err := pm.WriteUint(pa+9, 1, 0x5a); err != nil {
+			t.Fatal(err)
+		}
+		if compactAt(pm, pa) {
+			t.Errorf("%s: the first byte store left the frame compact", r.name)
+		}
+		want := make([]byte, PageSize)
+		want[9] = 0x5a
+		if got := frameBytes(t, pm, pa); !bytes.Equal(got, want) {
+			t.Errorf("%s: the byte store after a read touch lost bytes", r.name)
+		}
+	}
+}
+
 func TestCompactFrameReuseReadsZero(t *testing.T) {
 	pm := newTestPhys(t)
 	pa, err := pm.AllocFrame()
@@ -569,6 +620,37 @@ func TestCOWCompactFramesMatchDenseModel(t *testing.T) {
 				same(step, op, s.pm.WriteUint(pa, 4, uint64(binary.LittleEndian.Uint32(b))), s.ref.write(pa, b[:4]))
 			default:
 				same(step, op, s.pm.Write(pa, b), s.ref.write(pa, b))
+			}
+		case p < 66:
+			// A read whose first touch materializes a frame: it stays
+			// compact with no words and is visited as a zero page. Data
+			// frames past the ones already touched are untouched here.
+			op = "read touch"
+			pa := dataBase + PA(8*PageSize+rng.Intn(64*PageSize))
+			if s.ref.frames[uint64(pa)>>PageShift] != nil {
+				break
+			}
+			var v uint64
+			var err error
+			switch rng.Intn(4) {
+			case 0:
+				var b [8]byte
+				err = s.pm.Read(pa, b[:1+rng.Intn(8)])
+				v = binary.LittleEndian.Uint64(b[:])
+			case 1:
+				v, err = s.pm.ReadUint(pa&^7, 1<<rng.Intn(4))
+			case 2:
+				v, err = s.pm.ReadU64(pa &^ 7)
+			default:
+				var w uint32
+				w, err = s.pm.ReadU32(pa &^ 3)
+				v = uint64(w)
+			}
+			var b [1]byte
+			same(step, op, err, s.ref.read(pa, b[:]))
+			if v != 0 || !compactAt(s.pm, pa) {
+				t.Fatalf("step %d: first-touch read at %v = %#x, compact %v; want 0, compact",
+					step, pa, v, compactAt(s.pm, pa))
 			}
 		case p < 76:
 			op = "read"

@@ -44,8 +44,10 @@ const compactCap = 8
 // compactCap: word idx[k] holds val[k] for k < n, in ascending idx, and
 // every other word is zero. Page-table frames written through the
 // table-word path start compact, since most hold one to three descriptors;
-// such a frame costs about 100 bytes instead of 4KB. Storing a non-zero
-// word past the cap, or any byte-path write, turns the frame dense.
+// such a frame costs about 100 bytes instead of 4KB. So does a frame whose
+// first touch is a byte-path read: it holds no words until it is written.
+// Storing a non-zero word past the cap, or any byte-path write, turns the
+// frame dense.
 type compactFrame struct {
 	n   int
 	idx [compactCap]uint16
@@ -240,8 +242,9 @@ func (m *PhysMem) chunkAt(ci uint64) *frameChunk {
 }
 
 // resolve returns pa's frame storage, dense or compact (exactly one is
-// set). An untouched frame materializes on first touch: compact when the
-// table-word path touches it (compact set), dense otherwise.
+// set). An untouched frame materializes on first touch: compact when a
+// read or the table-word path touches it (compact set), dense when a
+// byte-path write does.
 func (m *PhysMem) resolve(pa PA, compact bool) (*[PageSize]byte, *compactFrame, error) {
 	idx := uint64(pa) >> PageShift
 	if idx >= m.numFrames {
@@ -492,7 +495,7 @@ func (m *PhysMem) VisitFrames(fn func(pa PA, frame *[PageSize]byte)) {
 // Read copies len(buf) bytes starting at pa. Accesses may cross frames.
 func (m *PhysMem) Read(pa PA, buf []byte) error {
 	for len(buf) > 0 {
-		f, c, err := m.resolve(pa, false)
+		f, c, err := m.resolve(pa, true)
 		if err != nil {
 			return err
 		}
@@ -528,7 +531,7 @@ func (m *PhysMem) Write(pa PA, buf []byte) error {
 // cross a frame boundary — the emulated load/store fast path. Callers must
 // check the bound; crossing accesses go through Read.
 func (m *PhysMem) ReadUint(pa PA, size int) (uint64, error) {
-	f, c, err := m.resolve(pa, false)
+	f, c, err := m.resolve(pa, true)
 	if err != nil {
 		return 0, err
 	}
@@ -573,7 +576,7 @@ func (m *PhysMem) WriteUint(pa PA, size int, v uint64) error {
 // ReadU64 reads a little-endian 64-bit word (page-table descriptors).
 func (m *PhysMem) ReadU64(pa PA) (uint64, error) {
 	if off := uint64(pa) & PageMask; off+8 <= PageSize {
-		f, c, err := m.resolve(pa, false)
+		f, c, err := m.resolve(pa, true)
 		if err != nil {
 			return 0, err
 		}
@@ -599,7 +602,7 @@ func (m *PhysMem) WriteU64(pa PA, v uint64) error {
 // ReadU32 reads a little-endian 32-bit word (instruction fetch).
 func (m *PhysMem) ReadU32(pa PA) (uint32, error) {
 	if off := uint64(pa) & PageMask; off+4 <= PageSize {
-		f, c, err := m.resolve(pa, false)
+		f, c, err := m.resolve(pa, true)
 		if err != nil {
 			return 0, err
 		}

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"lightzone/internal/arm64"
+	"lightzone/internal/core"
 	"lightzone/internal/cpu"
+	"lightzone/internal/mem"
 )
 
 // TestTable5CycleIdentityCacheOnOff runs Table 5 configurations through the
@@ -121,6 +123,53 @@ func BenchmarkGateSwitchHost(b *testing.B) {
 	}
 }
 
+// TestTraceCacheManyDomainsHeadroom runs a 10,000-switch Cortex TTBR-128
+// cell and checks what its trace cache holds: one trace per call gate,
+// keyed once in the TTBR1 half and spanning the gate's MSR TTBR0_EL1, and
+// one loop trace per domain ASID in the TTBR0 half, 256 in all, well
+// under maxTraces (512). No block inside a gate starts a trace of its
+// own, so the cache never reaches its cap and no trace is dropped.
+func TestTraceCacheManyDomainsHeadroom(t *testing.T) {
+	cfg := DomainSwitchConfig{
+		Platform: Platform{Prof: arm64.ProfileCortexA55()},
+		Variant:  VariantLZTTBR, Domains: 128, Iters: 10_000, Seed: 1,
+	}
+	env, p, err := PrepareDomainSwitch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := cpu.ReadTraceStats()
+	if err := env.Run(p, DomainSwitchBudget(cfg)); err != nil || p.Killed {
+		t.Fatalf("%v (killed: %q)", err, p.KillMsg)
+	}
+	d := cpu.ReadTraceStats().Sub(before)
+	gates := map[uint64]bool{}
+	loops := map[uint16]bool{}
+	snap := env.M.CPU.TraceSnapshot()
+	for _, ti := range snap {
+		if mem.IsTTBR1(mem.VA(ti.EntryPC)) {
+			if gates[ti.EntryPC] || (ti.EntryPC-core.GateCodeBase())%core.GateSlotLen != 0 {
+				t.Errorf("gate trace at %#x: a second one, or not at a gate's entry", ti.EntryPC)
+			}
+			gates[ti.EntryPC] = true
+			continue
+		}
+		if loops[ti.ASID] {
+			t.Errorf("a second TTBR0-half trace for ASID %d at %#x", ti.ASID, ti.EntryPC)
+		}
+		loops[ti.ASID] = true
+	}
+	t.Logf("%d traces: %d gate, %d loop; %d stitched, %d failed walks, %d invalidated",
+		len(snap), len(gates), len(loops), d.Stitched, d.StitchFailed, d.Invalidated)
+	if len(gates) != cfg.Domains || len(loops) != cfg.Domains || len(snap) != 2*cfg.Domains {
+		t.Errorf("%d traces (%d gate, %d loop), want one gate trace per gate and one loop trace per domain ASID, %d in all",
+			len(snap), len(gates), len(loops), 2*cfg.Domains)
+	}
+	if d.Invalidated != 0 {
+		t.Errorf("%d traces invalidated, want none", d.Invalidated)
+	}
+}
+
 // TestMicroTLBDHitRateManyDomains pins the D-side micro-TLB's hit-rate floor
 // on cells whose domains all stay resident: every call-gate crossing retags
 // TTBR0, so a D side sized for a handful of domains evicts the data pages
@@ -166,7 +215,7 @@ func TestProofAuditSpanCounts(t *testing.T) {
 		want cpu.ProofAuditStats
 	}{
 		{DomainSwitchConfig{Platform: Platform{Prof: arm64.ProfileCortexA55()}, Variant: VariantLZTTBR, Domains: 32},
-			cpu.ProofAuditStats{Spans: 4440, Finished: 4439, Abandoned: 1}},
+			cpu.ProofAuditStats{Spans: 3984, Finished: 3983, Abandoned: 1}},
 		{DomainSwitchConfig{Platform: Platform{Prof: arm64.ProfileCarmel(), Guest: true}, Variant: VariantLZPAN, Domains: 1},
 			cpu.ProofAuditStats{Spans: 1031, Finished: 1030, Abandoned: 1}},
 	} {

@@ -336,6 +336,28 @@ func TestZygoteTemplateDeterministic(t *testing.T) {
 	}
 }
 
+// TestZygoteChildMakesNoFailedWalks: a child forked after its zygote
+// published a code template adopts its traces and runs no walk that
+// fails. Every gate's first block, which ends at MSR TTBR0_EL1, is the
+// entry of the gate's trace, so no block is left whose walk fails on
+// every child alike.
+func TestZygoteChildMakesNoFailedWalks(t *testing.T) {
+	freshZygotes(t)
+	cfg := forkCellConfig()
+	if _, err := runForked(cfg); err != nil { // publishes the template
+		t.Fatal(err)
+	}
+	before := cpu.ReadTraceStats()
+	if _, err := runForked(cfg); err != nil {
+		t.Fatal(err)
+	}
+	d := cpu.ReadTraceStats().Sub(before)
+	t.Logf("child: %d traces adopted, %d stitched, %d failed walks", d.Adopted, d.Stitched, d.StitchFailed)
+	if d.StitchFailed != 0 || d.Adopted == 0 {
+		t.Errorf("child made %d failed walks and adopted %d traces, want 0 and some", d.StitchFailed, d.Adopted)
+	}
+}
+
 // BenchmarkZygoteFork measures the fork alone: Env.Fork of the fork-fleet
 // cell's prepared zygote, which copies its frames, clones its vCPU,
 // hypervisor and kernel, and rebuilds its module chain (DESIGN.md §14).
@@ -354,8 +376,8 @@ func BenchmarkZygoteFork(b *testing.B) {
 // BenchmarkForkCell measures one short traced machine end to end: fork the
 // fork-fleet cell from its zygote and run it to exit. Each child fills its
 // code caches from the template the warm-up child published; the custom
-// metrics count, per child, the blocks it built and adopted and the traces
-// it stitched and adopted.
+// metrics count, per child, the blocks it built and adopted, the traces it
+// stitched and adopted, and its stitch walks that failed.
 func BenchmarkForkCell(b *testing.B) {
 	cfg := forkCellConfig()
 	var built, adopted uint64
@@ -391,4 +413,5 @@ func BenchmarkForkCell(b *testing.B) {
 	b.ReportMetric(float64(adopted)/n, "adopted-blocks/op")
 	b.ReportMetric(float64(ts.Stitched)/n, "stitched-traces/op")
 	b.ReportMetric(float64(ts.Adopted)/n, "adopted-traces/op")
+	b.ReportMetric(float64(ts.StitchFailed)/n, "failed-walks/op")
 }
